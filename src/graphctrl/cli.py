@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -108,7 +107,7 @@ def _jsonable(x):
 def _solve_from_problem(args):
     graph, control, settings = load_problem(args.problem)
     modes = args.modes if args.modes else settings.num_modes
-    basis = spectrum.solve_spectrum(graph, modes, settings.scan_resolution)
+    basis = spectrum.solve_spectrum(graph, modes)
     return graph, control, settings, basis
 
 
@@ -303,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="graphctrl", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out-dir", default="out", help="output directory (default: ./out)")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="BLAS thread cap; GRAPHCTRL_THREADS overrides")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction amplitudes (CSV)")
@@ -368,12 +365,6 @@ def dispatch(argv) -> int:
     if not args.command:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
-
-    threads = os.environ.get("GRAPHCTRL_THREADS")
-    n_threads = int(threads) if threads else args.threads
-    if n_threads > 0:
-        os.environ.setdefault("OMP_NUM_THREADS", str(n_threads))
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", str(n_threads))
 
     inputs = [v for k, v in vars(args).items()
               if k in ("problem", "freqs", "target", "control") and v]

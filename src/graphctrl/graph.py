@@ -198,7 +198,6 @@ def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RA
 @dataclass
 class SolverSettings:
     num_modes: int = 50
-    scan_resolution: float | None = None  # None: chosen from the total length
     horizon: float = 10.0
     root_rel_tol: float = 1e-13
     cluster_rel_tol: float = 1e-9
@@ -279,16 +278,18 @@ def load_problem(path):
     control = ControlOperator(per_edge=per_edge, tag=str(doc.get("control_tag", "")))
 
     sdoc = doc.get("solver", {})
+    if "scan_resolution" in sdoc:
+        raise ValidationError("solver: 'scan_resolution' is not supported: star spectra are "
+                              "bracketed in closed form, there is no scan grid to set")
     settings = SolverSettings(
         num_modes=int(sdoc.get("num_modes", 50)),
-        scan_resolution=(float(sdoc["scan_resolution"]) if "scan_resolution" in sdoc else None),
         horizon=float(sdoc.get("T", 10.0)),
         root_rel_tol=float(sdoc.get("root_rel_tol", 1e-13)),
         cluster_rel_tol=float(sdoc.get("cluster_rel_tol", 1e-9)),
         resonance_rel_tol=float(sdoc.get("resonance_rel_tol", 1e-10)),
         extra={k: v for k, v in sdoc.items()
-               if k not in ("num_modes", "scan_resolution", "T", "root_rel_tol",
-                            "cluster_rel_tol", "resonance_rel_tol")},
+               if k not in ("num_modes", "T", "root_rel_tol", "cluster_rel_tol",
+                            "resonance_rel_tol")},
     )
     return graph, control, settings
 
@@ -314,7 +315,6 @@ def serialize_problem(graph: MetricGraph, control=None, settings: SolverSettings
             "root_rel_tol": settings.root_rel_tol,
             "cluster_rel_tol": settings.cluster_rel_tol,
             "resonance_rel_tol": settings.resonance_rel_tol,
-            **({"scan_resolution": settings.scan_resolution} if settings.scan_resolution else {}),
             **settings.extra,
         }
     return doc

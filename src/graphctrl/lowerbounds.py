@@ -28,7 +28,7 @@ import numpy as np
 from .errors import UnsupportedTopology, ValidationError
 from .graph import BoundaryCondition, MetricGraph, Topology
 from .spectrum import (SpectralBasis, TrigMode, assemble_secular, common_vanishing_points,
-                       scan_sign_changes)
+                       star_roots)
 
 
 @dataclass
@@ -277,39 +277,20 @@ class CosBoundReport:
     failed: bool
 
 
-def check_cos_lower_bound(lengths, K: int, eps: float = 0.1,
-                          resolution: float | None = None) -> CosBoundReport:
+def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     """Cosine values along the roots of the all-Neumann secular equation.
 
-    Finds the first K positive roots of sum_l sin(x L_l) prod_{m != l}
-    cos(x L_m) = 0 and reports min over roots and edges of
-    |cos(omega_n L_l)| * omega_n^(1 + eps); a minimum indistinguishable from
-    zero means the bound genuinely fails (rationally related lengths).
+    Takes the first K distinct positive roots of sum_l sin(x L_l) prod_{m != l}
+    cos(x L_m) = 0 (a branch point of rationally related lengths counts
+    once) and reports min over roots and edges of |cos(omega_n L_l)| *
+    omega_n^(1 + eps); a minimum indistinguishable from zero means the bound
+    genuinely fails (rationally related lengths).
     """
+    if K < 1:
+        raise ValidationError("K must be >= 1")
     lengths = np.asarray(lengths, dtype=float)
-    kinds = [TrigMode.COS] * lengths.size
-    S, _ = assemble_secular(lengths, kinds)
-    total = float(lengths.sum())
-    if resolution is None:
-        resolution = math.pi / (8 * total)
-    x_max = (K + 2) * math.pi / total + 1.0
-    roots: list[float] = []
-    for _ in range(40):
-        candidates = scan_sign_changes(S, x_max, resolution)
-        # rationally related lengths can produce even-order zeros invisible
-        # to the sign scan; merge in simultaneous cos vanishing points and
-        # dedupe by proximity (a point may appear through both routes)
-        candidates = sorted(candidates + [p for p, _ in common_vanishing_points(lengths, kinds, x_max)])
-        roots = []
-        for r in candidates:
-            if not roots or r - roots[-1] > 1e-8 * max(1.0, r):
-                roots.append(r)
-        if len(roots) >= K:
-            break
-        x_max *= 1.4
-    roots = np.asarray(roots[:K])
-    if roots.size < K:
-        raise ValidationError("root scan failed to find the requested number of roots")
+    entries = star_roots(lengths, [TrigMode.COS] * lengths.size, K, distinct=True)
+    roots = np.array([x for x, _, _ in entries[:K]])
     cosvals = np.abs(np.cos(np.outer(roots, lengths)))
     per_root = cosvals.min(axis=1)
     scaled = per_root * roots ** (1 + eps)

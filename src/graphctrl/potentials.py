@@ -299,7 +299,9 @@ def find_resonant_quadruples(mu, tol_abs, int_labels=None):
 
     Implemented by sorting all pair gaps and matching near-equal neighbours;
     when integer labels are supplied (mu = scale * label^2) the matching is
-    exact in integer arithmetic.
+    exact in integer arithmetic.  Each quadruple lists its smaller pair
+    first and the list is sorted by the pairs, so rounding noise in equal
+    gaps does not reorder the output.
     """
     K = len(mu)
     gaps = []
@@ -322,8 +324,8 @@ def find_resonant_quadruples(mu, tol_abs, int_labels=None):
             elif g2 - g > tol_abs:
                 break
             defect = abs(float(mu[m - 1] - mu[l - 1]) - float(mu[k - 1] - mu[j - 1]))
-            out.append(((j, k), (l, m), defect))
-    return out
+            out.append((min((j, k), (l, m)), max((j, k), (l, m)), defect))
+    return sorted(out)
 
 
 def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,

@@ -9,11 +9,22 @@ a scalar secular function
 
 with tau = sin, sigma = cos on Dirichlet edges and tau = cos, sigma = -sin
 on Neumann edges.  S is entire (pole-free) and its positive zeros, counted
-with their order, enumerate the spectrum: simple sign-change zeros carry
-eigenfunctions that do not vanish at the center, while points where r >= 2
-edge factors vanish simultaneously carry r-1 eigenfunctions supported on
-those edges (a zero of S of order r-1).  The latter exist only when length
-ratios are rational and are enumerated in closed form.
+with their order, enumerate the spectrum.
+
+Star roots are bracketed by the closed-form zeros of the edge factors tau_l.
+Away from them S = prod_l tau_l * M with
+
+    M(x) = sum_l sigma_l(x L_l) / tau_l(x L_l),
+
+and M falls strictly from +inf to -inf between consecutive distinct zeros
+(Berkolaiko & Kuchment, Introduction to Quantum Graphs, 2013).  So each such
+interval, and the interval below the first zero when some edge is Dirichlet,
+holds exactly one simple eigenvalue, whose eigenfunction does not vanish at
+the center.  A zero shared by r >= 2 edge factors is a branch point: it
+carries r-1 eigenfunctions supported on those edges that vanish at the
+center (a zero of S of order r-1).  Branch points exist only when length
+ratios are rational.  The count below any x is therefore known in closed
+form, and all brackets are refined at once by vectorized bisection on M.
 """
 
 from __future__ import annotations
@@ -154,51 +165,37 @@ def secular_function(graph: MetricGraph):
 
 
 # ---------------------------------------------------------------------------
-# root scanning
+# roots from interlacing brackets
 
-def _bisect(f, a, b, fa, fb, rel=_BISECT_REL):
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise NumericalError(f"root not bracketed on [{a}, {b}]")
-    while (b - a) > rel * max(1.0, abs(b)):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _edge_zero_clusters(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
+    """Distinct zeros of the edge factors tau_l on (0, x_max], in increasing order.
 
-
-def scan_sign_changes(f, x_max, resolution, x_min=0.0):
-    """All bracketed sign-change roots of f in (x_min, x_max]."""
-    grid = np.arange(x_min + resolution, x_max, resolution)
-    if grid.size < 2:
-        return []
-    vals = np.asarray(f(grid))
-    roots = []
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for i in idx:
-        roots.append(_bisect(lambda t: float(f(t)), grid[i], grid[i + 1],
-                             float(vals[i]), float(vals[i + 1])))
-    # grid points landing exactly on a root
-    for i in np.nonzero(vals == 0.0)[0]:
-        roots.append(float(grid[i]))
-    return sorted(roots)
-
-
-def _vanishing_points(length, kind: TrigMode, x_max):
-    """Zeros of the edge factor tau on (0, x_max]: sin -> n pi / L, cos -> (n-1/2) pi / L."""
-    if kind is TrigMode.SIN:
-        n_max = int(x_max * length / math.pi)
-        return [(n * math.pi) / length for n in range(1, n_max + 1)]
-    n_max = int(x_max * length / math.pi + 0.5)
-    return [((n - 0.5) * math.pi) / length for n in range(1, n_max + 1)]
+    The closed-form zeros (sin: n pi / L, cos: (n - 1/2) pi / L) of all edges
+    are merged where consecutive ones agree to ``cluster_rel``.  Returns the
+    first, last and mean member of each cluster as arrays lo, hi, x, and a
+    dict mapping the index of each cluster where >= 2 edges vanish to the
+    sorted indices of those edges.
+    """
+    xs, edges = [], []
+    for j, (L, k) in enumerate(zip(lengths, kinds)):
+        shift = 0.0 if k is TrigMode.SIN else 0.5
+        n = np.arange(1, int(x_max * L / math.pi + shift) + 1)
+        xs.append(((n - shift) * math.pi) / L)
+        edges.append(np.full(n.size, j))
+    x, e = np.concatenate(xs), np.concatenate(edges)
+    if not x.size:
+        return x, x, x, {}
+    order = np.lexsort((e, x))
+    x, e = x[order], e[order]
+    first = np.flatnonzero(np.concatenate(([True], np.diff(x) > cluster_rel * np.maximum(1.0, x[:-1]))))
+    last = np.append(first[1:], x.size) - 1
+    shared = {}
+    for i in np.flatnonzero(last > first):
+        support = sorted(set(e[first[i]:last[i] + 1].tolist()))
+        if len(support) >= 2:
+            shared[int(i)] = support
+    mean = np.add.reduceat(x, first) / (last - first + 1)
+    return x[first], x[last], mean, shared
 
 
 def common_vanishing_points(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
@@ -208,24 +205,68 @@ def common_vanishing_points(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
     related lengths produce such points; they are detected by clustering the
     closed-form zeros of the individual factors.
     """
-    events = []
-    for j, (L, k) in enumerate(zip(lengths, kinds)):
-        events.extend((x, j) for x in _vanishing_points(L, k, x_max))
-    events.sort()
-    branches = []
-    i = 0
-    while i < len(events):
-        x0, j0 = events[i]
-        group = [(x0, j0)]
-        k = i + 1
-        while k < len(events) and events[k][0] - x0 <= cluster_rel * max(1.0, x0):
-            group.append(events[k])
-            k += 1
-        if len({j for _, j in group}) >= 2:
-            xs = [x for x, _ in group]
-            branches.append((sum(xs) / len(xs), sorted({j for _, j in group})))
-        i = k
-    return branches
+    _, _, x, shared = _edge_zero_clusters(lengths, kinds, x_max, cluster_rel)
+    return [(float(x[i]), support) for i, support in shared.items()]
+
+
+def _secular_ratio(x, lengths, is_sin):
+    """M(x) = sum_l sigma_l(x L_l) / tau_l(x L_l), i.e. S(x) / prod_l tau_l(x L_l)."""
+    arg = np.outer(x, lengths)
+    s, c = np.sin(arg), np.cos(arg)
+    return np.where(is_sin, c / s, -s / c).sum(axis=1)
+
+
+def _bisect_brackets(lo, hi, lengths, is_sin):
+    """The root of M in each bracket (lo, hi), all refined together.
+
+    M falls strictly from +inf to -inf across each bracket, so only interior
+    points are evaluated and the sign of M tells which half holds the root.
+    """
+    a, b = lo.copy(), hi.copy()
+    while True:
+        active = np.flatnonzero(b - a > _BISECT_REL * np.maximum(1.0, b))
+        if not active.size:
+            return 0.5 * (a + b)
+        mid = 0.5 * (a[active] + b[active])
+        right = _secular_ratio(mid, lengths, is_sin) > 0
+        a[active[right]] = mid[right]
+        b[active[~right]] = mid[~right]
+
+
+def star_roots(lengths, kinds, count, distinct=False):
+    """The lowest positive square-root eigenvalues of a star, in increasing order.
+
+    Returns (x, multiplicity, support) entries covering at least ``count``
+    eigenvalues; with ``distinct`` every entry counts once.  Between
+    consecutive distinct zeros of the edge factors, and below the first one
+    when some edge is Dirichlet, M has exactly one root: a simple eigenvalue
+    (support None) whose eigenfunction does not vanish at the center.  A zero
+    shared by the r edges in ``support`` is a branch point carrying r - 1
+    center-vanishing eigenvalues.  The constant mode of an all-Neumann star
+    is not included.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    lead = int(is_sin.any())
+    x_max = (count + 2) * math.pi / float(lengths.sum()) + 1.0
+    while True:
+        lo, hi, x, shared = _edge_zero_clusters(lengths, kinds, x_max)
+        mult = np.zeros(x.size, dtype=int)
+        for i, support in shared.items():
+            mult[i] = 1 if distinct else len(support) - 1
+        # eigenvalues below cluster i; the last cluster may extend past x_max,
+        # so only those below it are complete
+        below = lead + np.arange(x.size) + np.cumsum(mult) - mult
+        if x.size and below[-1] >= count:
+            break
+        x_max *= 1.4
+    left = np.concatenate((np.zeros(lead), hi[:-1]))
+    right = lo[1 - lead:]
+    need = np.concatenate((np.zeros(lead, dtype=int), (below + mult)[:-1])) < count
+    entries = [(float(r), 1, None) for r in _bisect_brackets(left[need], right[need], lengths, is_sin)]
+    entries += [(float(x[i]), int(mult[i]), support) for i, support in shared.items()
+                if i < x.size - 1 and below[i] < count]
+    return sorted(entries, key=lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +352,16 @@ def _gap_report(omegas, m_max=10, floor_rel=1e-9):
     return (m_max, 0.0)
 
 
-def solve_spectrum(graph: MetricGraph, num_modes: int, scan_resolution: float | None = None) -> SpectralBasis:
+def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     """First ``num_modes`` eigenvalues and normalized eigenfunctions.
 
-    Sign-change zeros of the secular function are refined by bisection;
-    closed-form center-vanishing branches (rationally related lengths) are
-    merged in with their multiplicity.  The all-Neumann constant mode is
-    included explicitly.
+    For a star the roots come from ``star_roots``: one bracket between
+    consecutive distinct zeros of the edge factors (and below the first zero
+    when an edge is Dirichlet), all refined at once by bisection on M, plus
+    the closed-form branch points of rationally related lengths with their
+    multiplicity.  The count is exact, so the window holding ``num_modes``
+    eigenvalues is found in closed form before any root is refined.  The
+    all-Neumann constant mode is included explicitly.
     """
     if num_modes < 1:
         raise ValidationError("num_modes must be >= 1")
@@ -328,38 +372,16 @@ def solve_spectrum(graph: MetricGraph, num_modes: int, scan_resolution: float | 
 
     lengths = graph.lengths
     kinds = _edge_kinds(graph)
-    total_len = float(lengths.sum())
-    res_limit = math.pi / (2 * total_len)
-    if scan_resolution is None:
-        scan_resolution = res_limit / 8
-    elif scan_resolution >= res_limit:
-        raise ValidationError(
-            f"scan_resolution {scan_resolution} too coarse; must be < pi/(2 sum L) = {res_limit:.6g}")
-
-    S, _ = assemble_secular(lengths, kinds)
-    all_neumann = all(k is TrigMode.COS for k in kinds)
-
-    # grow the scan window until enough eigenvalues are collected
-    x_max = (num_modes + 2) * math.pi / total_len + 1.0
-    for _ in range(40):
-        entries = _collect_roots(S, lengths, kinds, x_max, scan_resolution)
-        count = sum(mult for _, mult, _ in entries) + (1 if all_neumann else 0)
-        if count >= num_modes:
-            break
-        x_max *= 1.4
-    else:
-        raise NumericalError("root scan failed to collect the requested number of modes")
-
     modes: list[EigenMode] = []
-    if all_neumann:
-        amp = 1.0 / math.sqrt(total_len)
+    if all(k is TrigMode.COS for k in kinds):
+        amp = 1.0 / math.sqrt(float(lengths.sum()))
         modes.append(EigenMode(index=1, lam=0.0, omega=0.0,
                                per_edge=[(amp, TrigMode.COS)] * len(lengths),
                                center_value=amp))
     group_id = 0
-    for x0, mult, support in entries:
+    for x0, _, support in star_roots(lengths, kinds, num_modes - len(modes)):
         lam = x0 * x0
-        if mult == 1 and support is None:
+        if support is None:
             amps, c = _simple_mode(x0, lengths, kinds)
             modes.append(EigenMode(index=0, lam=lam, omega=x0,
                                    per_edge=[(a, k) for a, k in zip(amps, kinds)],
@@ -370,10 +392,7 @@ def solve_spectrum(graph: MetricGraph, num_modes: int, scan_resolution: float | 
                 modes.append(EigenMode(index=0, lam=lam, omega=x0,
                                        per_edge=[(float(a), k) for a, k in zip(amps, kinds)],
                                        multiplicity_group=group_id, center_value=0.0))
-        if len(modes) >= num_modes and modes[-1].multiplicity_group is None:
-            break
 
-    modes.sort(key=lambda m: m.lam)
     modes = modes[:num_modes]
     for i, m in enumerate(modes):
         m.index = i + 1
@@ -381,28 +400,6 @@ def solve_spectrum(graph: MetricGraph, num_modes: int, scan_resolution: float | 
     return SpectralBasis(modes=modes, lengths=lengths, edge_ids=graph.edge_ids,
                          gap_report=_gap_report([m.omega for m in modes]),
                          weyl_report=_weyl_report(lams))
-
-
-def _collect_roots(S, lengths, kinds, x_max, resolution):
-    """Merge sign-change roots with closed-form branch points.
-
-    Returns a list of (x, multiplicity, support) sorted by x, where support
-    is None for simple center-nonvanishing roots.
-    """
-    branches = common_vanishing_points(lengths, kinds, x_max)
-    sign_roots = scan_sign_changes(S, x_max, resolution)
-    entries = []
-    bx = np.array([b[0] for b in branches]) if branches else np.empty(0)
-    for x0 in sign_roots:
-        if bx.size:
-            i = int(np.argmin(np.abs(bx - x0)))
-            if abs(bx[i] - x0) <= 1e-8 * max(1.0, x0):
-                continue  # odd-order branch zero; counted via the branch list
-        entries.append((x0, 1, None))
-    for x0, support in branches:
-        entries.append((x0, len(support) - 1, support))
-    entries.sort(key=lambda t: t[0])
-    return entries
 
 
 def _interval_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:

@@ -64,3 +64,54 @@ def degree6_neumann_cos_integral(omega, L):
     d3_0, d5_0, d5_L, d6 = -240.0 * L**3, -2880.0 * L, 720.0 * L, 3600.0
     return (d3_0 / omega**4 - (d5_0 - d5_L * math.cos(omega * L)) / omega**6
             - d6 * math.sin(omega * L) / omega**7)
+
+
+# -- interlacing slots of a star ---------------------------------------------
+
+def interlacing_slots(lengths, dirichlet, count, distinct=False, shared_rel=1e-12):
+    """Where the first ``count`` square-root eigenvalues of a star must lie.
+
+    Uses only the closed-form zeros of the edge factors, sin(x L) on
+    Dirichlet edges and cos(x L) on Neumann edges.  Between consecutive
+    distinct zeros there is exactly one eigenvalue, below the first zero
+    there is one when some edge is Dirichlet, and a zero shared by r factors
+    carries r - 1 more (Berkolaiko & Kuchment, Introduction to Quantum
+    Graphs, 2013).  Returns one (a, b) per eigenvalue: an open interval, or
+    a == b at a shared zero.  An all-Neumann star starts with the constant
+    mode (0, 0).  With ``distinct`` a shared zero gives one slot and the
+    constant mode none (the distinct positive roots).
+    """
+    x_max = (count + 2) * math.pi / min(lengths)
+    while True:
+        zeros = sorted(z for L, d in zip(lengths, dirichlet)
+                       for n in range(1, int(x_max * L / math.pi) + 2)
+                       if (z := (n if d else n - 0.5) * math.pi / L) <= x_max)
+        clusters = []                      # [zero, number of factors vanishing there]
+        for z in zeros:
+            if clusters and z - clusters[-1][0] <= shared_rel * z:
+                clusters[-1][1] += 1
+            else:
+                clusters.append([z, 1])
+        slots = []
+        if any(dirichlet):
+            slots.append((0.0, clusters[0][0]))
+        elif not distinct:
+            slots.append((0.0, 0.0))
+        # the last cluster may extend past x_max: stop at the interval below it
+        for (z, r), (z_next, _) in zip(clusters, clusters[1:]):
+            if r >= 2:
+                slots.extend([(z, z)] * (1 if distinct else r - 1))
+            slots.append((z, z_next))
+        if len(slots) >= count:
+            return slots[:count]
+        x_max *= 2.0
+
+
+def assert_fills_slots(omegas, slots, point_rel=1e-9):
+    """Each root lies in its own slot: inside its interval, or on its shared zero."""
+    assert len(omegas) == len(slots)
+    for k, (w, (a, b)) in enumerate(zip(omegas, slots), start=1):
+        if a == b:
+            assert abs(w - a) <= point_rel * max(1.0, a), f"root {k} = {w!r} is not the point {a!r}"
+        else:
+            assert a < w < b, f"root {k} = {w!r} outside ({a!r}, {b!r})"

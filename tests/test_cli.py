@@ -144,6 +144,22 @@ def test_validation_exit_code(tmp_path):
                      "--problem", str(bad)]) == EXIT_VALIDATION
 
 
+def test_threads_flag_removed(problem, tmp_path):
+    # a BLAS thread cap only works when set in the environment before numpy loads
+    assert dispatch(["--threads", "2", "--out-dir", str(tmp_path / "o"), "spectrum",
+                     "--problem", str(problem)]) == EXIT_USAGE
+
+
+def test_scan_resolution_rejected_at_load(tmp_path, capsys):
+    doc = json.loads(json.dumps(STAR2))
+    doc["solver"]["scan_resolution"] = 0.05
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(doc))
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum",
+                     "--problem", str(bad)]) == EXIT_VALIDATION
+    assert "scan_resolution" in capsys.readouterr().err
+
+
 def test_numerical_exit_code(tmp_path):
     freqs = tmp_path / "f.csv"
     with open(freqs, "w", newline="") as fh:

@@ -189,6 +189,18 @@ def test_resonance_finder_matches_exhaustive_oracle():
     assert got == exhaustive_quadruples(mu, tol)
 
 
+def test_resonant_quadruple_order_survives_rounding(star2_irrational):
+    # equal gaps of the 2-star agree only to rounding; a 1e-14 change of mu
+    # must leave the pair order in each quadruple and the list order alone
+    mu = solve_spectrum(star2_irrational, 60).eigenvalues
+    tol = 1e-10 * float(mu.max())
+    noise = 1.0 + 1e-14 * np.random.default_rng(0).standard_normal(mu.size)
+    got = [q[:2] for q in find_resonant_quadruples(mu, tol)]
+    assert len(got) > 900 and got == sorted(got)
+    assert all(p1 < p2 for p1, p2 in got)
+    assert [q[:2] for q in find_resonant_quadruples(mu * noise, tol)] == got
+
+
 def test_resonance_exact_integer_matching():
     basis = explicit_subsystem("equilateral_star", 8, n_edges=3, length=1.0)
     op = ControlOperator(per_edge={"e1": squared_shift_potential(1.0)})

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphctrl.errors import UnsupportedTopology, ValidationError
+from graphctrl.errors import UnsupportedTopology
 from graphctrl.graph import BoundaryCondition as BC, Edge, MetricGraph, Topology
+from graphctrl.lowerbounds import check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
 from graphctrl.spectrum import (explicit_subsystem, equilateral_dropped_modes, secular_function,
                                 solve_spectrum, validate_spectral_hypotheses)
 
-from conftest import interval, star
+from conftest import assert_fills_slots, interlacing_slots, interval, star
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -93,9 +96,10 @@ def test_equilateral_star_spectrum(star3_equilateral):
 
 
 def test_two_star_spectrum_progression(star2_irrational):
-    basis = solve_spectrum(star2_irrational, 3)
-    step = PI / (1 + SQRT2)
-    assert np.allclose(basis.omegas, [step, 2 * step, 3 * step], rtol=1e-12)
+    # D-D 2-star: S = sin((L1 + L2) x), so omega_k = k pi / (L1 + L2) exactly
+    basis = solve_spectrum(star2_irrational, 1000)
+    exact = np.arange(1, 1001) * PI / (1 + SQRT2)
+    assert np.max(np.abs(basis.omegas - exact) / exact) <= 1e-13
 
 
 def test_neumann_star_includes_constant_mode(star5_neumann):
@@ -152,13 +156,6 @@ def test_vertex_conditions_hold(star5_neumann):
         assert abs(ksum) < 1e-8 * scale
 
 
-def test_eigenvalue_count_two_resolutions(star2_irrational):
-    res = math.pi / (2 * float(star2_irrational.lengths.sum()))
-    b1 = solve_spectrum(star2_irrational, 40, scan_resolution=res / 2)
-    b2 = solve_spectrum(star2_irrational, 40, scan_resolution=res / 20)
-    assert np.allclose(b1.eigenvalues, b2.eigenvalues, rtol=1e-12)
-
-
 def test_weyl_sandwich(star2_irrational):
     basis = solve_spectrum(star2_irrational, 200)
     c1, c2 = basis.weyl_report
@@ -168,9 +165,68 @@ def test_weyl_sandwich(star2_irrational):
     assert np.all(ratios >= c1 - 1e-12) and np.all(ratios <= c2 + 1e-12)
 
 
-def test_scan_resolution_validated(star2_irrational):
-    with pytest.raises(ValidationError, match="too coarse"):
-        solve_spectrum(star2_irrational, 5, scan_resolution=2.0)
+def test_near_equal_dirichlet_star_keeps_every_root():
+    # four nearly equal edges: each cluster of edge-factor zeros holds three
+    # roots, two of which a grid sign-scan misses
+    lengths = [0.54134275, 0.54134158, 0.54134045, 0.54134294]
+    basis = solve_spectrum(star(lengths), 200)
+    assert np.allclose(basis.omegas[:4], [2.9016713, 5.8033327, 5.8033410, 5.8033540],
+                       rtol=0, atol=6e-8)
+    assert_fills_slots(basis.omegas, interlacing_slots(lengths, [True] * 4, 200))
+
+
+@st.composite
+def clustered_stars(draw):
+    """3-6 edges with mixed ends, either nearly equal (relative spread >= 1e-7)
+    or small integer multiples of one scale, detuned by multiples of >= 1e-7
+    (equal detunings keep exactly shared zeros)."""
+    n = draw(st.integers(3, 6))
+    dirichlet = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    spread = 10.0 ** draw(st.floats(-7.0, -4.0))
+    if draw(st.booleans()):
+        base = draw(st.floats(0.3, 2.0))
+        steps = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+        lengths = [base * (1.0 + spread * u) for u in steps]
+    else:
+        h = draw(st.floats(0.1, 0.4))
+        ms = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        lengths = [h * m * (1.0 + spread * u) for m, u in zip(ms, steps)]
+    return lengths, dirichlet
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(clustered_stars())
+def test_roots_fill_interlacing_slots(case):
+    lengths, dirichlet = case
+    K = 120
+    basis = solve_spectrum(star(lengths, [BC.DIRICHLET if d else BC.NEUMANN for d in dirichlet]), K)
+    assert_fills_slots(basis.omegas, interlacing_slots(lengths, dirichlet, K))
+    rep = check_cos_lower_bound(lengths, K)
+    assert_fills_slots(rep.roots, interlacing_slots(lengths, [False] * len(lengths), K,
+                                                    distinct=True))
+
+
+def test_generic_mixed_star_roots_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    lengths = [0.7 * math.sqrt(p) for p in (2, 3, 5, 7, 11)]
+    dirichlet = [True, False, True, False, False]
+    basis = solve_spectrum(star(lengths, [BC.DIRICHLET if d else BC.NEUMANN for d in dirichlet]), 200)
+    slots = interlacing_slots(lengths, dirichlet, 200)
+
+    def secular(x):
+        # sum_l sigma_l prod_{j != l} tau_j: tau = sin, sigma = cos on Dirichlet
+        # edges, tau = cos, sigma = -sin on Neumann edges
+        tau = [mpmath.sin(x * L) if d else mpmath.cos(x * L) for L, d in zip(lengths, dirichlet)]
+        sigma = [mpmath.cos(x * L) if d else -mpmath.sin(x * L) for L, d in zip(lengths, dirichlet)]
+        return mpmath.fsum(sigma[l] * mpmath.fprod(tau[:l] + tau[l + 1:]) for l in range(len(tau)))
+
+    with mpmath.workdps(30):
+        for k in (1, 50, 100, 200):
+            ref = mpmath.findroot(secular, mpmath.mpf(basis.omegas[k - 1]))
+            a, b = slots[k - 1]
+            assert a < ref < b
+            assert abs(basis.omegas[k - 1] - float(ref)) <= 1e-12 * float(ref)
 
 
 # -- explicit subsystems ------------------------------------------------------
