@@ -238,6 +238,8 @@ def cmd_simulate(args, runner: Runner):
     runner.write_csv("trajectory.csv", header, rows)
     runner.write_json("simulate_summary.json", _jsonable({
         "norm_drift": traj.norm_drift,
+        "steps": traj.steps,
+        "error_estimate": dynamics.step_doubling_error(system, psi0, u, traj),
         "final_populations": np.abs(traj.final) ** 2,
     }))
 

@@ -1,10 +1,11 @@
 """Truncated propagation of the bilinear Schroedinger dynamics.
 
 The state lives in the span of the first K eigenfunctions; the generator is
-Lambda + u(t) B with Lambda diagonal and B real symmetric.  Time stepping
-applies the exponential of the frozen midpoint Hamiltonian through its
-eigendecomposition, so every step is unitary by construction; periodic
-drives reuse the one-period propagator.
+Lambda + u(t) B with Lambda diagonal and B real symmetric.  A step is the
+Strang split step e^{-i Lambda dt/2} Q e^{-i u(t_mid) dt D} Q^T e^{-i Lambda dt/2}
+with B = Q D Q^T diagonalized once per call (Strang, SIAM J. Numer. Anal.
+1968): unitary, second order, O(K^2) work, and the kick factors are formed
+in blocks of steps, so memory does not grow with the step count.
 
 Also here: the first-order (linearized) response used to validate moment
 controls, the bracket-closure dimension count behind the finite-dimensional
@@ -20,8 +21,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .moment import exp_inner
-
-_EIGH_CHUNK = 8192
 
 
 @dataclass
@@ -136,26 +135,54 @@ class SampledControl:
 # ---------------------------------------------------------------------------
 # propagation
 
+_KICK_BLOCK = 512   # steps whose kick factors are held in memory at once
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
     states: np.ndarray      # (len(times), K) complex
-    norm_drift: float
+    steps: int              # split steps taken
+    period_steps: int | None = None   # steps per drive period on the periodic path
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def norm_drift(self) -> float:
+        return float(np.max(np.abs(np.linalg.norm(self.states, axis=1) - 1.0)))
+
     def populations(self) -> np.ndarray:
         return np.abs(self.states) ** 2
 
 
+# bench/tracing.py counts propagation steps here: every path passes all its midpoints
 def _step_matrices(lam, B, u_mids, dt):
-    """Unitary midpoint-exponential steps for a batch of control values."""
-    H = np.diag(lam)[None, :, :] + u_mids[:, None, None] * B[None, :, :]
-    w, v = np.linalg.eigh(H)
-    phase = np.exp(-1j * dt * w)
-    return np.einsum("nij,nj,nkj->nik", v, phase, v)
+    """Split-step factors: half = e^{-i lam dt/2}, and Q, D of B = Q diag(D) Q^T."""
+    D, Q = np.linalg.eigh(B)
+    return np.exp(-0.5j * dt * lam), Q, D
+
+
+def _split_evolve(lam, B, u_mids, dt, psi, rec_every=0):
+    """Apply the split steps with control midpoints u_mids to psi (a state, or rows of states).
+
+    Returns the final psi and (step, state) after every rec_every-th and the last
+    step.  In a = Q^T half psi a step is a <- W (kick * a), W = Q^T e^{-i Lambda dt} Q
+    projected to the nearest unitary (else the norm drifts ~10x faster over long
+    grids), and the kicks e^{-i u dt D} are formed _KICK_BLOCK steps at a time.
+    """
+    half, Q, D = _step_matrices(lam, B, u_mids, dt)
+    W = _polar_unitary((Q.T * half**2) @ Q)
+    a = (half * psi) @ Q
+    recorded, n = [], len(u_mids)
+    for start in range(0, n, _KICK_BLOCK):
+        kicks = np.exp(-1j * dt * np.multiply.outer(u_mids[start:start + _KICK_BLOCK], D))
+        for step, kick in enumerate(kicks, start=start + 1):
+            a = (kick * a) @ W.T
+            if rec_every and (step % rec_every == 0 or step == n):
+                recorded.append((step, half.conj() * (a @ Q.T)))
+    return half.conj() * (a @ Q.T), recorded
 
 
 def _polar_unitary(U):
@@ -169,7 +196,7 @@ def choose_step_count(system: GalerkinSystem, control, horizon: float, n_steps: 
         return int(n_steps)
     comm = np.linalg.norm(np.diag(system.lam) @ system.B - system.B @ np.diag(system.lam))
     u_scale = float(np.max(np.abs(control(np.linspace(0, horizon, 257)))))
-    # resolve the control oscillation and keep the midpoint commutator error small
+    # resolve the control oscillation and keep the commutator error of a step small
     n_osc = int(64 * max(1.0, control.max_frequency * horizon / (2 * math.pi)))
     n_comm = int(math.sqrt(max(comm * u_scale, 1e-12)) * horizon * 20)
     return max(512, n_osc, n_comm)
@@ -177,97 +204,84 @@ def choose_step_count(system: GalerkinSystem, control, horizon: float, n_steps: 
 
 def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
               record: int = 129) -> Trajectory:
-    """Unitary propagation of i psi' = (Lambda + u(t) B) psi.
+    """Unitary propagation of i psi' = (Lambda + u(t) B) psi by Strang split steps.
 
-    Periodic single-frequency drives take a fast path: the single-period
-    step product is formed once (and projected back to the unitary group)
-    and applied period by period.
+    An explicit n_steps runs that fixed grid.  Otherwise a single-frequency
+    drive longer than 8 periods takes the periodic path and other controls
+    get choose_step_count steps.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
         raise ValidationError("initial state must be normalized")
-    T = control.horizon
-    period = control.period
-    lam, B = system.lam, system.B
-
-    if period is not None and T > 8 * period:
+    T, period = control.horizon, control.period
+    if n_steps is None and period is not None and T > 8 * period:
         return _propagate_periodic(system, psi0, control, period, record)
 
     n = choose_step_count(system, control, T, n_steps)
     dt = T / n
     if dt <= 0 or not math.isfinite(dt):
         raise NumericalError("step size underflow")
-    t_mid = (np.arange(n) + 0.5) * dt
-    times = [0.0]
-    states = [psi0]
-    psi = psi0
     rec_every = max(1, n // max(record - 1, 1))
-    for start in range(0, n, _EIGH_CHUNK):
-        stop = min(start + _EIGH_CHUNK, n)
-        U = _step_matrices(lam, B, control(t_mid[start:stop]), dt)
-        for i in range(stop - start):
-            psi = U[i] @ psi
-            step = start + i + 1
-            if step % rec_every == 0 or step == n:
-                times.append(step * dt)
-                states.append(psi)
-    states = np.asarray(states)
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    return Trajectory(times=np.asarray(times), states=states, norm_drift=drift)
+    t_mid = (np.arange(n) + 0.5) * dt
+    _, recorded = _split_evolve(system.lam, system.B, control(t_mid), dt, psi0, rec_every)
+    return Trajectory(np.array([0.0] + [s * dt for s, _ in recorded]),
+                      np.array([psi0] + [state for _, state in recorded]), n)
 
 
 def _propagate_periodic(system, psi0, control, period, record, n_per_period=1024):
+    """Powers of the one-period map: a transfer runs thousands of periods, too many to step.
+
+    The map is the split steps of one period applied to the identity, projected
+    to the nearest unitary: its roundoff would otherwise grow into a norm drift.
+    """
     T = control.horizon
-    lam, B = system.lam, system.B
     dt = period / n_per_period
-    t_mid = (np.arange(n_per_period) + 0.5) * dt
-    U = _step_matrices(lam, B, control(t_mid), dt)
-    M = np.eye(system.dim, dtype=complex)
-    for i in range(n_per_period):
-        M = U[i] @ M
-    M = _polar_unitary(M)
+    rows, _ = _split_evolve(system.lam, system.B, control((np.arange(n_per_period) + 0.5) * dt),
+                            dt, np.eye(system.dim, dtype=complex))
+    M = _polar_unitary(rows.T)
     n_periods = int(T // period)
-    times = [0.0]
-    states = [psi0]
-    psi = psi0
+    times, states, psi = [0.0], [psi0], psi0
     rec_every = max(1, n_periods // max(record - 1, 1))
     for p in range(n_periods):
         psi = M @ psi
         if (p + 1) % rec_every == 0 or p + 1 == n_periods:
             times.append((p + 1) * period)
             states.append(psi)
+    steps = n_periods * n_per_period
     remainder = T - n_periods * period
-    if remainder > 1e-12 * T:
+    if remainder > 1e-12 * T:    # step through the rest of the horizon
         n_rem = max(8, int(n_per_period * remainder / period))
         dtr = remainder / n_rem
         tm = n_periods * period + (np.arange(n_rem) + 0.5) * dtr
-        Ur = _step_matrices(lam, B, control(tm), dtr)
-        for i in range(n_rem):
-            psi = Ur[i] @ psi
+        psi, _ = _split_evolve(system.lam, system.B, control(tm), dtr, psi)
         times.append(T)
         states.append(psi)
-    states = np.asarray(states)
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
-    return Trajectory(times=np.asarray(times), states=states, norm_drift=drift)
+        steps += n_rem
+    return Trajectory(np.array(times), np.array(states), steps, n_per_period)
+
+
+def step_doubling_error(system: GalerkinSystem, psi0, control, traj: Trajectory) -> float:
+    """Error estimate max|psi_n - psi_{n/2}| / 3 of traj's final state, on traj's path."""
+    if traj.period_steps is None:
+        coarse = propagate(system, psi0, control, n_steps=traj.steps // 2, record=2)
+    else:
+        coarse = _propagate_periodic(system, np.asarray(psi0, dtype=complex), control,
+                                     control.period, 2, traj.period_steps // 2)
+    return float(np.max(np.abs(traj.final - coarse.final))) / 3.0
 
 
 def propagate_reversed(system: GalerkinSystem, psi0, control, n_steps: int) -> np.ndarray:
     """One pass of the reversed dynamics, generator -(Lambda + u(T - t) B).
 
-    With the mirrored step grid each reversed step is the exact inverse of
-    the corresponding forward step, so forward-then-reversed returns the
-    initial state up to rounding.
+    Split steps of the negated generator on the mirrored grid: reversed step i
+    is the exact inverse of forward step n - 1 - i, so forward-then-reversed
+    returns the initial state up to rounding.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
     T = control.horizon
     dt = T / n_steps
     t_mid = T - (np.arange(n_steps) + 0.5) * dt   # u(T - t) on the forward grid
-    # exp(-i dt (-(Lambda + uB))) realized as eigh of -Lambda - uB
-    U = _step_matrices(-system.lam, system.B, -np.asarray(control(t_mid)), dt)
-    psi = psi0
-    for i in range(n_steps):
-        psi = U[i] @ psi
-    return psi
+    return _split_evolve(-system.lam, system.B, -np.asarray(control(t_mid)), dt,
+                         np.asarray(psi0, dtype=complex))[0]
 
 
 def linearized_response(system: GalerkinSystem, control) -> np.ndarray:
@@ -303,31 +317,28 @@ class LieClosureReport:
 
 def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
                      element_tol: float | None = None, int_labels=None) -> list[tuple[int, int]]:
-    """Coupled pairs whose transition frequency collides with no other coupled pair."""
+    """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair.
+
+    Sorted once, each frequency is compared with its sorted neighbours, the
+    nearest others; with integer labels (lambda = c label^2) equal gaps collide.
+    """
     B, lam = system.B, system.lam
-    K = system.dim
     if element_tol is None:
         element_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
-    coupled = [(j, k) for j in range(K) for k in range(j + 1, K)
-               if abs(B[j, k]) > element_tol]
-    out = []
-    scale = max(1.0, float(np.abs(lam).max()))
-    for (j, k) in coupled:
-        fjk = abs(lam[k] - lam[j])
-        degenerate = False
-        for (l, m) in coupled:
-            if (l, m) == (j, k):
-                continue
-            if int_labels is not None:
-                if abs(int_labels[m] ** 2 - int_labels[l] ** 2) == abs(int_labels[k] ** 2 - int_labels[j] ** 2):
-                    degenerate = True
-                    break
-            elif abs(abs(lam[m] - lam[l]) - fjk) <= resonance_tol * scale:
-                degenerate = True
-                break
-        if not degenerate:
-            out.append((j + 1, k + 1))
-    return out
+    j, k = np.triu_indices(system.dim, 1)
+    coupled = np.abs(B[j, k]) > element_tol
+    j, k = j[coupled], k[coupled]
+    if int_labels is None:
+        f, tol = np.abs(lam[k] - lam[j]), resonance_tol * max(1.0, float(np.abs(lam).max()))
+    else:
+        labels = np.asarray(int_labels, dtype=np.int64)
+        f, tol = np.abs(labels[k] ** 2 - labels[j] ** 2), 0
+    order = np.argsort(f, kind="stable")
+    close = np.diff(f[order]) <= tol
+    degenerate = np.zeros(f.size, dtype=bool)
+    degenerate[order[:-1]] |= close
+    degenerate[order[1:]] |= close
+    return [(int(a) + 1, int(b) + 1) for a, b in zip(j[~degenerate], k[~degenerate])]
 
 
 def _pair_generator(n, j, k, theta):
@@ -349,40 +360,41 @@ def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
     if n > 12:
         raise ValidationError("bracket closure capped at dimension 12")
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
-    gens = []
-    for (j, k) in pairs:
-        gens.append(_pair_generator(n, j - 1, k - 1, 0.0))
-        gens.append(_pair_generator(n, j - 1, k - 1, math.pi / 2))
+    gens = [_pair_generator(n, j - 1, k - 1, theta)
+            for (j, k) in pairs for theta in (0.0, math.pi / 2)]
 
-    ortho: list[np.ndarray] = []
+    target = n * n - 1
+    ortho = np.empty((target, 2 * n * n))     # orthonormal rows; all brackets lie in su(n)
+    rank = 0
 
     def try_add(Mx) -> bool:
+        nonlocal rank
         v = np.concatenate([Mx.real.ravel(), Mx.imag.ravel()])
         nv = np.linalg.norm(v)
         if nv < 1e-12:
             return False
-        for q in ortho:
-            v = v - np.dot(q, v) * q
+        for _ in range(2):     # classical Gram-Schmidt, repeated for orthogonality
+            v -= ortho[:rank].T @ (ortho[:rank] @ v)
         r = np.linalg.norm(v)
         if r > 1e-10 * nv:
-            ortho.append(v / r)
+            ortho[rank] = v / r
+            rank += 1
             return True
         return False
 
     frontier = [g for g in gens if try_add(g)]
     depth = 0
-    target = n * n - 1
-    while frontier and len(ortho) < target:
+    while frontier and rank < target:
         depth += 1
         new = []
-        for g in gens:
-            for Mx in frontier:
-                C = g @ Mx - Mx @ g
-                if try_add(C):
-                    new.append(C)
+        for C in (g @ Mx - Mx @ g for g in gens for Mx in frontier):
+            if try_add(C):
+                new.append(C)
+                if rank == target:
+                    break
         frontier = new
-    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=len(ortho),
-                            target_dimension=target, generated=(len(ortho) == target),
+    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=rank,
+                            target_dimension=target, generated=(rank == target),
                             bracket_depth=depth)
 
 

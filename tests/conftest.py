@@ -115,3 +115,34 @@ def assert_fills_slots(omegas, slots, point_rel=1e-9):
             assert abs(w - a) <= point_rel * max(1.0, a), f"root {k} = {w!r} is not the point {a!r}"
         else:
             assert a < w < b, f"root {k} = {w!r} outside ({a!r}, {b!r})"
+
+
+# -- admissible transition pairs ----------------------------------------------
+
+def admissible_pairs_reference(lam, B, resonance_tol=1e-8, int_labels=None):
+    """Coupled pairs (1-based) whose frequency no other coupled pair shares.
+
+    The direct O(P^2) comparison of every coupled pair with every other one,
+    kept as the reference for the sorted implementation.
+    """
+    K = len(lam)
+    element_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
+    coupled = [(j, k) for j in range(K) for k in range(j + 1, K) if abs(B[j, k]) > element_tol]
+    scale = max(1.0, float(np.abs(lam).max()))
+    out = []
+    for (j, k) in coupled:
+        fjk = abs(lam[k] - lam[j])
+        degenerate = False
+        for (l, m) in coupled:
+            if (l, m) == (j, k):
+                continue
+            if int_labels is not None:
+                if abs(int_labels[m] ** 2 - int_labels[l] ** 2) == abs(int_labels[k] ** 2 - int_labels[j] ** 2):
+                    degenerate = True
+                    break
+            elif abs(abs(lam[m] - lam[l]) - fjk) <= resonance_tol * scale:
+                degenerate = True
+                break
+        if not degenerate:
+            out.append((j + 1, k + 1))
+    return out

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from graphctrl import dynamics, potentials, spectrum
 from graphctrl.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, dispatch
+from graphctrl.graph import load_problem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,6 +113,30 @@ def test_simulate_command(problem, tmp_path):
     doc = json.loads((out / "simulate_summary.json").read_text())
     assert doc["norm_drift"] < 1e-10
     assert sum(doc["final_populations"]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_simulate_error_estimate_bounds_true_error(tmp_path):
+    problem = Path(__file__).resolve().parents[1] / "sample_problems" / "interval_dirichlet.json"
+    terms = [[3.3 * math.pi**2, "cos", 0.04], [7.1 * math.pi**2, "sin", 0.02]]
+    control = tmp_path / "u.json"
+    control.write_text(json.dumps({"kind": "trig", "T": 1.0, "terms": terms}))
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem),
+                     "--control", str(control)]) == EXIT_OK
+    doc = json.loads((out / "simulate_summary.json").read_text())
+    last = read_rows(out / "trajectory.csv")[-1]
+    K = len(doc["final_populations"])
+    final = np.array([float(last[f"re_{k}"]) + 1j * float(last[f"im_{k}"]) for k in range(1, K + 1)])
+
+    graph, op, _ = load_problem(problem)
+    basis = spectrum.solve_spectrum(graph, K)
+    system = dynamics.GalerkinSystem(lam=basis.eigenvalues, B=potentials.build_matrix(op, basis))
+    u = dynamics.TrigControl(horizon=1.0, terms=[tuple(t) for t in terms])
+    psi0 = np.zeros(K, dtype=complex)
+    psi0[0] = 1.0
+    ref = dynamics.propagate(system, psi0, u, n_steps=16 * doc["steps"])
+    true_error = float(np.max(np.abs(final - ref.final)))
+    assert true_error <= doc["error_estimate"] <= 2 * true_error
 
 
 def test_liealg_command(problem, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from graphctrl.moment import solve_moment
 from graphctrl.potentials import ControlOperator, build_matrix
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import interval
+from conftest import admissible_pairs_reference, interval, star
 
 PI = math.pi
 
@@ -57,12 +58,67 @@ def test_rabi_profile_against_dense_reference():
     T = 200.0
     u = resonant_pulse(eps, 1.0, T)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    traj = propagate(sys2, psi0, u, n_steps=20000)
-    ref = propagate(sys2, psi0, u, n_steps=200000)  # 10x resolution oracle
-    assert np.max(np.abs(traj.final - ref.final)) < 1e-8
+    ref = propagate(sys2, psi0, u, n_steps=200000)  # fixed-step oracle, 10x the finer grid
+    # the default run takes the periodic path (1024 steps per period)
+    periodic = propagate(sys2, psi0, u)
+    assert periodic.period_steps == 1024
+    assert np.max(np.abs(periodic.final - ref.final)) < 1e-7
+    # an explicit step count runs the fixed grid, with second-order error
+    errs = [np.max(np.abs(propagate(sys2, psi0, u, n_steps=n).final - ref.final))
+            for n in (20000, 40000)]
+    assert 3.5 < errs[0] / errs[1] < 4.5
     # rotating-wave profile sin^2(eps t / 2) within O(eps)
-    pop = abs(traj.final[1]) ** 2
+    pop = abs(periodic.final[1]) ** 2
     assert abs(pop - math.sin(eps * T / 2) ** 2) < 10 * eps
+
+
+def test_constant_control_against_exact_exponential():
+    sys8 = interval_system()
+    c = 0.05
+    w, v = np.linalg.eigh(np.diag(sys8.lam) + c * sys8.B)
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    exact = v @ (np.exp(-1j * w) * (v.T @ psi0))
+    u = TrigControl(horizon=1.0, const=c)
+    errs = {n: np.max(np.abs(propagate(sys8, psi0, u, n_steps=n).final - exact))
+            for n in (512, 1024, 2048, 4096)}
+    assert errs[4096] < 2e-9
+    # Lambda and B do not commute, so the splitting error is second order, not zero
+    assert 3.9 < errs[512] / errs[1024] < 4.1
+    assert 3.9 < errs[1024] / errs[2048] < 4.1
+
+
+def test_periodic_path_matches_fixed_steps():
+    sys8 = interval_system()
+    u = TrigControl(horizon=3.0, terms=[(3 * PI**2, "cos", 0.05)])   # about 14 periods
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    periodic = propagate(sys8, psi0, u)
+    assert periodic.period_steps == 1024
+    fixed = propagate(sys8, psi0, u, n_steps=200000)
+    assert fixed.period_steps is None
+    assert np.max(np.abs(periodic.final - fixed.final)) <= 1e-7
+
+
+def test_long_propagation_memory_and_drift():
+    rng = np.random.default_rng(5)
+    K = 100
+    B = rng.normal(size=(K, K))
+    system = GalerkinSystem(lam=np.sort(rng.uniform(0.0, 1e4, K)), B=B + B.T)
+    psi0 = np.zeros(K, dtype=complex)
+    psi0[0] = 1.0
+    u = TrigControl(horizon=1.0, terms=[(30.0, "cos", 0.05), (70.0, "sin", 0.03)])
+    tracemalloc.start()
+    try:
+        traj = propagate(system, psi0, u, n_steps=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 8192 per-step K x K complex matrices would take about 1.3 GB
+    assert peak < 32e6
+    # the unitary projection of the free step keeps the drift at rounding level
+    # (1.5e-11 here without it)
+    assert traj.steps == 20000 and traj.norm_drift < 5e-12
 
 
 def test_time_reversal_returns_initial_state():
@@ -252,6 +308,66 @@ def test_degenerate_transitions_excluded():
     B[1, 2] = B[2, 1] = 1.0
     sys3 = GalerkinSystem(lam=lam, B=B)
     assert admissible_pairs(sys3) == []
+
+
+def random_pair_system(rng, tol):
+    """Random Galerkin system whose pair frequencies tie or nearly tie on purpose."""
+    K = int(rng.integers(3, 11))
+    lam = np.sort(rng.uniform(0.0, 50.0, K))
+    if rng.random() < 0.5:    # exact tie: an equally spaced triple
+        i = int(rng.integers(0, K - 2))
+        lam[i + 2] = lam[i + 1] + (lam[i + 1] - lam[i])
+        lam = np.sort(lam)
+    scale = max(1.0, float(np.abs(lam).max()))
+    for factor in (0.5, 2.0):  # near ties just inside and well outside the tolerance
+        j, k = sorted(rng.choice(K, 2, replace=False))
+        l = int(rng.integers(0, K))
+        m = l + 1 if l + 1 < K else l - 1
+        lam[max(l, m)] = lam[min(l, m)] + abs(lam[k] - lam[j]) + factor * tol * scale
+        lam = np.sort(lam)
+    B = rng.normal(size=(K, K))
+    B[rng.random((K, K)) < 0.3] = 0.0
+    return GalerkinSystem(lam=lam, B=np.triu(B) + np.triu(B, 1).T)
+
+
+def test_admissible_pairs_match_direct_comparison():
+    rng = np.random.default_rng(20)
+    tol = 1e-8
+    for _ in range(200):
+        system = random_pair_system(rng, tol)
+        assert admissible_pairs(system, tol) == admissible_pairs_reference(system.lam, system.B, tol)
+        labels = [int(v) for v in rng.integers(1, 8, system.dim)]
+        assert (admissible_pairs(system, tol, int_labels=labels)
+                == admissible_pairs_reference(system.lam, system.B, tol, int_labels=labels))
+
+
+def closure_by_components(n, pairs):
+    """Sum of c^2 - 1 over the connected components (c >= 2 nodes) of the pair graph."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for j, k in pairs:
+        parent[find(j - 1)] = find(k - 1)
+    sizes = np.bincount([find(i) for i in range(n)], minlength=n)
+    return int(sum(c * c - 1 for c in sizes if c >= 2))
+
+
+def test_lie_closure_n12_star():
+    basis = solve_spectrum(star([1.0, math.sqrt(2.0)]), 12)
+    op = ControlOperator(per_edge={"e1": np.array([1.0, -2.0, 1.0])})
+    B = build_matrix(op, basis)
+    low = np.arange(12) < 5
+    blocks = low[:, None] == low[None, :]
+    for B_sys in (B, np.where(blocks, B, 0.0)):   # connected, then modes 1-5 and 6-12 apart
+        system = GalerkinSystem(lam=basis.eigenvalues, B=B_sys)
+        rep = lie_closure(system)
+        assert rep.admissible_pairs == admissible_pairs_reference(system.lam, system.B)
+        assert rep.reached_dimension == closure_by_components(12, rep.admissible_pairs)
+    assert rep.reached_dimension == 24 + 48
 
 
 # -- resonant transfers -------------------------------------------------------
