@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--modes", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--all", action="store_true", help="kept for interface compatibility")
 
     return ap
 

@@ -198,10 +198,6 @@ def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RA
 @dataclass
 class SolverSettings:
     num_modes: int = 50
-    horizon: float = 10.0
-    root_rel_tol: float = 1e-13
-    cluster_rel_tol: float = 1e-9
-    resonance_rel_tol: float = 1e-10
     extra: dict = field(default_factory=dict)
 
 
@@ -278,19 +274,12 @@ def load_problem(path):
     control = ControlOperator(per_edge=per_edge, tag=str(doc.get("control_tag", "")))
 
     sdoc = doc.get("solver", {})
-    if "scan_resolution" in sdoc:
-        raise ValidationError("solver: 'scan_resolution' is not supported: star spectra are "
-                              "bracketed in closed form, there is no scan grid to set")
-    settings = SolverSettings(
-        num_modes=int(sdoc.get("num_modes", 50)),
-        horizon=float(sdoc.get("T", 10.0)),
-        root_rel_tol=float(sdoc.get("root_rel_tol", 1e-13)),
-        cluster_rel_tol=float(sdoc.get("cluster_rel_tol", 1e-9)),
-        resonance_rel_tol=float(sdoc.get("resonance_rel_tol", 1e-10)),
-        extra={k: v for k, v in sdoc.items()
-               if k not in ("num_modes", "T", "root_rel_tol", "cluster_rel_tol",
-                            "resonance_rel_tol")},
-    )
+    # keys no solver reads are rejected rather than silently ignored
+    for key in ("scan_resolution", "T", "root_rel_tol", "cluster_rel_tol", "resonance_rel_tol"):
+        if key in sdoc:
+            raise ValidationError(f"solver: {key!r} is not supported: no solver reads it")
+    settings = SolverSettings(num_modes=int(sdoc.get("num_modes", 50)),
+                              extra={k: v for k, v in sdoc.items() if k != "num_modes"})
     return graph, control, settings
 
 
@@ -309,12 +298,5 @@ def serialize_problem(graph: MetricGraph, control=None, settings: SolverSettings
         if control.tag:
             doc["control_tag"] = control.tag
     if settings is not None:
-        doc["solver"] = {
-            "num_modes": settings.num_modes,
-            "T": settings.horizon,
-            "root_rel_tol": settings.root_rel_tol,
-            "cluster_rel_tol": settings.cluster_rel_tol,
-            "resonance_rel_tol": settings.resonance_rel_tol,
-            **settings.extra,
-        }
+        doc["solver"] = {"num_modes": settings.num_modes, **settings.extra}
     return doc

@@ -21,7 +21,6 @@ part orthogonal to the whole family.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -180,11 +179,7 @@ class DividedDifferenceSystem:
     @property
     def weights(self) -> np.ndarray:
         """Block-diagonal transpose action: xi = W^T e with W = blockdiag(F_m)."""
-        n = self.partition.frequencies.size
-        W = np.zeros((n, n))
-        for (s, e), F in zip(self.partition.clusters, self.blocks):
-            W[s:e, s:e] = F
-        return W
+        return _block_diagonal(self.partition, self.blocks)
 
     def dd_function(self, k: int):
         """xi_k as a callable of t (0-based position k)."""
@@ -197,29 +192,40 @@ class DividedDifferenceSystem:
         return xi
 
 
-def exp_inner(omega: float, T: float) -> complex:
-    """Integral over (0, T) of e^{i omega t}."""
-    if omega == 0.0:
-        return complex(T)
-    return (cmath.exp(1j * omega * T) - 1.0) / (1j * omega)
+def _block_diagonal(partition: ClusterPartition, blocks) -> np.ndarray:
+    """W = blockdiag(F_m), each block on its cluster's positions."""
+    n = partition.frequencies.size
+    W = np.zeros((n, n))
+    for (s, e), F in zip(partition.clusters, blocks):
+        W[s:e, s:e] = F
+    return W
+
+
+def exp_inner(omega, T: float):
+    """Integral over (0, T) of e^{i omega t}, elementwise over an array of omega.
+
+    Equals (sin(omega T) + i (1 - cos(omega T))) / omega, and T at omega = 0.
+    A scalar omega gives a complex scalar.
+    """
+    w = np.asarray(omega, dtype=float)
+    zero = w == 0.0
+    safe = np.where(zero, 1.0, w)
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.where(zero, T, np.sin(safe * T) / safe)
+    out.imag = np.where(zero, 0.0, (1.0 - np.cos(safe * T)) / safe)
+    return complex(out) if out.ndim == 0 else out
 
 
 def exponential_gram(freqs: np.ndarray, T: float) -> np.ndarray:
     """Hermitian Gram <e_p, e_q> = integral of e^{i (nu_q - nu_p) t}."""
-    n = freqs.size
-    E = np.empty((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(p, n):
-            v = exp_inner(freqs[q] - freqs[p], T)
-            E[p, q] = v
-            E[q, p] = v.conjugate()
-    return E
+    E = exp_inner(freqs[None, :] - freqs[:, None], T)
+    return np.triu(E) + np.triu(E, 1).conj().T
 
 
-def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceSystem:
-    """Assemble the divided-difference family and its Gram frame bounds.
+def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
+    """Divided-difference blocks of the partition, once T is inside the Riesz window.
 
-    The Riesz window requires T > 2 pi / delta; equality is admitted (up to
+    The window requires T > 2 pi / delta; equality is admitted (up to
     rounding) since the finite truncation is still well conditioned there
     (e.g. orthogonal integer-lattice exponentials at exactly one period).
     """
@@ -231,10 +237,13 @@ def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceS
     for F in blocks:
         if np.any(np.abs(np.diag(F)) == 0.0):
             raise NumericalError("divided-difference block is singular")
-    n = partition.frequencies.size
-    W = np.zeros((n, n))
-    for (s, e), F in zip(partition.clusters, blocks):
-        W[s:e, s:e] = F
+    return blocks
+
+
+def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceSystem:
+    """Assemble the divided-difference family and its Gram frame bounds."""
+    blocks = _dd_blocks(partition, T)
+    W = _block_diagonal(partition, blocks)
     E = exponential_gram(partition.frequencies, T)
     G = W.T @ E @ W
     G = 0.5 * (G + G.conj().T)
@@ -319,13 +328,6 @@ class MomentSolution:
         return float(np.max(np.abs(self.residuals)))
 
 
-def _moment_row(alpha: float, freq: float, T: float) -> tuple[complex, complex]:
-    """Closed-form moments of (cos(freq t), sin(freq t)) against e^{i alpha t}."""
-    plus = exp_inner(alpha + freq, T)
-    minus = exp_inner(alpha - freq, T)
-    return 0.5 * (plus + minus), (plus - minus) / 2j
-
-
 def solve_moment(lambdas, x, T: float, mode: str = "direct",
                  delta: float | None = None, M: int | None = None) -> MomentSolution:
     """Real control u on (0, T) with integral of u e^{i (lambda_k - lambda_1) t} = x_k.
@@ -376,61 +378,39 @@ def _dictionary(alpha):
     return dictionary
 
 
-def _assemble_real_system(alpha, T):
-    """Rows: Re/Im of the moment equations; columns: the real dictionary."""
-    K = alpha.size
-    n = 2 * K - 1
-    A = np.zeros((n, n))
+def _moment_matrix(alpha, T):
+    """Moments of the real dictionary against e^{i alpha_k t}: row k, one column per entry.
 
-    def fill_row(r_re, r_im, alpha_k):
-        col = 0
-        const = exp_inner(alpha_k, T)
-        A[r_re, col] = const.real
-        if r_im is not None:
-            A[r_im, col] = const.imag
-        col += 1
-        for a in alpha[1:]:
-            mc, ms = _moment_row(alpha_k, a, T)
-            A[r_re, col], A[r_re, col + 1] = mc.real, ms.real
-            if r_im is not None:
-                A[r_im, col], A[r_im, col + 1] = mc.imag, ms.imag
-            col += 2
+    Columns: the constant, then cos and sin at each alpha[1:], in closed form
+    from the integrals of e^{i (alpha_k +- a) t}.
+    """
+    plus = exp_inner(alpha[:, None] + alpha[1:], T)
+    minus = exp_inner(alpha[:, None] - alpha[1:], T)
+    moments = np.empty((alpha.size, 2 * alpha.size - 1), dtype=complex)
+    moments[:, 0] = exp_inner(alpha, T)
+    moments[:, 1::2] = 0.5 * (plus + minus)
+    moments[:, 2::2] = (plus - minus) / 2j
+    return moments
 
-    fill_row(0, None, alpha[0])
-    for k in range(1, K):
-        fill_row(2 * k - 1, 2 * k, alpha[k])
-    return A
+
+def _real_rows(z):
+    """The real moment equations from complex rows: Re of row 0, then Re and Im of each other."""
+    out = np.empty((2 * len(z) - 1,) + z.shape[1:])
+    out[0] = z[0].real
+    out[1::2] = z[1:].real
+    out[2::2] = z[1:].imag
+    return out
 
 
 def _solve_direct(alpha, x, T):
-    K = alpha.size
-    A = _assemble_real_system(alpha, T)
-    b = np.zeros(2 * K - 1)
-    b[0] = x[0].real
-    for k in range(1, K):
-        b[2 * k - 1] = x[k].real
-        b[2 * k] = x[k].imag
+    moments = _moment_matrix(alpha, T)
+    A, b = _real_rows(moments), _real_rows(x)
     cond = float(np.linalg.cond(A))
     try:
         coeffs = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"moment system singular: {exc}")
-    resid = _moment_residuals(alpha, x, T, coeffs)
-    return coeffs, resid, cond
-
-
-def _moment_residuals(alpha, x, T, coeffs):
-    K = alpha.size
-    resid = np.empty(K, dtype=complex)
-    for k in range(K):
-        acc = coeffs[0] * exp_inner(alpha[k], T)
-        col = 1
-        for a in alpha[1:]:
-            mc, ms = _moment_row(alpha[k], a, T)
-            acc += coeffs[col] * mc + coeffs[col + 1] * ms
-            col += 2
-        resid[k] = acc - x[k]
-    return resid
+    return coeffs, moments @ coeffs - x, cond
 
 
 def _solve_dd(alpha, x, T, delta, M):
@@ -446,14 +426,8 @@ def _solve_dd(alpha, x, T, delta, M):
     labels = np.concatenate([-np.arange(K, 1, -1), np.arange(1, K + 1)])
     xt = np.concatenate([np.conj(x[:0:-1]), x])
     part = build_partition(signed, delta, M, labels=labels)
-    system = build_dd_system(part, T)
-    W = system.weights
-    n = signed.size
-    A = np.empty((n, n), dtype=complex)
-    for p in range(n):
-        for q in range(p, n):
-            v = exp_inner(signed[p] + signed[q], T)
-            A[p, q] = A[q, p] = v
+    W = _block_diagonal(part, _dd_blocks(part, T))
+    A = exp_inner(signed[:, None] + signed, T)
     Ap = W @ A @ W.T
     cond = float(np.linalg.cond(Ap))
     try:
@@ -471,29 +445,25 @@ def _solve_dd(alpha, x, T, delta, M):
         coeffs[2 * k - 3] = (dk + dmk).real
         coeffs[2 * k - 2] = (dmk - dk).imag
     # moment functionals of Im(u) against every dictionary frequency
-    defect = _imag_moment_defect(signed, d, T)
-    resid = _moment_residuals(alpha, x, T, coeffs)
+    defect = _imag_moment_defect(signed, d, A)
+    resid = _moment_matrix(alpha, T) @ coeffs - x
     return MomentSolution(horizon=T, dictionary=_dictionary(alpha), coefficients=coeffs,
                           residuals=resid, gram_condition=cond,
                           imag_moment_defect=defect, mode="dd_preconditioned")
 
 
-def _imag_moment_defect(signed, d, T):
-    """max_k | integral of Im(u) e^{i alpha_k t} | for u = sum d_q e^{i alpha_q t}."""
+def _imag_moment_defect(signed, d, A):
+    """max_k | integral of Im(u) e^{i alpha_k t} | for u = sum d_q e^{i alpha_q t}.
+
+    A[k, q] is the integral of e^{i (alpha_k + alpha_q) t}.
+    """
     # Im u = (u - conj u) / 2i has coefficients (d_q - conj(d_{q'}))/2i on e^{i a_q}
-    # against the mirrored index q'; evaluate directly on the exponential family.
-    n = signed.size
-    worst = 0.0
-    conj_coeff = np.zeros(n, dtype=complex)
-    for q in range(n):
-        mirror = np.nonzero(np.isclose(signed, -signed[q], rtol=0, atol=1e-12))[0]
-        if mirror.size:
-            conj_coeff[q] = np.conj(d[mirror[0]])
+    # against the mirrored index q' (the first alpha within 1e-12 of -alpha_q)
+    mirror = np.minimum(np.searchsorted(signed, -signed - 1e-12), signed.size - 1)
+    found = np.abs(signed[mirror] + signed) <= 1e-12
+    conj_coeff = np.where(found, np.conj(d[mirror]), 0.0)
     im_coeff = (d - conj_coeff) / 2j
-    for k in range(n):
-        acc = sum(im_coeff[q] * exp_inner(signed[k] + signed[q], T) for q in range(n))
-        worst = max(worst, abs(acc))
-    return float(worst)
+    return float(np.max(np.abs(A @ im_coeff)))
 
 
 def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, float]:
@@ -520,9 +490,6 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
     # <u_m, e_j>: u_m = sum_q Ginv[q, m] xi_q, xi in e-coords via W
     U_e = W @ Ginv                       # e-coordinates of the u family (columns)
     inner_ue = U_e.conj().T @ E          # <u_m, e_j>
-    Wf = np.zeros((n, n))
-    for (s, e), F in zip(part.clusters, system.blocks):
-        Wf[s:e, s:e] = F
-    inner_we = Wf @ inner_ue             # rows: w_k against e_j
+    inner_we = W @ inner_ue              # rows: w_k against e_j
     dev2 = float(np.max(np.abs(inner_we - np.eye(n))))
     return dev1, dev2

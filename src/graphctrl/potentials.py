@@ -3,7 +3,8 @@
 The control operator acts edgewise as psi^j -> P_j(x) psi^j with real
 polynomial potentials P_j.  Matrix elements against trigonometric
 eigenfunctions reduce to integrals x^p * trig * trig which are evaluated in
-closed form (product-to-sum plus the x^p cos recurrence).
+closed form (product-to-sum plus the x^p cos recurrence) by one array
+kernel, over all requested mode pairs at once.
 
 The module also hosts the two numerical checkers used before a control run:
 the decay/resonance analysis of the coupling column <phi_k, B phi_1>, and
@@ -32,65 +33,100 @@ class TrigKind(enum.Enum):
     COSCOS = "coscos"
 
 
-def _trig_moments_taylor(p, omega, L):
-    """Series evaluation of (int x^p cos(omega x), int x^p sin(omega x)) on (0, L).
+def _series(power, live, q, L, odd):
+    """Taylor sum over m of (-1)^m w^n L^(q+n+1) / (n! (q+n+1)), n = 2m + odd.
 
-    Alternating series in (omega L)^2; accurate while the peak term stays a
-    modest multiple of the result, i.e. for omega L up to about the degree.
+    ``power(n)`` holds w^n and ``live`` selects the elements summed.  Each
+    element stops after its first term below 1e-20 of its partial sum, or
+    after 121 terms.
     """
-    ic, m = 0.0, 0
-    while True:
-        term = (-1) ** m * omega ** (2 * m) * L ** (p + 2 * m + 1) / (
-            math.factorial(2 * m) * (p + 2 * m + 1))
-        ic += term
+    acc = np.zeros(np.count_nonzero(live))
+    going = np.ones(acc.size, dtype=bool)
+    m = 0
+    while going.any():
+        n = 2 * m + odd
+        term = (-1) ** m * power(n)[live] * L ** (q + n + 1) / (math.factorial(n) * (q + n + 1))
+        acc = np.where(going, acc + term, acc)
         m += 1
-        if abs(term) < 1e-20 * max(abs(ic), 1e-300) or m > 120:
-            break
-    is_, m = 0.0, 0
-    while True:
-        term = (-1) ** m * omega ** (2 * m + 1) * L ** (p + 2 * m + 2) / (
-            math.factorial(2 * m + 1) * (p + 2 * m + 2))
-        is_ += term
-        m += 1
-        if abs(term) < 1e-20 * max(abs(is_), 1e-300) or m > 120:
-            break
-    return ic, is_
+        going &= (np.abs(term) >= 1e-20 * np.maximum(np.abs(acc), 1e-300)) & (m <= 120)
+    return acc
 
 
-def _trig_moments(p, omega, L):
-    """(int x^p cos(omega x), int x^p sin(omega x)) over (0, L), stable branch choice.
+def trig_moments(omega, L, deg):
+    """Yield (int x^q cos(omega x), int x^q sin(omega x)) over (0, L) for q = 0..deg.
 
-    The upward integration-by-parts recurrence amplifies rounding by roughly
-    prod_k max(1, k/(omega L)); the Taylor series loses about e^(omega L)
-    through alternation.  Whichever factor is smaller decides the branch, so
-    the result stays near machine accuracy over the whole (p, omega) range.
+    omega is a 1-d array.  The branch is chosen per q and per element.  The
+    upward integration-by-parts recurrence amplifies rounding by roughly
+    prod_{k<=q} max(1, k/T), T = |omega| L, and the alternating Taylor
+    series by about e^T, so an element takes the series where that factor
+    exceeds e^min(T, 40), and for every q where T < 0.5 (small phases also
+    hit the 1 - cos cancellation of the recurrence base; at omega = 0 the
+    series is exact).  Only the current q is held: the working set does not
+    grow with deg.
     """
-    if omega == 0.0:
-        return L ** (p + 1) / (p + 1), 0.0
-    T = abs(omega) * L
-    recur_factor = 1.0
-    for k in range(1, p + 1):
-        recur_factor *= max(1.0, k / T)
-    # small phases also hit the 1 - cos cancellation in the recurrence base
-    if T < 0.5 or recur_factor > math.exp(min(T, 40.0)):
-        return _trig_moments_taylor(p, omega, L)
-    s, c = math.sin(omega * L), math.cos(omega * L)
-    ic, is_ = s / omega, (1.0 - c) / omega
+    w = np.asarray(omega, dtype=float)
+    T = np.abs(w) * L
+    # first q on the series; the factor never falls with q, and is 1 while q <= T
+    first = np.where(T < 0.5, 0, deg + 1)
+    mid = np.flatnonzero((T >= 0.5) & (T < deg))
+    if mid.size:
+        Tm = T[mid]
+        bound = np.array([math.exp(min(t, 40.0)) for t in Tm.tolist()])
+        factor = np.ones(mid.size)
+        for k in range(1, deg + 1):
+            factor *= np.maximum(1.0, k / Tm)
+            first[mid[(factor > bound) & (first[mid] > deg)]] = k
+    series = np.flatnonzero(first <= deg)
+    first = first[series]
+    ws = w[series].tolist()
+    powers = []
+
+    def power(n):
+        # Python's float power (libm pow): numpy's vectorized pow can differ in the last bit
+        while len(powers) <= n:
+            k = len(powers)
+            powers.append(np.array([x ** k for x in ws]))
+        return powers[n]
+
+    wr = np.where(T < 0.5, 1.0, w)           # those elements never use the recurrence
+    s, c = np.sin(wr * L), np.cos(wr * L)
+    ic, is_ = s / wr, (1.0 - c) / wr
     Lq = 1.0
-    for q in range(1, p + 1):
-        Lq *= L
-        ic, is_ = Lq * s / omega - (q / omega) * is_, -Lq * c / omega + (q / omega) * ic
-    return ic, is_
+    for q in range(deg + 1):
+        if q:
+            Lq *= L
+            ic, is_ = Lq * s / wr - (q / wr) * is_, -Lq * c / wr + (q / wr) * ic
+        live = first <= q
+        if live.any():      # an element on the series stays there, so its recurrence is dropped
+            ic[series[live]] = _series(power, live, q, L, 0)
+            is_[series[live]] = _series(power, live, q, L, 1)
+        yield ic, is_
 
 
-def _int_cos(p, omega, L):
-    """Integral over (0, L) of x^p cos(omega x)."""
-    return _trig_moments(p, omega, L)[0]
+def _overlap(coeffs, a, b, L, sin_a, sin_b):
+    """Elementwise sum over q of c_q * (integral over (0, L) of x^q f(a x) g(b x)).
+
+    f and g are sin where sin_a and sin_b hold, cos elsewhere.  Product to
+    sum with d = a - b, s = a + b: sin sin = (C(d) - C(s))/2, cos cos =
+    (C(d) + C(s))/2, sin cos = (S(s) + S(d))/2, cos sin = (S(s) - S(d))/2.
+    The coefficient sum runs inside the moment recurrence.
+    """
+    acc = np.zeros(np.shape(a))
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size == 0:
+        return acc
+    deg = int(nonzero[-1])
+    same, sign = np.equal(sin_a, sin_b), np.where(sin_a, 1.0, -1.0)
+    for c, (cd, sd), (cs, ss) in zip(coeffs, trig_moments(a - b, L, deg),
+                                     trig_moments(a + b, L, deg)):
+        if c != 0.0:
+            acc += c * (0.5 * np.where(same, cd - sign * cs, ss + sign * sd))
+    return acc
 
 
-def _int_sin(p, omega, L):
-    """Integral over (0, L) of x^p sin(omega x)."""
-    return _trig_moments(p, omega, L)[1]
+_FACTORS = {TrigKind.SINSIN: (TrigMode.SIN, TrigMode.SIN),
+            TrigKind.SINCOS: (TrigMode.SIN, TrigMode.COS),
+            TrigKind.COSCOS: (TrigMode.COS, TrigMode.COS)}
 
 
 def trig_poly_integral(p: int, omega: float, L: float, kind: TrigKind, omega2: float) -> float:
@@ -98,29 +134,22 @@ def trig_poly_integral(p: int, omega: float, L: float, kind: TrigKind, omega2: f
 
     kind selects sin*sin, sin*cos or cos*cos (first factor carries omega).
     """
-    if p < 0 or p > MAX_DEGREE:
-        raise ValidationError(f"polynomial degree {p} outside supported range 0..{MAX_DEGREE}")
-    if L <= 0:
-        raise ValidationError("L must be positive")
-    a, b = float(omega), float(omega2)
-    if kind is TrigKind.SINSIN:
-        return 0.5 * (_int_cos(p, a - b, L) - _int_cos(p, a + b, L))
-    if kind is TrigKind.COSCOS:
-        return 0.5 * (_int_cos(p, a - b, L) + _int_cos(p, a + b, L))
-    if kind is TrigKind.SINCOS:
-        return 0.5 * (_int_sin(p, a + b, L) + _int_sin(p, a - b, L))
-    raise ValidationError(f"unknown kind {kind!r}")
+    if kind not in _FACTORS:
+        raise ValidationError(f"unknown kind {kind!r}")
+    mode1, mode2 = _FACTORS[kind]
+    return mode_overlap_integral(omega, mode1, omega2, mode2, L, p)
 
 
 def mode_overlap_integral(omega1, mode1: TrigMode, omega2, mode2: TrigMode, L, p: int = 0):
     """x^p-weighted overlap of two edge trig factors on (0, L)."""
-    if mode1 is TrigMode.SIN and mode2 is TrigMode.SIN:
-        return trig_poly_integral(p, omega1, L, TrigKind.SINSIN, omega2)
-    if mode1 is TrigMode.COS and mode2 is TrigMode.COS:
-        return trig_poly_integral(p, omega1, L, TrigKind.COSCOS, omega2)
-    if mode1 is TrigMode.SIN:
-        return trig_poly_integral(p, omega1, L, TrigKind.SINCOS, omega2)
-    return trig_poly_integral(p, omega2, L, TrigKind.SINCOS, omega1)
+    if p < 0 or p > MAX_DEGREE:
+        raise ValidationError(f"polynomial degree {p} outside supported range 0..{MAX_DEGREE}")
+    if L <= 0:
+        raise ValidationError("L must be positive")
+    unit = np.zeros(p + 1)
+    unit[p] = 1.0
+    return float(_overlap(unit, np.array([float(omega1)]), np.array([float(omega2)]), L,
+                          mode1 is TrigMode.SIN, mode2 is TrigMode.SIN)[0])
 
 
 @dataclass
@@ -165,6 +194,31 @@ def degree6_neumann_potential(L: float) -> np.ndarray:
     return np.array([-L ** 6, 0.0, 15 * L ** 4, -40 * L ** 3, 45 * L ** 2, -24 * L, 5.0])
 
 
+def _coupling_elements(op: ControlOperator, basis: SpectralBasis, rows, cols) -> np.ndarray:
+    """<phi_j, B phi_k> for 0-based index arrays rows <= cols, elementwise.
+
+    The ordered pair fixes every argument, so a pair and its mirror agree
+    bit for bit; edges are summed in order and an edge where either mode
+    vanishes adds nothing.
+    """
+    n = int(cols.max()) + 1 if cols.size else 0
+    if n > len(basis):
+        raise ValidationError("mode index out of range")
+    modes = basis.modes[:n]
+    omega = np.array([m.omega for m in modes])
+    total = np.zeros(rows.shape)
+    for e, (eid, L) in enumerate(zip(basis.edge_ids, basis.lengths)):
+        coeffs = op.coeffs(eid)
+        if not np.any(coeffs):
+            continue
+        amp = np.array([m.per_edge[e][0] for m in modes])
+        sin = np.array([m.per_edge[e][1] is TrigMode.SIN for m in modes])
+        acc = _overlap(coeffs, omega[rows], omega[cols], L, sin[rows], sin[cols])
+        aj, ak = amp[rows], amp[cols]
+        total += np.where((aj != 0.0) & (ak != 0.0), aj * ak * acc, 0.0)
+    return total
+
+
 def matrix_element(op: ControlOperator, basis: SpectralBasis, j: int, k: int) -> float:
     """<phi_j, B phi_k> for 1-based mode indices; symmetric by construction.
 
@@ -174,33 +228,49 @@ def matrix_element(op: ControlOperator, basis: SpectralBasis, j: int, k: int) ->
     if not (1 <= j <= len(basis) and 1 <= k <= len(basis)):
         raise ValidationError("mode index out of range")
     lo, hi = (j, k) if j <= k else (k, j)
-    mj, mk = basis.modes[lo - 1], basis.modes[hi - 1]
-    total = 0.0
-    for e, (eid, L) in enumerate(zip(basis.edge_ids, basis.lengths)):
-        coeffs = op.coeffs(eid)
-        aj, modej = mj.per_edge[e]
-        ak, modek = mk.per_edge[e]
-        if aj == 0.0 or ak == 0.0:
-            continue
-        acc = 0.0
-        for p, c in enumerate(coeffs):
-            if c != 0.0:
-                acc += c * mode_overlap_integral(mj.omega, modej, mk.omega, modek, L, p)
-        total += aj * ak * acc
-    return total
+    return float(_coupling_elements(op, basis, np.array([lo - 1]), np.array([hi - 1]))[0])
+
+
+def _symmetric_from_upper(K: int, elements) -> np.ndarray:
+    """K x K matrix from a function of the upper-triangle index arrays, mirrored."""
+    rows, cols = np.triu_indices(K)
+    B = np.zeros((K, K))
+    B[rows, cols] = B[cols, rows] = elements(rows, cols)
+    return B
 
 
 def build_matrix(op: ControlOperator, basis: SpectralBasis, K: int | None = None) -> np.ndarray:
+    """Coupling matrix <phi_j, B phi_k>, j, k = 1..K, bit-for-bit symmetric."""
     K = len(basis) if K is None else K
-    B = np.zeros((K, K))
-    for j in range(1, K + 1):
-        for k in range(j, K + 1):
-            B[j - 1, k - 1] = B[k - 1, j - 1] = matrix_element(op, basis, j, k)
-    return B
+    return _symmetric_from_upper(K, lambda rows, cols: _coupling_elements(op, basis, rows, cols))
 
 
 # ---------------------------------------------------------------------------
 # exchange operators of the closed-form subsystems
+
+def _exchange_elements(basis: SpectralBasis, rows, cols) -> np.ndarray:
+    """Exchange-operator elements for 0-based index arrays rows <= cols."""
+    if basis.family is None:
+        raise ValidationError("exchange elements are defined for explicit subsystems only")
+    n = int(cols.max()) + 1 if cols.size else 0
+    omega = basis.omegas[:n]
+    if basis.family == "two_equal_edges":
+        L = basis.lengths[0]
+        return 4.0 / L * _overlap([0.0, 0.0, 1.0], omega[rows], omega[cols], L, True, True)
+    if basis.family not in ("paired_star", "loops"):
+        raise ValidationError(f"no exchange operator for family {basis.family!r}")
+    support = np.array([_support_length(basis, m) for m in basis.modes[:n]])
+    Lj, Lk = support[rows], support[cols]
+    if basis.family == "paired_star":
+        label = np.round(omega * support / math.pi)
+        val = _overlap([0.0, 0.0, 1.0], label[rows] * math.pi, label[cols] * math.pi, 1.0,
+                       True, True)
+        return 4.0 * Lj * Lk * val
+    label = np.round(omega * support / (2 * math.pi))
+    val = _overlap([0.0, 0.0, -1.0, 1.0], 2 * label[rows] * math.pi,    # x^2 (x - 1)
+                   2 * label[cols] * math.pi, 1.0, True, True)
+    return 2.0 * Lj * Lk * val
+
 
 def exchange_matrix_element(basis: SpectralBasis, j: int, k: int) -> float:
     """Matrix elements of the family-specific exchange operators.
@@ -209,30 +279,8 @@ def exchange_matrix_element(basis: SpectralBasis, j: int, k: int) -> float:
     paired_star / loops: the rescaled cross-pair (resp. cross-loop)
     exchange; in the subsystem basis these reduce to integrals over (0, 1).
     """
-    if basis.family is None:
-        raise ValidationError("exchange elements are defined for explicit subsystems only")
     lo, hi = (j, k) if j <= k else (k, j)
-    mj, mk = basis.modes[lo - 1], basis.modes[hi - 1]
-    if basis.family == "two_equal_edges":
-        L = basis.lengths[0]
-        val = trig_poly_integral(2, mj.omega, L, TrigKind.SINSIN, mk.omega)
-        return 4.0 / L * val
-    if basis.family == "paired_star":
-        Lj = _support_length(basis, mj)
-        Lk = _support_length(basis, mk)
-        mjn = round(mj.omega * Lj / math.pi)
-        mkn = round(mk.omega * Lk / math.pi)
-        val = trig_poly_integral(2, mjn * math.pi, 1.0, TrigKind.SINSIN, mkn * math.pi)
-        return 4.0 * Lj * Lk * val
-    if basis.family == "loops":
-        Lj = _support_length(basis, mj)
-        Lk = _support_length(basis, mk)
-        mjn = round(mj.omega * Lj / (2 * math.pi))
-        mkn = round(mk.omega * Lk / (2 * math.pi))
-        cubic = trig_poly_integral(3, 2 * mjn * math.pi, 1.0, TrigKind.SINSIN, 2 * mkn * math.pi)
-        quad = trig_poly_integral(2, 2 * mjn * math.pi, 1.0, TrigKind.SINSIN, 2 * mkn * math.pi)
-        return 2.0 * Lj * Lk * (cubic - quad)
-    raise ValidationError(f"no exchange operator for family {basis.family!r}")
+    return float(_exchange_elements(basis, np.array([lo - 1]), np.array([hi - 1]))[0])
 
 
 def _support_length(basis: SpectralBasis, mode) -> float:
@@ -244,11 +292,7 @@ def _support_length(basis: SpectralBasis, mode) -> float:
 
 def build_exchange_matrix(basis: SpectralBasis, K: int | None = None) -> np.ndarray:
     K = len(basis) if K is None else K
-    B = np.zeros((K, K))
-    for j in range(1, K + 1):
-        for k in range(j, K + 1):
-            B[j - 1, k - 1] = B[k - 1, j - 1] = exchange_matrix_element(basis, j, k)
-    return B
+    return _symmetric_from_upper(K, lambda rows, cols: _exchange_elements(basis, rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +379,9 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
     B may be a ControlOperator or a precomputed K x K symmetric matrix.
     The least-squares fit runs over k in [K/3, K] unless fit_range is given;
     the envelope fit regresses geometric-block minima over the same window
-    (the shadow of an inequality-style lower bound).
+    (the shadow of an inequality-style lower bound).  A quadruple's
+    frequency defect below 1e-12 max|mu| is rounding noise of the float
+    spectrum and is reported as 0.0.
     """
     if K < 4:
         raise ValidationError("need at least 4 modes")
@@ -343,8 +389,8 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
         col = np.asarray(B)[:K, 0].copy()
         diag = np.asarray(B).diagonal()[:K].copy()
     else:
-        col = np.array([matrix_element(B, basis, 1, k) for k in range(1, K + 1)])
-        diag = np.array([matrix_element(B, basis, k, k) for k in range(1, K + 1)])
+        ks = np.arange(K)    # the column (1, k), then the diagonal (k, k)
+        col, diag = _coupling_elements(B, basis, np.r_[0 * ks, ks], np.r_[ks, ks]).reshape(2, K)
     mu = basis.eigenvalues[:K]
 
     abs_col = np.abs(col)
@@ -359,10 +405,11 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
 
     labels = basis.int_labels[:K] if basis.int_labels is not None else None
     tol_abs = tol_res * float(np.abs(mu).max())
+    defect_floor = 1e-12 * float(np.abs(mu).max())
     quads = []
     for (j, k), (l, m), defect in find_resonant_quadruples(mu, tol_abs, labels):
         combo = abs(diag[j - 1] - diag[k - 1] - diag[l - 1] + diag[m - 1])
-        quads.append(((j, k), (l, m), defect, float(combo)))
+        quads.append(((j, k), (l, m), defect if defect >= defect_floor else 0.0, float(combo)))
     return CouplingReport(elements=col, decay_fit=decay_fit, envelope_fit=envelope_fit,
                           zero_elements=zero_elements, resonant_quadruples=quads, floor=floor)
 

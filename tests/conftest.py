@@ -66,6 +66,89 @@ def degree6_neumann_cos_integral(omega, L):
             - d6 * math.sin(omega * L) / omega**7)
 
 
+# -- scalar closed-form integrals ----------------------------------------------
+# One Python call per (p, omega), kept as the reference for the array kernel
+# in graphctrl.potentials: the kernel must agree with these bit for bit.
+
+def trig_moments_taylor_scalar(p, omega, L):
+    """Series evaluation of (int x^p cos(omega x), int x^p sin(omega x)) on (0, L)."""
+    ic, m = 0.0, 0
+    while True:
+        term = (-1) ** m * omega ** (2 * m) * L ** (p + 2 * m + 1) / (
+            math.factorial(2 * m) * (p + 2 * m + 1))
+        ic += term
+        m += 1
+        if abs(term) < 1e-20 * max(abs(ic), 1e-300) or m > 120:
+            break
+    is_, m = 0.0, 0
+    while True:
+        term = (-1) ** m * omega ** (2 * m + 1) * L ** (p + 2 * m + 2) / (
+            math.factorial(2 * m + 1) * (p + 2 * m + 2))
+        is_ += term
+        m += 1
+        if abs(term) < 1e-20 * max(abs(is_), 1e-300) or m > 120:
+            break
+    return ic, is_
+
+
+def trig_moments_scalar(p, omega, L):
+    """(int x^p cos(omega x), int x^p sin(omega x)) over (0, L), stable branch choice.
+
+    The upward recurrence amplifies rounding by about prod_k max(1, k/(omega L)),
+    the Taylor series by about e^(omega L); the smaller factor picks the branch.
+    """
+    if omega == 0.0:
+        return L ** (p + 1) / (p + 1), 0.0
+    T = abs(omega) * L
+    recur_factor = 1.0
+    for k in range(1, p + 1):
+        recur_factor *= max(1.0, k / T)
+    if T < 0.5 or recur_factor > math.exp(min(T, 40.0)):
+        return trig_moments_taylor_scalar(p, omega, L)
+    s, c = math.sin(omega * L), math.cos(omega * L)
+    ic, is_ = s / omega, (1.0 - c) / omega
+    Lq = 1.0
+    for q in range(1, p + 1):
+        Lq *= L
+        ic, is_ = Lq * s / omega - (q / omega) * is_, -Lq * c / omega + (q / omega) * ic
+    return ic, is_
+
+
+def trig_poly_integral_scalar(p, omega, L, kind, omega2):
+    """Integral over (0, L) of x^p trig(omega x) trig(omega2 x), kind a TrigKind value."""
+    a, b = float(omega), float(omega2)
+    if kind == "sinsin":
+        return 0.5 * (trig_moments_scalar(p, a - b, L)[0] - trig_moments_scalar(p, a + b, L)[0])
+    if kind == "coscos":
+        return 0.5 * (trig_moments_scalar(p, a - b, L)[0] + trig_moments_scalar(p, a + b, L)[0])
+    return 0.5 * (trig_moments_scalar(p, a + b, L)[1] + trig_moments_scalar(p, a - b, L)[1])
+
+
+def matrix_element_scalar(op, basis, j, k):
+    """<phi_j, B phi_k> summed one edge, one degree and one integral at a time."""
+    lo, hi = (j, k) if j <= k else (k, j)
+    mj, mk = basis.modes[lo - 1], basis.modes[hi - 1]
+    total = 0.0
+    for e, (eid, L) in enumerate(zip(basis.edge_ids, basis.lengths)):
+        aj, modej = mj.per_edge[e]
+        ak, modek = mk.per_edge[e]
+        if aj == 0.0 or ak == 0.0:
+            continue
+        a, b = mj.omega, mk.omega
+        if modej.value == modek.value:
+            kind = "sinsin" if modej.value == "sin" else "coscos"
+        else:
+            kind = "sincos"
+            if modej.value == "cos":
+                a, b = b, a
+        acc = 0.0
+        for p, c in enumerate(op.coeffs(eid)):
+            if c != 0.0:
+                acc += c * trig_poly_integral_scalar(p, a, L, kind, b)
+        total += aj * ak * acc
+    return total
+
+
 # -- interlacing slots of a star ---------------------------------------------
 
 def interlacing_slots(lengths, dirichlet, count, distinct=False, shared_rel=1e-12):

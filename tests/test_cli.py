@@ -151,11 +151,17 @@ def test_liealg_command(problem, tmp_path):
 def test_report_command(problem, tmp_path):
     out = tmp_path / "out"
     assert dispatch(["--out-dir", str(out), "report", "--problem", str(problem),
-                     "--modes", "30", "--all"]) == EXIT_OK
+                     "--modes", "30"]) == EXIT_OK
     doc = json.loads((out / "report.json").read_text())
     assert doc["spectrum"]["simple"] is True
     assert "derivative_bound" in doc
     assert "transfer_demo" in doc
+
+
+def test_report_all_flag_removed(problem, tmp_path):
+    # --all selected nothing: report always writes every section
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "report", "--problem", str(problem),
+                     "--modes", "30", "--all"]) == EXIT_USAGE
 
 
 def test_unknown_command_usage_exit():
@@ -186,6 +192,18 @@ def test_scan_resolution_rejected_at_load(tmp_path, capsys):
     assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum",
                      "--problem", str(bad)]) == EXIT_VALIDATION
     assert "scan_resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("T", 5.0), ("root_rel_tol", 1e-13),
+                                        ("cluster_rel_tol", 1e-9), ("resonance_rel_tol", 1e-10)])
+def test_unused_solver_settings_rejected_at_load(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(STAR2))
+    doc["solver"][key] = value
+    bad = tmp_path / "old.json"
+    bad.write_text(json.dumps(doc))
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum",
+                     "--problem", str(bad)]) == EXIT_VALIDATION
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_numerical_exit_code(tmp_path):

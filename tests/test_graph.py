@@ -27,7 +27,7 @@ STAR3 = {
                      {"id": "v3", "bc": "D"}, {"id": "c", "bc": "NK"}],
     },
     "control": {"e1": [1.0, -2.0, 1.0]},
-    "solver": {"num_modes": 30, "T": 5.0},
+    "solver": {"num_modes": 30},
 }
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from scipy.integrate import simpson
 
 from graphctrl.errors import NumericalError, ValidationError
 from graphctrl.moment import (build_dd_system, build_partition, check_trace_bounds, dd_matrix,
-                              estimate_gap_parameters, solve_moment, verify_biorthogonality)
+                              estimate_gap_parameters, exp_inner, solve_moment,
+                              verify_biorthogonality)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -110,6 +112,28 @@ def test_horizon_hypothesis_enforced():
     part = build_partition([0.0, 0.4, 3.0, 3.3, 7.0], delta=1.0, M=3)
     with pytest.raises(ValidationError, match="T > 2 pi / delta"):
         build_dd_system(part, 5.0)
+
+
+def test_preconditioned_solve_enforces_horizon():
+    # the signed family +-(0, 1.5, 3, 3.4) has pair clusters at +-(3, 3.4) for delta = 1, M = 3,
+    # so the window needs T >= 2 pi
+    lam = [0.0, 1.5, 3.0, 3.4]
+    x = [1.0, 0.5j, 0.0, 0.25]
+    with pytest.raises(ValidationError, match="T > 2 pi / delta"):
+        solve_moment(lam, x, 5.0, mode="dd_preconditioned", delta=1.0, M=3)
+    sol = solve_moment(lam, x, 8.0, mode="dd_preconditioned", delta=1.0, M=3)
+    assert sol.max_residual < 1e-10
+
+
+def test_exp_inner_arrays_match_scalar_closed_form():
+    omega = np.concatenate([np.linspace(-30.0, 30.0, 401), [0.0, 1e-300, -1e-9, 7e5]])
+    got = exp_inner(omega, 1.7)
+    ref = [complex(1.7) if w == 0.0 else (cmath.exp(1j * w * 1.7) - 1.0) / (1j * w)
+           for w in omega.tolist()]
+    assert got.shape == omega.shape and got.dtype == complex
+    assert np.array_equal(got, np.array(ref))
+    assert isinstance(exp_inner(0.25, 1.7), complex)
+    assert exp_inner(0.0, 1.7) == 1.7
 
 
 def test_frame_lower_bound_stability():

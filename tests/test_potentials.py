@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from graphctrl.errors import ValidationError
-from graphctrl.potentials import (ControlOperator, TrigKind, analyze_coupling,
+from graphctrl.potentials import (ControlOperator, TrigKind, analyze_coupling, build_matrix,
                                   check_vertex_compatibility, degree6_neumann_potential,
                                   exchange_matrix_element, find_resonant_quadruples,
-                                  matrix_element, quartic_shift_potential,
-                                  squared_shift_potential, trig_poly_integral)
-from graphctrl.spectrum import explicit_subsystem, solve_spectrum
+                                  matrix_element, mode_overlap_integral,
+                                  quartic_shift_potential, squared_shift_potential, trig_moments,
+                                  trig_poly_integral)
+from graphctrl.spectrum import TrigMode, explicit_subsystem, solve_spectrum
 
-from conftest import degree6_neumann_cos_integral, interval, star
+from conftest import (degree6_neumann_cos_integral, interval, matrix_element_scalar, star,
+                      trig_moments_scalar, trig_poly_integral_scalar)
 
 PI = math.pi
 
@@ -61,6 +64,95 @@ def test_trig_integral_matches_quadrature(p, w1, w2, L, kind):
     val = trig_poly_integral(p, w1, L, kind, w2)
     ref = quad_oracle(p, w1, L, kind, w2)
     assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+# -- array kernel against the scalar oracle -------------------------------------
+
+def series_switch(q):
+    """Adjacent floats lo < hi of T = |omega| L: q-th moment on the series at lo, recurrence at hi."""
+    def on_series(T):
+        factor = 1.0
+        for k in range(1, q + 1):
+            factor *= max(1.0, k / T)
+        return factor > math.exp(min(T, 40.0))
+    lo, hi = 0.5, float(q)
+    assert on_series(lo) and not on_series(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if on_series(mid) else (lo, mid)
+    return lo, hi
+
+
+def switch_omegas(L):
+    """omega = 0 and omegas of both signs at, and one float either side of, each branch switch."""
+    points = [0.5] + [T for q in range(1, 13) for T in series_switch(q)]
+    out = [0.0]
+    for T in points:
+        w = T / L
+        out += [w, math.nextafter(w, 0.0), math.nextafter(w, math.inf)]
+    return np.array(out + [-w for w in out[1:]])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.2, max_value=3.0),
+       st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=12),
+       st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=12),
+       st.sampled_from(list(TrigKind)))
+def test_trig_moments_match_scalar_bitwise(L, wide, narrow, kind):
+    omega = np.concatenate([wide, narrow, switch_omegas(L)])
+    for q, (ic, is_) in enumerate(trig_moments(omega, L, 12)):
+        ref = [trig_moments_scalar(q, w, L) for w in omega.tolist()]
+        assert bits(ic) == bits([r[0] for r in ref]), f"cos moment, q = {q}"
+        assert bits(is_) == bits([r[1] for r in ref]), f"sin moment, q = {q}"
+    for p in (0, 5, 12):
+        for w1, w2 in zip(wide, narrow):
+            assert bits(trig_poly_integral(p, w1, L, kind, w2)) == \
+                bits(trig_poly_integral_scalar(p, w1, L, kind.value, w2))
+            # cos * sin is the sin * cos integral with the frequencies swapped
+            assert bits(mode_overlap_integral(w1, TrigMode.COS, w2, TrigMode.SIN, L, p)) == \
+                bits(trig_poly_integral_scalar(p, w2, L, "sincos", w1))
+
+
+@pytest.mark.parametrize("graph_name, per_edge", [
+    ("star2_irrational", {"e1": [0.0, 1.0, 0.5], "e2": [2.0, 0.0, 0.0, -1.0, 0.25]}),
+    ("star5_neumann", {"e1": degree6_neumann_potential(1.0), "e3": [0.3, 0.0, -1.0]}),
+])
+def test_build_matrix_matches_scalar_oracle(request, graph_name, per_edge):
+    basis = solve_spectrum(request.getfixturevalue(graph_name), 60)
+    op = ControlOperator(per_edge=per_edge)
+    B = build_matrix(op, basis, 60)
+    ref = np.zeros((60, 60))
+    for j in range(1, 61):
+        for k in range(j, 61):
+            ref[j - 1, k - 1] = ref[k - 1, j - 1] = matrix_element_scalar(op, basis, j, k)
+    assert B.tobytes() == ref.tobytes()
+
+
+def test_operator_coupling_matches_matrix_column(star5_neumann):
+    basis = solve_spectrum(star5_neumann, 80)
+    op = ControlOperator(per_edge={"e1": degree6_neumann_potential(1.0)})
+    B = build_matrix(op, basis)
+    from_op = analyze_coupling(op, basis, 80)
+    from_matrix = analyze_coupling(B, basis, 80)
+    assert from_op.elements.tobytes() == B[:, 0].tobytes()
+    assert from_op.resonant_quadruples == from_matrix.resonant_quadruples
+
+
+def test_build_matrix_memory_bound(star5_neumann):
+    basis = solve_spectrum(star5_neumann, 400)
+    op = ControlOperator(per_edge={"e1": degree6_neumann_potential(1.0)})
+    tracemalloc.start()
+    try:
+        B = build_matrix(op, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert B.shape == (400, 400)
+    assert peak < 32 * 2**20
 
 
 # -- matrix elements ----------------------------------------------------------
