@@ -30,6 +30,7 @@ from .errors import NumericalError, ValidationError
 
 MAX_MOMENT_SIZE = 512
 CONDITION_LIMIT = 1e10
+RESIDUAL_LIMIT = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +234,49 @@ def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
         raise ValidationError(
             f"horizon T = {T:.6g} too small: the Riesz-basis window requires "
             f"T > 2 pi / delta = {2 * math.pi / partition.delta:.6g}")
-    blocks = [dd_matrix(partition.cluster_values(c)) for c in range(len(partition.clusters))]
-    for F in blocks:
-        if np.any(np.abs(np.diag(F)) == 0.0):
-            raise NumericalError("divided-difference block is singular")
+    blocks = [dd_matrix(partition.frequencies[s:e]) if e - s > 1 else np.ones((1, 1))
+              for s, e in partition.clusters]
+    if any(F.shape[0] > 1 and np.any(np.diag(F) == 0.0) for F in blocks):
+        raise NumericalError("divided-difference block is singular")
     return blocks
 
 
 def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceSystem:
     """Assemble the divided-difference family and its Gram frame bounds."""
     blocks = _dd_blocks(partition, T)
-    W = _block_diagonal(partition, blocks)
-    E = exponential_gram(partition.frequencies, T)
-    G = W.T @ E @ W
+    G = _block_gram(partition, blocks, exponential_gram(partition.frequencies, T))
     G = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(G)
     traces = [float(np.sum(F * F)) for F in blocks]
     return DividedDifferenceSystem(partition=partition, horizon=float(T), blocks=blocks,
                                    gram=G, frame_bounds=(float(eigs[0]), float(eigs[-1])),
                                    trace_diag=traces)
+
+
+def _apply_blocks(partition: ClusterPartition, blocks, X, transpose: bool = False) -> np.ndarray:
+    """W @ X, or W.T @ X, for W = blockdiag(F_m) without forming W.
+
+    Singleton clusters have F = [[1]] and are copied; the other clusters are
+    multiplied in one batched product per cluster size.
+    """
+    X = np.asarray(X)
+    out = X.astype(np.result_type(X, float))
+    sizes = partition.sizes
+    for size in set(sizes) - {1}:
+        members = [c for c, n in enumerate(sizes) if n == size]
+        rows = np.array([np.arange(*partition.clusters[c]) for c in members])
+        F = np.stack([blocks[c] for c in members])
+        if transpose:
+            F = F.transpose(0, 2, 1)
+        Xc = X[rows]
+        out[rows] = (F @ Xc.reshape(len(members), size, -1)).reshape(Xc.shape)
+    return out
+
+
+def _block_gram(partition: ClusterPartition, blocks, G: np.ndarray) -> np.ndarray:
+    """W^T G W for W = blockdiag(F_m): the Gram of the divided-difference family."""
+    WtG = _apply_blocks(partition, blocks, G, transpose=True)
+    return _apply_blocks(partition, blocks, WtG.T, transpose=True).T
 
 
 @dataclass
@@ -333,11 +358,12 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
     """Real control u on (0, T) with integral of u e^{i (lambda_k - lambda_1) t} = x_k.
 
     The control is represented over the real dictionary {1} U {cos, sin} at
-    the shifted frequencies; the resulting square linear system is solved
-    directly, or (mode "dd_preconditioned") after recombining the equations
-    and the dictionary per cluster with the divided-difference blocks of the
-    signed frequency family, which tames the conditioning when frequencies
-    cluster.
+    the shifted frequencies, whose moment matrix is the dictionary's Gram;
+    it is solved directly, or (mode "dd_preconditioned") over the signed
+    exponential family recombined per cluster into divided differences,
+    whose Gram stays well conditioned when frequencies cluster.  Breakdown
+    raises NumericalError: a Gram condition above CONDITION_LIMIT, or a
+    residual above RESIDUAL_LIMIT * max(1, max |x|).
     """
     lam = np.asarray(lambdas, dtype=float)
     x = np.asarray(x, dtype=complex)
@@ -363,11 +389,27 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         sol = _solve_dd(alpha, x, T, delta, M)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    if sol.gram_condition > CONDITION_LIMIT:
+    limit = RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(x))))
+    if not sol.max_residual <= limit:
         raise NumericalError(
-            f"moment system condition {sol.gram_condition:.3g} above {CONDITION_LIMIT:.0e}; "
-            f"increase T (the Riesz window needs T > 2 pi / delta)")
+            f"moment residual {sol.max_residual:.3g} above {limit:.3g} "
+            f"({mode} solve, Gram condition {sol.gram_condition:.3g}): the solve lost "
+            f"accuracy, most likely to nearly equal frequencies")
     return sol
+
+
+def _gram_condition(S: np.ndarray) -> float:
+    """lambda_max / lambda_min of a Hermitian Gram, inf unless positive definite.
+
+    Raises NumericalError above CONDITION_LIMIT.
+    """
+    eigs = np.linalg.eigvalsh(S)
+    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
+    if cond > CONDITION_LIMIT:
+        raise NumericalError(
+            f"moment system condition {cond:.3g} above {CONDITION_LIMIT:.0e}; "
+            f"increase T (the Riesz window needs T > 2 pi / delta)")
+    return cond
 
 
 def _dictionary(alpha):
@@ -378,23 +420,34 @@ def _dictionary(alpha):
     return dictionary
 
 
-def _moment_matrix(alpha, T):
+def _signed(alpha):
+    """The signed family -alpha_{K-1} < ... < -alpha_1 < alpha_0 = 0 < ... < alpha_{K-1}."""
+    return np.concatenate([-alpha[:0:-1], alpha])
+
+
+def _moment_matrix(inner):
     """Moments of the real dictionary against e^{i alpha_k t}: row k, one column per entry.
 
-    Columns: the constant, then cos and sin at each alpha[1:], in closed form
-    from the integrals of e^{i (alpha_k +- a) t}.
+    inner[k, q] is the integral of e^{i (alpha_k + s_q) t} over the signed
+    family s = _signed(alpha) (2K - 1 columns, alpha_0 = 0 in the middle).
+    Columns: the constant, then cos and sin at each alpha[1:], from
+    e^{i (alpha_k +- a) t}; alpha_k + (-a) is alpha_k - a in floating point.
     """
-    plus = exp_inner(alpha[:, None] + alpha[1:], T)
-    minus = exp_inner(alpha[:, None] - alpha[1:], T)
-    moments = np.empty((alpha.size, 2 * alpha.size - 1), dtype=complex)
-    moments[:, 0] = exp_inner(alpha, T)
+    K = inner.shape[0]
+    plus, minus = inner[:, K:], inner[:, K - 2::-1]
+    moments = np.empty((K, 2 * K - 1), dtype=complex)
+    moments[:, 0] = inner[:, K - 1]
     moments[:, 1::2] = 0.5 * (plus + minus)
     moments[:, 2::2] = (plus - minus) / 2j
     return moments
 
 
 def _real_rows(z):
-    """The real moment equations from complex rows: Re of row 0, then Re and Im of each other."""
+    """The real moment equations from complex rows: Re of row 0, then Re and Im of each other.
+
+    Applied to the moment matrix this is the (symmetric) Gram of the real
+    dictionary {1, cos alpha_k t, sin alpha_k t}.
+    """
     out = np.empty((2 * len(z) - 1,) + z.shape[1:])
     out[0] = z[0].real
     out[1::2] = z[1:].real
@@ -403,9 +456,9 @@ def _real_rows(z):
 
 
 def _solve_direct(alpha, x, T):
-    moments = _moment_matrix(alpha, T)
+    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
     A, b = _real_rows(moments), _real_rows(x)
-    cond = float(np.linalg.cond(A))
+    cond = _gram_condition(A)
     try:
         coeffs = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
@@ -414,39 +467,46 @@ def _solve_direct(alpha, x, T):
 
 
 def _solve_dd(alpha, x, T, delta, M):
-    """Signed-frequency complex solve, row/column preconditioned per cluster.
+    """Signed-frequency complex solve in the Gram of the divided-difference family.
 
     The signed family is alpha_{-k} = -alpha_k with conjugate targets (the
-    zero frequency enters once); the system A d = x with A[p, q] = integral
-    of e^{i (alpha_p + alpha_q) t} is transformed to (W A W^T) y = W x with
-    W the block-diagonal divided-difference matrix, and d = W^T y.
+    zero frequency enters once), and the equations read A d = x with A[p, q]
+    the integral of e^{i (alpha_p + alpha_q) t}.  The family is symmetric, so
+    G = A[:, ::-1] is the Hermitian Gram of the exponentials and G c = x for
+    c = d[::-1].  With c = W y, W = blockdiag(F_m) the divided-difference
+    matrix, this is (W^T G W) y = W^T x: the Gram of the divided differences,
+    solved with Jacobi (unit-diagonal) scaling, whose condition number is the
+    frame-bound ratio of the scaled family.
     """
     K = alpha.size
-    signed = np.concatenate([-alpha[:0:-1], alpha])      # ascending, 2K-1 entries
+    signed = _signed(alpha)                               # ascending, 2K-1 entries
     labels = np.concatenate([-np.arange(K, 1, -1), np.arange(1, K + 1)])
     xt = np.concatenate([np.conj(x[:0:-1]), x])
     part = build_partition(signed, delta, M, labels=labels)
-    W = _block_diagonal(part, _dd_blocks(part, T))
+    blocks = _dd_blocks(part, T)
     A = exp_inner(signed[:, None] + signed, T)
-    Ap = W @ A @ W.T
-    cond = float(np.linalg.cond(Ap))
+    H = _block_gram(part, blocks, A[:, ::-1])
+    diag = H.diagonal().real
+    if not np.all(diag > 0):
+        raise NumericalError("divided-difference Gram has a non-positive diagonal; increase T")
+    s = 1.0 / np.sqrt(diag)
+    Hs = s[:, None] * H * s
+    cond = _gram_condition(Hs)
     try:
-        y = np.linalg.solve(Ap, W @ xt)
+        z = np.linalg.solve(Hs, s * _apply_blocks(part, blocks, xt, transpose=True))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"preconditioned moment system singular: {exc}")
-    d = W.T @ y
+        raise NumericalError(f"divided-difference moment system singular: {exc}")
+    d = _apply_blocks(part, blocks, s * z)[::-1]
 
-    # collapse e^{+-i a t} pairs onto the real dictionary
-    coeffs = np.zeros(2 * K - 1)
-    pos = {int(l): i for i, l in enumerate(labels)}
-    coeffs[0] = d[pos[1]].real
-    for k in range(2, K + 1):
-        dk, dmk = d[pos[k]], d[pos[-k]]
-        coeffs[2 * k - 3] = (dk + dmk).real
-        coeffs[2 * k - 2] = (dmk - dk).imag
-    # moment functionals of Im(u) against every dictionary frequency
+    # collapse e^{+-i a t} pairs onto the real dictionary: d[K - 1 + k] is on
+    # alpha_k, d[K - 1 - k] on -alpha_k
+    pos, neg = d[K:], d[K - 2::-1]
+    coeffs = np.empty(2 * K - 1)
+    coeffs[0] = d[K - 1].real
+    coeffs[1::2] = (pos + neg).real
+    coeffs[2::2] = (neg - pos).imag
     defect = _imag_moment_defect(signed, d, A)
-    resid = _moment_matrix(alpha, T) @ coeffs - x
+    resid = _moment_matrix(A[K - 1:]) @ coeffs - x
     return MomentSolution(horizon=T, dictionary=_dictionary(alpha), coefficients=coeffs,
                           residuals=resid, gram_condition=cond,
                           imag_moment_defect=defect, mode="dd_preconditioned")
@@ -484,12 +544,11 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
     dev1 = float(np.max(np.abs(G @ Ginv - np.eye(n))))
 
     # w_k = sum_m F[k, m] u_m biorthogonal to e_j: test on the raw Gram
-    part = system.partition
-    W = system.weights
+    part, blocks = system.partition, system.blocks
     E = exponential_gram(part.frequencies, system.horizon)
     # <u_m, e_j>: u_m = sum_q Ginv[q, m] xi_q, xi in e-coords via W
-    U_e = W @ Ginv                       # e-coordinates of the u family (columns)
-    inner_ue = U_e.conj().T @ E          # <u_m, e_j>
-    inner_we = W @ inner_ue              # rows: w_k against e_j
+    U_e = _apply_blocks(part, blocks, Ginv)          # e-coordinates of the u family (columns)
+    inner_ue = U_e.conj().T @ E                      # <u_m, e_j>
+    inner_we = _apply_blocks(part, blocks, inner_ue)  # rows: w_k against e_j
     dev2 = float(np.max(np.abs(inner_we - np.eye(n))))
     return dev1, dev2

@@ -341,35 +341,49 @@ def _envelope_fit(ks, vals, n_blocks=6):
 def find_resonant_quadruples(mu, tol_abs, int_labels=None):
     """Pairs of index pairs (j,k) != (l,m), j<k, l<m with mu_j - mu_k - mu_l + mu_m ~ 0.
 
-    Implemented by sorting all pair gaps and matching near-equal neighbours;
-    when integer labels are supplied (mu = scale * label^2) the matching is
-    exact in integer arithmetic.  Each quadruple lists its smaller pair
-    first and the list is sorted by the pairs, so rounding noise in equal
-    gaps does not reorder the output.
+    Implemented by a stable sort of all pair gaps mu_k - mu_j and matching
+    each gap with the following ones until g2 - g > tol_abs; when integer
+    labels are supplied (mu = scale * label^2) the gaps are label_k^2 -
+    label_j^2 and match by exact integer equality.  Each quadruple lists its
+    smaller pair first and the list is sorted by the pairs, so rounding noise
+    in equal gaps does not reorder the output.
     """
-    K = len(mu)
-    gaps = []
-    for j in range(K):
-        for k in range(j + 1, K):
-            if int_labels is not None:
-                g = int_labels[k] ** 2 - int_labels[j] ** 2
-            else:
-                g = mu[k] - mu[j]
-            gaps.append((g, j + 1, k + 1))
-    gaps.sort(key=lambda t: t[0])
-    out = []
-    for i in range(len(gaps)):
-        g, j, k = gaps[i]
-        for p in range(i + 1, len(gaps)):
-            g2, l, m = gaps[p]
-            if int_labels is not None:
-                if g2 != g:
-                    break
-            elif g2 - g > tol_abs:
-                break
-            defect = abs(float(mu[m - 1] - mu[l - 1]) - float(mu[k - 1] - mu[j - 1]))
-            out.append((min((j, k), (l, m)), max((j, k), (l, m)), defect))
-    return sorted(out)
+    mu = np.asarray(mu, dtype=float)
+    j, k = np.triu_indices(mu.size, 1)
+    fgap = mu[k] - mu[j]
+    if int_labels is not None:
+        lab = np.asarray(int_labels, dtype=np.int64)
+        gap = lab[k] ** 2 - lab[j] ** 2
+    else:
+        gap = fgap
+    order = np.argsort(gap, kind="stable")
+    j, k, fgap, gap = j[order] + 1, k[order] + 1, fgap[order], gap[order]
+    n = gap.size
+
+    # window [i + 1, end_i) of candidates for gap i.  A gap above fl(g + 2 tol_abs)
+    # exceeds g by more than 2 tol_abs exactly, so g2 - g > tol_abs after
+    # rounding too: the window holds every match, and the exact test decides.
+    first_after = np.arange(n) + 1
+    if int_labels is not None:
+        end = np.searchsorted(gap, gap, side="right")
+    else:
+        end = np.maximum(np.searchsorted(gap, gap + 2 * tol_abs, side="right"), first_after)
+    count = end - first_after
+    first = np.repeat(np.arange(n), count)
+    second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    if int_labels is None:
+        keep = ~(gap[second] - gap[first] > tol_abs)
+        first, second = first[keep], second[keep]
+
+    # smaller pair first, then sort by the pairs (no two quadruples share both)
+    swap = (j[second] < j[first]) | ((j[second] == j[first]) & (k[second] < k[first]))
+    a = np.where(swap, second, first)
+    b = np.where(swap, first, second)
+    defect = np.abs(fgap[second] - fgap[first])
+    rank = np.lexsort((k[b], j[b], k[a], j[a]))
+    a, b = a[rank], b[rank]
+    return [((p, q), (r, s), d) for p, q, r, s, d in
+            zip(j[a].tolist(), k[a].tolist(), j[b].tolist(), k[b].tolist(), defect[rank].tolist())]
 
 
 def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,

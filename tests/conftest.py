@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
+
+
+# Property tests run the same examples on every run; each test sets its own
+# max_examples on top of this profile.
+settings.register_profile("graphctrl", derandomize=True, deadline=None)
+settings.load_profile("graphctrl")
 
 
 def star(lengths, bcs=None, topology=Topology.STAR):
@@ -229,3 +236,33 @@ def admissible_pairs_reference(lam, B, resonance_tol=1e-8, int_labels=None):
         if not degenerate:
             out.append((j + 1, k + 1))
     return out
+
+
+# -- resonant quadruples -------------------------------------------------------
+
+def find_resonant_quadruples_reference(mu, tol_abs, int_labels=None):
+    """The tuple sort and Python double loop over all pair gaps, kept as the
+    reference for the array gap matcher in graphctrl.potentials."""
+    K = len(mu)
+    gaps = []
+    for j in range(K):
+        for k in range(j + 1, K):
+            if int_labels is not None:
+                g = int_labels[k] ** 2 - int_labels[j] ** 2
+            else:
+                g = mu[k] - mu[j]
+            gaps.append((g, j + 1, k + 1))
+    gaps.sort(key=lambda t: t[0])
+    out = []
+    for i in range(len(gaps)):
+        g, j, k = gaps[i]
+        for p in range(i + 1, len(gaps)):
+            g2, l, m = gaps[p]
+            if int_labels is not None:
+                if g2 != g:
+                    break
+            elif g2 - g > tol_abs:
+                break
+            defect = abs(float(mu[m - 1] - mu[l - 1]) - float(mu[k - 1] - mu[j - 1]))
+            out.append((min((j, k), (l, m)), max((j, k), (l, m)), defect))
+    return sorted(out)

@@ -221,3 +221,33 @@ def test_numerical_exit_code(tmp_path):
             w.writerow([k, 0.0, 0.0])
     assert dispatch(["--out-dir", str(tmp_path / "o"), "moment-solve", "--freqs", str(freqs),
                      "--target", str(target), "--T", "2.0"]) == EXIT_NUMERICAL
+
+
+def write_moment_inputs(tmp_path, lambdas, targets):
+    freqs, target = tmp_path / "f.csv", tmp_path / "x.csv"
+    with open(freqs, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "lambda"])
+        w.writerows([k, lam] for k, lam in enumerate(lambdas, start=1))
+    with open(target, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "re_x", "im_x"])
+        w.writerows([k, x.real, x.imag] for k, x in enumerate(targets, start=1))
+    return freqs, target
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_moment_solve_residual_gate_exit_code(tmp_path, capsys, mode):
+    # pairs 2 pi {n, n + 1e-5}: both Gram conditions pass the limit, neither
+    # residual meets 1e-8, so the command fails instead of writing a control
+    values = [0.0] + [n + 1e-5 * (m % 2) for n in range(1, 33) for m in range(2)]
+    lambdas = [2 * math.pi * v for v in values[:64]]
+    rng = np.random.default_rng(3)
+    targets = rng.normal(size=64) + 1j * rng.normal(size=64)
+    targets[0] = targets[0].real
+    freqs, target = write_moment_inputs(tmp_path, lambdas, targets)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
+                     "--target", str(target), "--T", "4.0", "--mode", mode]) == EXIT_NUMERICAL
+    assert "moment residual" in capsys.readouterr().err
+    assert not (out / "control.csv").exists()

@@ -116,7 +116,7 @@ def test_check_length_set_equal_lengths():
     assert (2, 1, 1, 1) in [h[:4] for h in rep.rational_hits]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.lists(st.floats(min_value=0.1, max_value=10.0,
                           allow_nan=False, allow_infinity=False),
                 min_size=2, max_size=5),

@@ -6,9 +6,10 @@ import pytest
 from scipy.integrate import simpson
 
 from graphctrl.errors import NumericalError, ValidationError
-from graphctrl.moment import (build_dd_system, build_partition, check_trace_bounds, dd_matrix,
-                              estimate_gap_parameters, exp_inner, solve_moment,
-                              verify_biorthogonality)
+from graphctrl.moment import (_block_gram, _dd_blocks, _gram_condition, _moment_matrix, _real_rows,
+                              _signed, build_dd_system, build_partition, check_trace_bounds,
+                              dd_matrix, estimate_gap_parameters, exp_inner, exponential_gram,
+                              solve_moment, verify_biorthogonality)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -17,6 +18,19 @@ TWO_PI = 2 * math.pi
 def paired_family(n, offset=0.3):
     """ceil(m/2) + offset on even m: gaps alternate offset / 1 - offset."""
     return np.array([(m + 1) // 2 + offset * (m % 2 == 0) for m in range(1, n + 1)], dtype=float)
+
+
+def eps_pair_family(eps, K=64):
+    """lambda = 2 pi {0, 1, 1 + eps, 2, 2 + eps, ...}: pairs closing in as eps -> 0."""
+    values = [0.0] + [n + eps * (m % 2) for n in range(1, K) for m in range(2)]
+    return TWO_PI * np.array(values[:K])
+
+
+def random_targets(seed, K):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=K) + 1j * rng.normal(size=K)
+    x[0] = x[0].real
+    return x
 
 
 # -- partitions ---------------------------------------------------------------
@@ -251,6 +265,13 @@ def test_moment_rejects_duplicate_frequencies():
         solve_moment([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], TWO_PI)
 
 
+def test_indefinite_gram_reads_infinite_condition():
+    # rounding can leave a nearly singular Gram with lambda_min <= 0: that is
+    # breakdown, whatever |lambda_max / lambda_min| is
+    with pytest.raises(NumericalError, match="condition inf"):
+        _gram_condition(np.diag([-1e-3, 1.0]))
+
+
 def test_moment_condition_error_suggests_larger_horizon():
     lam = [0.0, 1e-4, 2e-4, 1.0]
     with pytest.raises(NumericalError, match="increase T"):
@@ -272,3 +293,90 @@ def test_biorthogonal_two_cluster_system():
     system = build_dd_system(part, 20.0)
     dev1, dev2 = verify_biorthogonality(system)
     assert dev1 < 1e-8 and dev2 < 1e-8
+
+
+# -- Gram algebra of the two solve modes -----------------------------------------
+
+@pytest.mark.parametrize("lam, T", [
+    ((np.arange(1, 65) * PI) ** 2, 1.0),
+    (eps_pair_family(1e-3), 4.0),
+    (np.cumsum(np.random.default_rng(4).uniform(0.5, 3.0, 40)), 7.0),
+])
+def test_direct_moment_matrix_is_symmetric_gram(lam, T):
+    alpha = lam - lam[0]
+    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
+    A = _real_rows(moments)
+    assert np.array_equal(A, A.T)
+    assert np.linalg.eigvalsh(A)[0] > 0
+    # direct mode solves exactly this matrix with numpy's solve
+    x = random_targets(8, len(lam))
+    sol = solve_moment(lam, x, T)
+    assert sol.coefficients.tobytes() == np.linalg.solve(A, _real_rows(x)).tobytes()
+    assert np.array_equal(sol.residuals, moments @ sol.coefficients - x)
+
+
+def dense_dd_reference(system):
+    """Frame bounds and biorthogonality deviations with the dense W = system.weights."""
+    W = system.weights
+    E = exponential_gram(system.partition.frequencies, system.horizon)
+    G = W.T @ E @ W
+    G = 0.5 * (G + G.conj().T)
+    eigs = np.linalg.eigvalsh(G)
+    n = G.shape[0]
+    Ginv = np.linalg.inv(G)
+    dev1 = np.max(np.abs(G @ Ginv - np.eye(n)))
+    dev2 = np.max(np.abs(W @ ((W @ Ginv).conj().T @ E) - np.eye(n)))
+    return G, (eigs[0], eigs[-1]), (dev1, dev2)
+
+
+@pytest.mark.parametrize("freqs, delta, M, T", [
+    ([0.0, 0.4, 3.0, 3.3, 7.0], 1.0, 3, 20.0),
+    (paired_family(128), 0.4, 3, 1.2 * TWO_PI / 0.4),
+    (paired_family(256, 0.27), 0.4, 3, 1.2 * TWO_PI / 0.4),
+])
+def test_block_applied_weights_match_dense_products(freqs, delta, M, T):
+    part = build_partition(freqs, delta, M)
+    system = build_dd_system(part, T)
+    G, bounds, devs = dense_dd_reference(system)
+    assert np.max(np.abs(system.gram - G)) <= 1e-13 * np.max(np.abs(G))
+    assert system.frame_bounds == pytest.approx(bounds, rel=1e-12)
+    assert np.max(np.abs(np.subtract(verify_biorthogonality(system), devs))) <= 1e-12
+
+
+def test_block_gram_of_signed_family_matches_dense():
+    # the Gram the divided-difference solve uses: A[:, ::-1] of the signed family
+    alpha = eps_pair_family(1e-2)
+    signed = _signed(alpha)
+    part = build_partition(signed)
+    blocks = _dd_blocks(part, 4.0)
+    G = exp_inner(signed[:, None] + signed, 4.0)[:, ::-1]
+    assert np.array_equal(G, G.conj().T)
+    assert max(part.sizes) == 2
+    W = build_dd_system(part, 4.0).weights
+    dense = W.T @ G @ W
+    assert np.max(np.abs(_block_gram(part, blocks, G) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_eps_pair_family_divided_differences_precondition(eps):
+    lam, T = eps_pair_family(eps), 4.0
+    x = random_targets(3, lam.size)
+    direct = solve_moment(lam, x, T, mode="direct")
+    dd = solve_moment(lam, x, T, mode="dd_preconditioned")
+    assert dd.gram_condition < 100
+    # two nearly equal exponentials per pair: the raw Gram degrades like eps^-2
+    assert direct.gram_condition >= 0.05 * eps ** -2
+    assert direct.max_residual <= 1e-8 and dd.max_residual <= 1e-8
+    rel = np.linalg.norm(dd.coefficients - direct.coefficients) / np.linalg.norm(direct.coefficients)
+    assert rel <= 10 * direct.gram_condition * np.finfo(float).eps
+    if eps >= 1e-3:
+        assert dd.imag_moment_defect <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_residual_gate_raises_instead_of_returning(mode):
+    # at eps = 1e-5 both Gram conditions pass the limit (8e8 and 22) but
+    # neither solve meets 1e-8: that is a numerical failure, not a result
+    lam = eps_pair_family(1e-5)
+    with pytest.raises(NumericalError, match="moment residual"):
+        solve_moment(lam, random_targets(3, lam.size), 4.0, mode=mode)

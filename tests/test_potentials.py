@@ -16,8 +16,8 @@ from graphctrl.potentials import (ControlOperator, TrigKind, analyze_coupling, b
                                   trig_poly_integral)
 from graphctrl.spectrum import TrigMode, explicit_subsystem, solve_spectrum
 
-from conftest import (degree6_neumann_cos_integral, interval, matrix_element_scalar, star,
-                      trig_moments_scalar, trig_poly_integral_scalar)
+from conftest import (degree6_neumann_cos_integral, find_resonant_quadruples_reference, interval,
+                      matrix_element_scalar, star, trig_moments_scalar, trig_poly_integral_scalar)
 
 PI = math.pi
 
@@ -54,7 +54,7 @@ def test_trig_integral_degree_cap():
         trig_poly_integral(13, 1.0, 1.0, TrigKind.SINSIN, 1.0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=6),
        st.floats(min_value=0.0, max_value=30.0),
        st.floats(min_value=0.0, max_value=30.0),
@@ -97,7 +97,7 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.floats(min_value=0.2, max_value=3.0),
        st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=12),
        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=12),
@@ -291,6 +291,38 @@ def test_resonant_quadruple_order_survives_rounding(star2_irrational):
     assert len(got) > 900 and got == sorted(got)
     assert all(p1 < p2 for p1, p2 in got)
     assert [q[:2] for q in find_resonant_quadruples(mu * noise, tol)] == got
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=4, max_size=14, unique=True),
+       st.lists(st.sampled_from([0.0, 0.0, 0.5, -0.5, 2.0, -2.0]), min_size=14, max_size=14),
+       st.sampled_from([2.0 ** -30, 2.0 ** -20, 2.0 ** -10, -(2.0 ** -20)]))
+def test_gap_matcher_matches_reference_loop(ints, nudges, tol):
+    # an integer lattice has many exactly equal gaps; nudging points by 0.5 and
+    # 2 tolerances puts gap differences inside, outside and (all values being
+    # dyadic, so every difference is exact) exactly at tol
+    lattice = 0.375 * np.sort(np.array(ints, dtype=float))
+    mu = lattice + tol * np.array(nudges[:len(ints)])
+    assert find_resonant_quadruples(mu, tol) == find_resonant_quadruples_reference(mu, tol)
+    assert (find_resonant_quadruples(lattice, tol)
+            == find_resonant_quadruples_reference(lattice, tol))
+    labels = sorted(i + 1 for i in ints)
+    mu_int = 0.375 * np.array(labels, dtype=float) ** 2
+    assert (find_resonant_quadruples(mu_int, tol, labels)
+            == find_resonant_quadruples_reference(mu_int, tol, labels))
+
+
+def test_gap_matcher_matches_reference_on_stars(star2_irrational, star3_equilateral):
+    for graph, K in ((star2_irrational, 60), (star3_equilateral, 40), (star([1.0, 2.0, 3.0]), 40)):
+        mu = solve_spectrum(graph, K).eigenvalues
+        for rel in (1e-10, 1e-6):
+            tol = rel * float(mu.max())
+            got = find_resonant_quadruples(mu, tol)
+            assert len(got) > 300 and got == find_resonant_quadruples_reference(mu, tol)
+    basis = explicit_subsystem("equilateral_star", 30, n_edges=3, length=1.0)
+    mu, labels = basis.eigenvalues[:30], basis.int_labels[:30]
+    got = find_resonant_quadruples(mu, 0.0, labels)
+    assert len(got) > 100 and got == find_resonant_quadruples_reference(mu, 0.0, labels)
 
 
 def test_resonance_exact_integer_matching():

@@ -195,7 +195,7 @@ def clustered_stars(draw):
     return lengths, dirichlet
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(clustered_stars())
 def test_roots_fill_interlacing_slots(case):
     lengths, dirichlet = case
