@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -259,6 +260,8 @@ def cmd_liealg(args, runner: Runner):
 
 
 def cmd_report(args, runner: Runner):
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ValidationError(f"--eps must be finite and > 0, got {args.eps!r}")
     graph, control, settings, basis = _solve_from_problem(args)
     out: dict = {"spectrum": {
         "eigenvalues": [m.lam for m in basis.modes],

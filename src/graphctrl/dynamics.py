@@ -9,7 +9,11 @@ in blocks of steps, so memory does not grow with the step count.
 
 Also here: the first-order (linearized) response used to validate moment
 controls, the bracket-closure dimension count behind the finite-dimensional
-controllability criterion, and resonant population-transfer synthesis.
+controllability criterion, and resonant population-transfer synthesis.  The
+closure brackets each pair generator with the whole frontier as one block
+(two rows and two columns move; no matrix product) and tests the block's rank
+gain with one projection onto the current span, in n^2 real su(n)
+coordinates, before the per-bracket Gram-Schmidt test.
 """
 
 from __future__ import annotations
@@ -322,6 +326,8 @@ def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
     Sorted once, each frequency is compared with its sorted neighbours, the
     nearest others; with integer labels (lambda = c label^2) equal gaps collide.
     """
+    if not (math.isfinite(resonance_tol) and resonance_tol >= 0):
+        raise ValidationError(f"resonance tolerance must be finite and >= 0, got {resonance_tol!r}")
     B, lam = system.B, system.lam
     if element_tol is None:
         element_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
@@ -341,11 +347,82 @@ def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
     return [(int(a) + 1, int(b) + 1) for a, b in zip(j[~degenerate], k[~degenerate])]
 
 
-def _pair_generator(n, j, k, theta):
-    E = np.zeros((n, n), dtype=complex)
-    E[j, k] = np.exp(1j * theta)
-    E[k, j] = -np.exp(-1j * theta)
-    return E
+def _bracket_block(F, sel, j, k, phase):
+    """[g, X] for the matrices X = F[sel] of the stack F, g = phase E_jk - conj(phase) E_kj.
+
+    g has two nonzero entries, so the bracket is two rows and two columns of
+    X moved and scaled: no matrix product.
+    """
+    C = np.zeros((len(sel),) + F.shape[1:], dtype=F.dtype)
+    C[:, j, :] = phase * F[sel, k, :]
+    C[:, k, :] = -np.conj(phase) * F[sel, j, :]
+    C[:, :, k] -= phase * F[sel, :, j]
+    C[:, :, j] += np.conj(phase) * F[sel, :, k]
+    return C
+
+
+class _SpanBasis:
+    """Orthonormal basis of the real span of the skew-Hermitian n x n matrices accepted so far.
+
+    A matrix enters as a real row of length n^2: sqrt(2) Re and sqrt(2) Im of
+    its strict upper triangle, then Im of its diagonal.  Euclidean norms and
+    inner products of the rows equal the Frobenius ones of the matrices, in
+    half the length of their real and imaginary parts.
+    """
+
+    def __init__(self, n):
+        iu, ju = np.triu_indices(n, 1)
+        self._upper, self._diag = iu * n + ju, np.arange(n) * (n + 1)
+        self.rows = np.empty((n * n - 1, n * n))     # all brackets lie in su(n)
+        self.rank = 0
+
+    @property
+    def full(self) -> bool:
+        return self.rank == len(self.rows)
+
+    def _coordinates(self, X):
+        flat = X.reshape(len(X), self.rows.shape[1])
+        off = math.sqrt(2.0) * flat[:, self._upper]
+        return np.concatenate([off.real, off.imag, flat[:, self._diag].imag], axis=1)
+
+    def _try_add(self, v) -> bool:
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            return False
+        Q = self.rows[:self.rank]
+        for _ in range(2):     # classical Gram-Schmidt, repeated for orthogonality
+            v = v - Q.T @ (Q @ v)
+        r = np.linalg.norm(v)
+        if r > 1e-10 * nv:
+            self.rows[self.rank] = v / r
+            self.rank += 1
+            return True
+        return False
+
+    def extend(self, X) -> np.ndarray:
+        """Indices of the matrices in the stack X that enlarge the span, taken in order.
+
+        One block product rejects those already in the span of the current
+        basis (residual <= 1e-10 |v|), which the sequential test would reject
+        too; the rest pass the two-pass Gram-Schmidt test one at a time, until
+        the span is full.
+        """
+        V = self._coordinates(X)
+        norms = np.linalg.norm(V, axis=1)
+        keep = np.flatnonzero(norms >= 1e-12)
+        if self.rank:
+            Q = self.rows[:self.rank]
+            W = V[keep]
+            W -= (W @ Q.T) @ Q
+            resid = np.linalg.norm(W, axis=1)
+            keep = keep[resid > 1e-10 * norms[keep]]
+        accepted = []
+        for i in keep:
+            if self.full:
+                break
+            if self._try_add(V[i]):
+                accepted.append(i)
+        return np.array(accepted, dtype=int)
 
 
 def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
@@ -353,48 +430,39 @@ def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
     """Dimension of the real Lie algebra generated by the admissible rotations.
 
     Generators are the skew-Hermitian pair matrices at phases 0 and pi/2 for
-    every admissible pair; brackets are iterated breadth-first while the
-    real span (tracked by Gram-Schmidt on vectorized matrices) grows.
+    every admissible pair; brackets are iterated breadth-first while the real
+    span grows, and the search stops once the span is all of su(n).  A level
+    brackets one generator (pair j, k) at a time with the stacked frontier,
+    skipping the frontier matrices with no entry in row or column j or k,
+    whose bracket with it is zero, and tests the block's rank gain at once
+    (_SpanBasis.extend): the accepted brackets and their order are those of
+    a Gram-Schmidt test of each bracket on its own.
     """
     n = system.dim
     if n > 12:
         raise ValidationError("bracket closure capped at dimension 12")
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
-    gens = [_pair_generator(n, j - 1, k - 1, theta)
-            for (j, k) in pairs for theta in (0.0, math.pi / 2)]
+    gens = [(j - 1, k - 1, np.exp(1j * theta)) for (j, k) in pairs for theta in (0.0, math.pi / 2)]
 
-    target = n * n - 1
-    ortho = np.empty((target, 2 * n * n))     # orthonormal rows; all brackets lie in su(n)
-    rank = 0
-
-    def try_add(Mx) -> bool:
-        nonlocal rank
-        v = np.concatenate([Mx.real.ravel(), Mx.imag.ravel()])
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return False
-        for _ in range(2):     # classical Gram-Schmidt, repeated for orthogonality
-            v -= ortho[:rank].T @ (ortho[:rank] @ v)
-        r = np.linalg.norm(v)
-        if r > 1e-10 * nv:
-            ortho[rank] = v / r
-            rank += 1
-            return True
-        return False
-
-    frontier = [g for g in gens if try_add(g)]
+    span = _SpanBasis(n)
+    frontier = np.zeros((len(gens), n, n), dtype=complex)
+    for i, (j, k, phase) in enumerate(gens):
+        frontier[i, j, k], frontier[i, k, j] = phase, -np.conj(phase)
+    frontier = frontier[span.extend(frontier)]
     depth = 0
-    while frontier and rank < target:
+    while len(frontier) and not span.full:
         depth += 1
+        # a skew-Hermitian matrix has an entry in row i exactly when it has one in column i
+        touched = (frontier != 0).any(axis=2)
         new = []
-        for C in (g @ Mx - Mx @ g for g in gens for Mx in frontier):
-            if try_add(C):
-                new.append(C)
-                if rank == target:
-                    break
-        frontier = new
-    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=rank,
-                            target_dimension=target, generated=(rank == target),
+        for j, k, phase in gens:
+            C = _bracket_block(frontier, np.flatnonzero(touched[:, j] | touched[:, k]), j, k, phase)
+            new.append(C[span.extend(C)])    # fancy indexing copies: no views into C
+            if span.full:
+                break
+        frontier = np.concatenate(new)
+    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=span.rank,
+                            target_dimension=n * n - 1, generated=span.full,
                             bracket_depth=depth)
 
 
@@ -422,6 +490,8 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
         raise ValidationError("mode index out of range")
+    if not (math.isfinite(amplitude) and amplitude > 0):
+        raise ValidationError(f"transfer amplitude must be finite and > 0, got {amplitude!r}")
     if source == target:
         return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
     m, nn = source - 1, target - 1

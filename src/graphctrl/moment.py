@@ -372,6 +372,8 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         raise ValidationError("lambdas and targets must have equal length")
     if K < 1 or K > MAX_MOMENT_SIZE:
         raise ValidationError(f"moment problem size must be in 1..{MAX_MOMENT_SIZE}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValidationError(f"horizon T must be finite and > 0, got {T!r}")
     if abs(x[0].imag) > 1e-12 * max(1.0, abs(x[0])):
         raise ValidationError("x_1 must be real (tangent-space condition)")
     if np.any(np.diff(lam) <= 0):

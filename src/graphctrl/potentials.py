@@ -399,6 +399,8 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
     """
     if K < 4:
         raise ValidationError("need at least 4 modes")
+    if not (math.isfinite(tol_res) and tol_res >= 0):
+        raise ValidationError(f"resonance tolerance must be finite and >= 0, got {tol_res!r}")
     if isinstance(B, np.ndarray):
         col = np.asarray(B)[:K, 0].copy()
         diag = np.asarray(B).diagonal()[:K].copy()

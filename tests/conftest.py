@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from graphctrl.dynamics import LieClosureReport, admissible_pairs
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
 
@@ -266,3 +267,53 @@ def find_resonant_quadruples_reference(mu, tol_abs, int_labels=None):
             defect = abs(float(mu[m - 1] - mu[l - 1]) - float(mu[k - 1] - mu[j - 1]))
             out.append((min((j, k), (l, m)), max((j, k), (l, m)), defect))
     return sorted(out)
+
+
+# -- bracket closure ---------------------------------------------------------
+
+def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):
+    """One dense commutator and one Gram-Schmidt test per bracket, in breadth-first
+    order, kept as the reference for the block rank test in graphctrl.dynamics."""
+    n = system.dim
+    pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
+    gens = []
+    for (j, k) in pairs:
+        for theta in (0.0, math.pi / 2):
+            E = np.zeros((n, n), dtype=complex)
+            E[j - 1, k - 1] = np.exp(1j * theta)
+            E[k - 1, j - 1] = -np.exp(-1j * theta)
+            gens.append(E)
+
+    target = n * n - 1
+    ortho = np.empty((target, 2 * n * n))
+    rank = 0
+
+    def try_add(Mx):
+        nonlocal rank
+        v = np.concatenate([Mx.real.ravel(), Mx.imag.ravel()])
+        nv = np.linalg.norm(v)
+        if nv < 1e-12:
+            return False
+        for _ in range(2):
+            v -= ortho[:rank].T @ (ortho[:rank] @ v)
+        r = np.linalg.norm(v)
+        if r > 1e-10 * nv:
+            ortho[rank] = v / r
+            rank += 1
+            return True
+        return False
+
+    frontier = [g for g in gens if try_add(g)]
+    depth = 0
+    while frontier and rank < target:
+        depth += 1
+        new = []
+        for C in (g @ Mx - Mx @ g for g in gens for Mx in frontier):
+            if try_add(C):
+                new.append(C)
+                if rank == target:
+                    break
+        frontier = new
+    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=rank,
+                            target_dimension=target, generated=(rank == target),
+                            bracket_depth=depth)

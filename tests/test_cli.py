@@ -158,6 +158,29 @@ def test_report_command(problem, tmp_path):
     assert "transfer_demo" in doc
 
 
+@pytest.mark.parametrize("command, flag", [("liealg", "--resonance-tol"),
+                                           ("check-assumptions", "--tol-res"),
+                                           ("report", "--eps")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tolerance_or_amplitude_exit_code(problem, tmp_path, capsys, command, flag, value):
+    # each was accepted with exit 0 and a silently different report
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), command, "--problem", str(problem),
+                     "--modes", "8", flag, value]) == EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+@pytest.mark.parametrize("T", ["nan", "inf", "0", "-1"])
+def test_moment_solve_bad_horizon_exit_code(tmp_path, capsys, mode, T):
+    freqs, target = write_moment_inputs(tmp_path, [(k * math.pi) ** 2 for k in range(1, 7)],
+                                        [1.0, 0, 0, 0, 0, 0])
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "moment-solve", "--freqs", str(freqs),
+                     "--target", str(target), "--T", T, "--mode", mode]) == EXIT_VALIDATION
+    assert "horizon T must be finite" in capsys.readouterr().err
+
+
 def test_report_all_flag_removed(problem, tmp_path):
     # --all selected nothing: report always writes every section
     assert dispatch(["--out-dir", str(tmp_path / "o"), "report", "--problem", str(problem),

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, admissible_pairs,
-                                first_order_prediction, lie_closure, linearized_response,
-                                propagate, propagate_reversed, resonant_pulse, resonant_transfer,
-                                subsystem_transfer_demo)
+from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _SpanBasis,
+                                admissible_pairs, first_order_prediction, lie_closure,
+                                linearized_response, propagate, propagate_reversed,
+                                resonant_pulse, resonant_transfer, subsystem_transfer_demo)
 from graphctrl.errors import ValidationError
 from graphctrl.moment import solve_moment
 from graphctrl.potentials import ControlOperator, build_matrix
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import admissible_pairs_reference, interval, star
+from conftest import admissible_pairs_reference, interval, lie_closure_reference, star
 
 PI = math.pi
 
@@ -276,6 +278,7 @@ def test_su2_generated_by_one_pair():
     rep = lie_closure(two_level())
     assert rep.reached_dimension == 3
     assert rep.generated
+    assert rep == lie_closure_reference(two_level())
 
 
 def test_chain_coupled_su4_matches_exact_oracle():
@@ -283,6 +286,7 @@ def test_chain_coupled_su4_matches_exact_oracle():
     assert rep.admissible_pairs == [(1, 2), (2, 3), (3, 4)]
     assert rep.reached_dimension == 15 == rep.target_dimension
     assert exact_bracket_closure(4, rep.admissible_pairs) == 15
+    assert rep == lie_closure_reference(chain4())
 
 
 def test_three_level_matches_exact_oracle():
@@ -292,10 +296,13 @@ def test_three_level_matches_exact_oracle():
     B[1, 2] = B[2, 1] = 0.5
     rep = lie_closure(GalerkinSystem(lam=lam, B=B))
     assert rep.reached_dimension == exact_bracket_closure(3, rep.admissible_pairs) == 8
+    assert rep == lie_closure_reference(GalerkinSystem(lam=lam, B=B))
 
 
 def test_diagonal_coupling_generates_nothing():
-    rep = lie_closure(GalerkinSystem(lam=np.array([0.0, 1.0]), B=np.eye(2)))
+    system = GalerkinSystem(lam=np.array([0.0, 1.0]), B=np.eye(2))
+    rep = lie_closure(system)
+    assert rep == lie_closure_reference(system)
     assert rep.admissible_pairs == []
     assert rep.reached_dimension == 0
     assert not rep.generated
@@ -367,7 +374,61 @@ def test_lie_closure_n12_star():
         rep = lie_closure(system)
         assert rep.admissible_pairs == admissible_pairs_reference(system.lam, system.B)
         assert rep.reached_dimension == closure_by_components(12, rep.admissible_pairs)
+        assert rep == lie_closure_reference(system)
     assert rep.reached_dimension == 24 + 48
+
+
+@settings(max_examples=60)
+@given(n=st.integers(2, 12), n_blocks=st.integers(1, 3),
+       density=st.sampled_from([0.15, 0.4, 1.0]), labelled=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_closure_matches_reference_loop(n, n_blocks, density, labelled, seed):
+    """Sparse symmetric couplings, split into disconnected blocks; integer labels
+    with repeats make equal gaps, so whole pairs drop out as degenerate."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.0, 50.0, n))
+    labels = np.sort(rng.integers(1, n + 3, n)).tolist() if labelled else None
+    block = rng.integers(0, n_blocks, n)
+    B = np.where((rng.random((n, n)) < density) & (block[:, None] == block[None, :]),
+                 rng.normal(size=(n, n)), 0.0)
+    system = GalerkinSystem(lam=lam, B=np.triu(B) + np.triu(B, 1).T)
+    rep = lie_closure(system, int_labels=labels)
+    assert rep == lie_closure_reference(system, int_labels=labels)
+    assert rep.reached_dimension == closure_by_components(n, rep.admissible_pairs)
+
+
+def test_block_span_test_matches_sequential_gram_schmidt():
+    """Matrices off the span by 1e-4 ... 1e-13 relative straddle the 1e-10 rank
+    threshold: the block test accepts the same matrices, in the same order, as
+    the one-at-a-time Gram-Schmidt test."""
+    rng = np.random.default_rng(7)
+    n = 4
+
+    def skew(shape):
+        A = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+        return A - np.swapaxes(A, -1, -2).conj()
+
+    for _ in range(20):
+        base = skew((3,))
+        eps = rng.permutation(np.repeat([1e-4, 1e-8, 1e-9, 1e-11, 1e-13, 0.0], 2))
+        near = (np.einsum("ab,bjk->ajk", rng.normal(size=(12, 3)), base)
+                + eps[:, None, None] * skew((12,)))
+        block, seq = _SpanBasis(n), _SpanBasis(n)
+        coords = block._coordinates(near)     # an isometry for the Frobenius norm
+        assert np.allclose(np.linalg.norm(coords, axis=1), np.linalg.norm(near, axis=(1, 2)),
+                           rtol=1e-14, atol=0)
+        assert block.extend(base).tolist() == [0, 1, 2]
+        seq.extend(base)
+        accepted = block.extend(near)
+        assert accepted.tolist() == [i for i, v in enumerate(coords) if seq._try_add(v)]
+        assert np.array_equal(block.rows[:block.rank], seq.rows[:seq.rank])
+        assert accepted.tolist() == np.flatnonzero(eps >= 1e-9).tolist()
+
+
+@pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+def test_admissible_pairs_rejects_bad_tolerance(tol):
+    with pytest.raises(ValidationError, match="resonance tolerance"):
+        admissible_pairs(chain4(), tol)
 
 
 # -- resonant transfers -------------------------------------------------------
@@ -380,6 +441,12 @@ def test_two_level_transfer():
 def test_transfer_identity_when_same_mode():
     res = resonant_transfer(two_level(), 2, 2, 0.01)
     assert res.fidelity == 1.0 and res.control is None
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, 0.0, -0.01])
+def test_transfer_rejects_bad_amplitude(amplitude):
+    with pytest.raises(ValidationError, match="amplitude"):
+        resonant_transfer(two_level(), 1, 2, amplitude)
 
 
 def test_transfer_degrades_at_large_amplitude():
