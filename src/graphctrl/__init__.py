@@ -2,11 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .errors import GraphCtrlError, NumericalError, UnsupportedTopology, ValidationError
+from .errors import GraphCtrlError, NumericalError, ValidationError
 from .graph import (BoundaryCondition, Edge, LengthSetReport, MetricGraph, SolverSettings,
                     Topology, check_length_set, load_problem, serialize_problem)
-from .spectrum import (EigenMode, SpectralBasis, TrigMode, explicit_subsystem, secular_function,
-                       solve_spectrum, validate_spectral_hypotheses)
+from .spectrum import (EigenMode, SpectralBasis, TrigMode, explicit_subsystem, solve_spectrum,
+                       validate_spectral_hypotheses)
 from .potentials import (ControlOperator, TrigKind, analyze_coupling, build_matrix,
                          check_vertex_compatibility, matrix_element, trig_poly_integral)
 from .moment import (ClusterPartition, DividedDifferenceSystem, MomentSolution, build_dd_system,

@@ -16,7 +16,3 @@ class ValidationError(GraphCtrlError):
 
 class NumericalError(GraphCtrlError):
     """A numerical procedure failed (bracketing, conditioning, underflow)."""
-
-
-class UnsupportedTopology(ValidationError):
-    """The requested operation does not support this graph topology."""

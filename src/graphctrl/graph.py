@@ -6,8 +6,8 @@ or Neumann (N) conditions, internal vertices carry Neumann-Kirchhoff (NK)
 conditions (continuity plus vanishing sum of outgoing derivatives).
 
 Star edges are always parametrized with coordinate 0 at the external vertex
-and coordinate L at the center; loop edges run 0..L with both endpoints at
-the same vertex.
+and coordinate L at the center.  Intervals and stars are the only graphs
+the solvers handle, so they are the only ones a problem may describe.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,8 +35,6 @@ class BoundaryCondition(enum.Enum):
 class Topology(enum.Enum):
     INTERVAL = "interval"
     STAR = "star"
-    STAR_WITH_LOOPS = "star_with_loops"
-    UNIFORM_CHAIN = "uniform_chain"
 
 
 @dataclass(frozen=True)
@@ -116,35 +114,24 @@ class MetricGraph:
         if self.topology is Topology.INTERVAL:
             if len(self.edges) != 1 or self.internal_vertices:
                 raise ValidationError("interval topology requires a single edge with two external vertices")
-        elif self.topology in (Topology.STAR, Topology.STAR_WITH_LOOPS):
+        else:
             internal = self.internal_vertices
             if len(internal) != 1:
                 raise ValidationError("star topology requires exactly one internal vertex")
             c = internal[0]
             for e in self.edges:
                 if e.tail == e.head:
-                    if self.topology is Topology.STAR:
-                        raise ValidationError(f"edge {e.eid!r}: loops require star_with_loops topology")
-                    if e.tail != c:
-                        raise ValidationError(f"loop {e.eid!r} must be attached to the center")
-                elif e.head != c:
+                    raise ValidationError(f"edge {e.eid!r}: loop edges are not supported")
+                if e.head != c:
                     raise ValidationError(
                         f"edge {e.eid!r}: star edges run external -> center (coordinate 0 at the external vertex)")
 
 
-def infer_topology(edges: list[Edge], bc: dict[str, BoundaryCondition]) -> Topology:
-    deg: dict[str, int] = {}
-    for e in edges:
-        deg[e.tail] = deg.get(e.tail, 0) + 1
-        deg[e.head] = deg.get(e.head, 0) + 1
-    internal = [v for v, d in deg.items() if d >= 2]
-    if len(edges) == 1 and not internal:
+def infer_topology(edges: list[Edge]) -> Topology:
+    """An interval for one edge with two distinct ends, else a star (which MetricGraph checks)."""
+    if len(edges) == 1 and edges[0].tail != edges[0].head:
         return Topology.INTERVAL
-    if any(e.tail == e.head for e in edges):
-        return Topology.STAR_WITH_LOOPS
-    if len(internal) == 1:
-        return Topology.STAR
-    return Topology.UNIFORM_CHAIN
+    return Topology.STAR
 
 
 @dataclass
@@ -198,17 +185,23 @@ def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RA
 @dataclass
 class SolverSettings:
     num_modes: int = 50
-    extra: dict = field(default_factory=dict)
 
 
-_BC_BY_NAME = {b.value: b for b in BoundaryCondition}
-_TOPOLOGY_BY_NAME = {t.value: t for t in Topology}
-
-
-def _require(mapping, key, context):
+def _require(mapping, key, context, kind=object):
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{context} must be an object, got {mapping!r}")
     if key not in mapping:
         raise ValidationError(f"{context}: missing field {key!r}")
+    if not isinstance(mapping[key], kind):
+        raise ValidationError(f"{context}: {key!r} must be a {kind.__name__}, got {mapping[key]!r}")
     return mapping[key]
+
+
+def _finite_number(value, context) -> float:
+    """A JSON number that is finite; true/false and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{context} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_problem(path):
@@ -230,28 +223,30 @@ def load_problem(path):
 
     gdoc = _require(doc, "graph", "problem file")
     bc = {}
-    for vdoc in _require(gdoc, "vertices", "graph"):
+    for vdoc in _require(gdoc, "vertices", "graph", list):
         vid = str(_require(vdoc, "id", "vertex"))
         name = _require(vdoc, "bc", f"vertex {vid}")
-        if name not in _BC_BY_NAME:
+        try:
+            bc[vid] = BoundaryCondition(name)
+        except ValueError:
             raise ValidationError(f"vertex {vid}: unknown boundary condition {name!r}")
-        bc[vid] = _BC_BY_NAME[name]
 
     edges = []
-    for edoc in _require(gdoc, "edges", "graph"):
+    for edoc in _require(gdoc, "edges", "graph", list):
         eid = str(_require(edoc, "id", "edge"))
-        try:
-            length = float(_require(edoc, "length", f"edge {eid}"))
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge {eid}: length must be a number")
+        length = _finite_number(_require(edoc, "length", f"edge {eid}"), f"edge {eid}: length")
         edges.append(Edge(eid, length, str(_require(edoc, "from", f"edge {eid}")),
                           str(_require(edoc, "to", f"edge {eid}"))))
 
     topo_name = gdoc.get("topology")
-    topology = _TOPOLOGY_BY_NAME[topo_name] if topo_name in _TOPOLOGY_BY_NAME else infer_topology(edges, bc)
+    try:
+        topology = infer_topology(edges) if topo_name is None else Topology(topo_name)
+    except ValueError:
+        raise ValidationError(f"graph: unknown topology {topo_name!r} "
+                              f"(supported: {', '.join(t.value for t in Topology)})")
 
     # Reorient star edges so the external vertex carries coordinate 0.
-    if topology in (Topology.STAR, Topology.STAR_WITH_LOOPS):
+    if topology is Topology.STAR:
         deg: dict[str, int] = {}
         for e in edges:
             deg[e.tail] = deg.get(e.tail, 0) + 1
@@ -266,21 +261,29 @@ def load_problem(path):
     graph = MetricGraph(edges=edges, bc=bc, topology=topology)
 
     cdoc = doc.get("control", {})
+    if not isinstance(cdoc, dict):
+        raise ValidationError(f"control must map edge ids to coefficient lists, got {cdoc!r}")
     per_edge = {}
     for eid, coeffs in cdoc.items():
         if eid not in graph.edge_ids:
             raise ValidationError(f"control: unknown edge id {eid!r}")
-        per_edge[eid] = np.asarray([float(c) for c in coeffs], dtype=float)
+        if not isinstance(coeffs, list):
+            raise ValidationError(f"control: {eid} must be a list of coefficients, got {coeffs!r}")
+        per_edge[eid] = np.array([_finite_number(c, f"control: {eid} coefficient {q}")
+                                  for q, c in enumerate(coeffs)], dtype=float)
     control = ControlOperator(per_edge=per_edge, tag=str(doc.get("control_tag", "")))
 
     sdoc = doc.get("solver", {})
-    # keys no solver reads are rejected rather than silently ignored
-    for key in ("scan_resolution", "T", "root_rel_tol", "cluster_rel_tol", "resonance_rel_tol"):
-        if key in sdoc:
+    if not isinstance(sdoc, dict):
+        raise ValidationError(f"solver must be an object, got {sdoc!r}")
+    for key in sdoc:
+        # keys no solver reads are rejected rather than silently ignored
+        if key != "num_modes":
             raise ValidationError(f"solver: {key!r} is not supported: no solver reads it")
-    settings = SolverSettings(num_modes=int(sdoc.get("num_modes", 50)),
-                              extra={k: v for k, v in sdoc.items() if k != "num_modes"})
-    return graph, control, settings
+    num_modes = sdoc.get("num_modes", SolverSettings.num_modes)
+    if isinstance(num_modes, bool) or not isinstance(num_modes, int) or num_modes < 1:
+        raise ValidationError(f"solver: 'num_modes' must be an integer >= 1, got {num_modes!r}")
+    return graph, control, SolverSettings(num_modes=num_modes)
 
 
 def serialize_problem(graph: MetricGraph, control=None, settings: SolverSettings | None = None) -> dict:
@@ -298,5 +301,5 @@ def serialize_problem(graph: MetricGraph, control=None, settings: SolverSettings
         if control.tag:
             doc["control_tag"] = control.tag
     if settings is not None:
-        doc["solver"] = {"num_modes": settings.num_modes, **settings.extra}
+        doc["solver"] = {"num_modes": settings.num_modes}
     return doc

@@ -2,7 +2,7 @@
 
 The expanded secular product
 
-    G(x) = sum_l w_l sigma_l(x L_l) prod_{j != l} tau_j(x L_j)
+    G(x) = sum_l w_l sigma_l(x L_l) prod_{j ≠ l} tau_j(x L_j)
 
 (tau = sin, sigma = cos on Dirichlet edges; tau = cos, sigma = -sin on
 Neumann edges; weights 2 for paired equal-length edges) is entire, real and
@@ -10,7 +10,7 @@ bounded on the real axis, and vanishes exactly on the sqrt-spectrum.  At a
 simple zero its derivative reduces to
 
     |G'(sqrt(lambda))| = prod_l tau_l * sum_l w_l L_l / tau_l^2
-                       >= (min_l L_l) * sum_l w_l prod_{j != l} |tau_j|,
+                       >= (min_l L_l) * sum_l w_l prod_{j ≠ l} |tau_j|,
 
 so fitted lower envelopes of |G'| at the computed roots play the role of
 the k^-(1+d) bounds that control the moment-problem regularity.  The
@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedTopology, ValidationError
+from .errors import ValidationError
 from .graph import BoundaryCondition, MetricGraph, Topology
-from .spectrum import (SpectralBasis, TrigMode, assemble_secular, common_vanishing_points,
-                       star_roots)
+from .spectrum import (SpectralBasis, TrigMode, _edge_kinds, assemble_secular,
+                       common_vanishing_points, leave_one_out, star_roots, sum_in_order)
 
 
 @dataclass
@@ -36,12 +36,11 @@ class SecularProduct:
     lengths: np.ndarray
     kinds: list[TrigMode]            # SIN for Dirichlet edges, COS for Neumann
     weights: np.ndarray
-    _S: object = field(repr=False, default=None)
-    _Sprime: object = field(repr=False, default=None)
+    _S: object = field(init=False, repr=False)
+    _Sprime: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._S is None:
-            self._S, self._Sprime = assemble_secular(self.lengths, self.kinds, self.weights)
+        self._S, self._Sprime = assemble_secular(self.lengths, self.kinds, self.weights)
 
     def value(self, x):
         return self._S(x)
@@ -49,34 +48,24 @@ class SecularProduct:
     def derivative(self, x):
         return self._Sprime(x)
 
+    def _tau(self, x):
+        arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), self.lengths)
+        is_sin = np.array([k is TrigMode.SIN for k in self.kinds])
+        return np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
+
     def derivative_at_root(self, x):
         """-(prod tau) * sum w L / tau^2: the derivative when the bracket vanishes.
 
         Valid exactly on the sqrt-spectrum (the complementary term carries
         the vanishing bracket as a factor there).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        arg = np.outer(x, self.lengths)
-        is_sin = np.array([k is TrigMode.SIN for k in self.kinds])
-        tau = np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
-        total = np.zeros(x.size)
-        for l in range(self.lengths.size):
-            others = [j for j in range(self.lengths.size) if j != l]
-            total += (self.weights[l] * self.lengths[l]
-                      * np.prod(tau[:, others], axis=1) / tau[:, l])
-        return -total
+        tau = self._tau(x)
+        return -sum_in_order(self.weights * self.lengths * leave_one_out(tau[:, None, :]) / tau)
 
     def envelope(self, x):
-        """(min_l L_l) * sum_l w_l prod_{j != l} |tau_j|: lower bound for |G'| at roots."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        arg = np.outer(x, self.lengths)
-        is_sin = np.array([k is TrigMode.SIN for k in self.kinds])
-        tau = np.abs(np.where(is_sin[None, :], np.sin(arg), np.cos(arg)))
-        total = np.zeros(x.size)
-        for l in range(self.lengths.size):
-            others = [j for j in range(self.lengths.size) if j != l]
-            total += self.weights[l] * np.prod(tau[:, others], axis=1)
-        return float(self.lengths.min()) * total
+        """(min_l L_l) * sum_l w_l prod_{j ≠ l} |tau_j|: lower bound for |G'| at roots."""
+        tau = np.abs(self._tau(x))
+        return float(self.lengths.min()) * sum_in_order(self.weights * leave_one_out(tau[:, None, :]))
 
     @property
     def sup_bound(self) -> float:
@@ -99,10 +88,7 @@ def build_secular_product(graph: MetricGraph, pair_weights: bool = False) -> Sec
                  for v in (e.tail, e.head)]
         return SecularProduct(lengths=np.array([e.length / 2, e.length / 2]),
                               kinds=kinds, weights=np.array([1.0, 1.0]))
-    if graph.topology is not Topology.STAR:
-        raise UnsupportedTopology(f"secular product undefined for topology {graph.topology.value}")
-    kinds = [TrigMode.SIN if graph.external_bc(e) is BoundaryCondition.DIRICHLET else TrigMode.COS
-             for e in graph.edges]
+    kinds = _edge_kinds(graph)
     lengths = graph.lengths
     if not pair_weights:
         return SecularProduct(lengths=lengths, kinds=kinds, weights=np.ones(lengths.size))
@@ -182,18 +168,12 @@ def half_distance(x):
 
 
 def mixed_product_sum(lengths, i1, i2, x):
-    """sum over l of prod_{j != l} |tau_j(x L_j)| with cos on i1, sin on i2."""
+    """sum over l of prod_{j ≠ l} |tau_j(x L_j)| with cos on i1, sin on i2."""
     lengths = np.asarray(lengths, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    arg = np.outer(x, lengths)
-    tau = np.empty_like(arg)
-    for j in range(lengths.size):
-        tau[:, j] = np.abs(np.cos(arg[:, j])) if j in i1 else np.abs(np.sin(arg[:, j]))
-    total = np.zeros(x.size)
-    for l in range(lengths.size):
-        others = [j for j in range(lengths.size) if j != l]
-        total += np.prod(tau[:, others], axis=1)
-    return total
+    arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
+    on_cos = np.array([j in i1 for j in range(lengths.size)])
+    tau = np.abs(np.where(on_cos, np.cos(arg), np.sin(arg)))
+    return sum_in_order(leave_one_out(tau[:, None, :]))
 
 
 @dataclass
@@ -230,21 +210,14 @@ def diophantine_products(lengths, i1, i2, x_grid,
     a_vals = mixed_product_sum(lengths, i1, i2, x)
     tilde = np.where([j in i1 for j in range(n)], 2 * lengths, lengths)
 
-    prod_half = np.full(x.size, np.inf)
-    prod_int = np.full(x.size, np.inf)
-    for i in range(n):
-        m_half = half_grid_index(lengths[i] / math.pi * x) + 0.5
-        m_int = nearest_integer(lengths[i] / math.pi * x)
-        ph = np.ones(x.size)
-        pi_ = np.ones(x.size)
-        for j in range(n):
-            if j == i:
-                continue
-            ph *= frac_distance(m_half * tilde[j] / lengths[i])
-            pi_ *= frac_distance(m_int * tilde[j] / lengths[i])
-        prod_half = np.minimum(prod_half, ph)
-        prod_int = np.minimum(prod_int, pi_)
-    bound = np.minimum(prod_half, prod_int)
+    # rows[:, i, j] = d(m_i tilde_j / L_i), m_i the point of the half-integer
+    # grid, then of the integer grid, nearest to L_i x / pi; the bound is the
+    # least product over j ≠ i, over all i and both grids
+    scaled = np.outer(x, lengths / math.pi)
+    bound = np.inf
+    for m in (half_grid_index(scaled) + 0.5, nearest_integer(scaled)):
+        rows = frac_distance(m[:, :, None] * tilde / lengths[:, None])
+        bound = np.minimum(bound, leave_one_out(rows).min(axis=1))
 
     floor = 1e-14
     nz = bound > floor
@@ -280,7 +253,7 @@ class CosBoundReport:
 def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     """Cosine values along the roots of the all-Neumann secular equation.
 
-    Takes the first K distinct positive roots of sum_l sin(x L_l) prod_{m != l}
+    Takes the first K distinct positive roots of sum_l sin(x L_l) prod_{m ≠ l}
     cos(x L_m) = 0 (a branch point of rationally related lengths counts
     once) and reports min over roots and edges of |cos(omega_n L_l)| *
     omega_n^(1 + eps); a minimum indistinguishable from zero means the bound

@@ -5,7 +5,7 @@ external vertex is Dirichlet, a * cos(omega x) on Neumann edges, with
 omega = sqrt(lambda).  Vertex conditions at the center reduce the problem to
 a scalar secular function
 
-    S(x) = sum_l w_l * sigma_l(x L_l) * prod_{j != l} tau_j(x L_j)
+    S(x) = sum_l w_l * sigma_l(x L_l) * prod_{j ≠ l} tau_j(x L_j)
 
 with tau = sin, sigma = cos on Dirichlet edges and tau = cos, sigma = -sin
 on Neumann edges.  S is entire (pole-free) and its positive zeros, counted
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedTopology, ValidationError
+from .errors import NumericalError, ValidationError
 from .graph import BoundaryCondition, MetricGraph, Topology
 
 _BISECT_REL = 1e-13
@@ -96,6 +96,37 @@ def _edge_kinds(graph: MetricGraph) -> list[TrigMode]:
     return kinds
 
 
+def leave_one_out(rows):
+    """Row products without the own factor: P[..., l] = prod_{j ≠ l} rows[..., l, j].
+
+    ``rows`` broadcasts to (..., n, n); a[..., None, :] gives the
+    leave-one-out products prod_{j ≠ l} a_j of one factor array.  Each row
+    is copied with its own factor set to 1 and multiplied out in index
+    order, so P equals a loop over j ≠ l bit for bit, and it is exact where
+    factors vanish: nothing is divided.  Applied to rows that already carry
+    a 1 in place l, it gives the leave-two-out products prod_{j ≠ l, m} a_j.
+    """
+    rows = np.asarray(rows)
+    n = rows.shape[-1]
+    # the factor index j leads the copy, so np.prod multiplies whole slices
+    # in the order of j instead of reducing n-long rows one at a time
+    factors = np.moveaxis(np.broadcast_to(rows, np.broadcast_shapes(rows.shape, (n, n))), -1, 0).copy()
+    factors[range(n), ..., range(n)] = 1.0
+    return np.prod(factors, axis=0)
+
+
+def sum_in_order(terms):
+    """Sum over the last axis, added onto 0.0 from left to right.
+
+    The secular sums are compared bit for bit with loops that add one term
+    at a time; ``np.sum`` adds pairwise, which rounds differently.
+    """
+    total = np.zeros(np.shape(terms)[:-1])
+    for column in np.moveaxis(terms, -1, 0):
+        total += column
+    return total
+
+
 def assemble_secular(lengths, kinds, weights=None):
     """Return vectorized callables (S, S') for the pole-free secular function."""
     lengths = np.asarray(lengths, dtype=float)
@@ -104,64 +135,32 @@ def assemble_secular(lengths, kinds, weights=None):
         weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
     is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    own = np.eye(n, dtype=bool)
+    # the terms of S' in the order they are added: for each l the sigma_l'
+    # term, then the tau_m' terms in increasing m
+    order = (np.arange(n)[:, None], np.argsort(~own, axis=1, kind="stable"))
 
     def parts(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        arg = np.outer(x, lengths)
-        tau = np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
-        sigma = np.where(is_sin[None, :], np.cos(arg), -np.sin(arg))
-        dtau = np.where(is_sin[None, :], lengths[None, :] * np.cos(arg),
-                        -lengths[None, :] * np.sin(arg))
-        dsigma = np.where(is_sin[None, :], -lengths[None, :] * np.sin(arg),
-                          -lengths[None, :] * np.cos(arg))
-        return tau, sigma, dtau, dsigma
+        """tau and sigma at x L_l; tau' = L sigma and sigma' = -L tau on both kinds of edge."""
+        arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
+        s, c = np.sin(arg), np.cos(arg)
+        return np.where(is_sin, s, c), np.where(is_sin, c, -s)
 
     def S(x):
-        scalar = np.isscalar(x)
-        tau, sigma, _, _ = parts(x)
-        total = np.zeros(tau.shape[0])
-        for l in range(n):
-            others = [j for j in range(n) if j != l]
-            total += weights[l] * sigma[:, l] * np.prod(tau[:, others], axis=1)
-        return total[0] if scalar else total
+        tau, sigma = parts(x)
+        total = sum_in_order(weights * sigma * leave_one_out(tau[:, None, :]))
+        return total[0] if np.isscalar(x) else total
 
     def Sprime(x):
-        scalar = np.isscalar(x)
-        tau, sigma, dtau, dsigma = parts(x)
-        total = np.zeros(tau.shape[0])
-        for l in range(n):
-            others = [j for j in range(n) if j != l]
-            total += weights[l] * dsigma[:, l] * np.prod(tau[:, others], axis=1)
-            for m in others:
-                rest = [j for j in range(n) if j != l and j != m]
-                total += weights[l] * sigma[:, l] * dtau[:, m] * np.prod(tau[:, rest], axis=1)
-        return total[0] if scalar else total
+        tau, sigma = parts(x)
+        # Q[:, l, m] = prod_{j ≠ l, m} tau_j, and prod_{j ≠ l} tau_j where m = l
+        Q = leave_one_out(np.where(own, 1.0, tau[:, None, :])[:, :, None, :])
+        terms = (weights * sigma)[:, :, None] * (lengths * sigma)[:, None, :] * Q
+        terms[:, own] = weights * (-lengths * tau) * Q[:, own]
+        total = sum_in_order(terms[:, order[0], order[1]].reshape(len(tau), n * n))
+        return total[0] if np.isscalar(x) else total
 
     return S, Sprime
-
-
-def secular_function(graph: MetricGraph):
-    """Pole-free secular function whose positive zeros are the sqrt-eigenvalues.
-
-    For an interval the classical closed forms are used.  For a star the
-    expanded product form is assembled; zeros where several edge factors
-    vanish at once correspond to center-vanishing eigenfunctions and are
-    enumerated separately by the solver.
-    """
-    if graph.topology is Topology.INTERVAL:
-        e = graph.edges[0]
-        tail, head = graph.bc[e.tail], graph.bc[e.head]
-        L = e.length
-        mixed = (tail != head)
-        if mixed:
-            return (lambda x: np.cos(np.asarray(x) * L)), f"cos({L} x)"
-        return (lambda x: np.sin(np.asarray(x) * L)), f"sin({L} x)"
-    if graph.topology is not Topology.STAR:
-        raise UnsupportedTopology(f"secular function not available for topology {graph.topology.value}")
-    kinds = _edge_kinds(graph)
-    S, _ = assemble_secular(graph.lengths, kinds)
-    names = ",".join("sin" if k is TrigMode.SIN else "cos" for k in kinds)
-    return S, f"star secular, edge factors ({names})"
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,6 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
         raise ValidationError("num_modes must be >= 1")
     if graph.topology is Topology.INTERVAL:
         return _interval_spectrum(graph, num_modes)
-    if graph.topology is not Topology.STAR:
-        raise UnsupportedTopology(f"spectrum solver does not support topology {graph.topology.value}")
 
     lengths = graph.lengths
     kinds = _edge_kinds(graph)

@@ -7,6 +7,7 @@ from hypothesis import settings
 from graphctrl.dynamics import LieClosureReport, admissible_pairs
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
+from graphctrl.spectrum import TrigMode
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -206,6 +207,120 @@ def assert_fills_slots(omegas, slots, point_rel=1e-9):
             assert abs(w - a) <= point_rel * max(1.0, a), f"root {k} = {w!r} is not the point {a!r}"
         else:
             assert a < w < b, f"root {k} = {w!r} outside ({a!r}, {b!r})"
+
+
+# -- secular sums -------------------------------------------------------------
+# The loops over l and over j != l, one np.prod per l, kept as the reference
+# for the leave-one-out products in graphctrl.spectrum and graphctrl.lowerbounds:
+# those must agree with these bit for bit.
+
+def assemble_secular_reference(lengths, kinds, weights=None):
+    """(S, S') of sum_l w_l sigma_l(x L_l) prod_{j != l} tau_j(x L_j), term by term."""
+    lengths = np.asarray(lengths, dtype=float)
+    n = lengths.size
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.asarray(weights, dtype=float)
+    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+
+    def parts(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        arg = np.outer(x, lengths)
+        tau = np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
+        sigma = np.where(is_sin[None, :], np.cos(arg), -np.sin(arg))
+        dtau = np.where(is_sin[None, :], lengths[None, :] * np.cos(arg),
+                        -lengths[None, :] * np.sin(arg))
+        dsigma = np.where(is_sin[None, :], -lengths[None, :] * np.sin(arg),
+                          -lengths[None, :] * np.cos(arg))
+        return tau, sigma, dtau, dsigma
+
+    def S(x):
+        scalar = np.isscalar(x)
+        tau, sigma, _, _ = parts(x)
+        total = np.zeros(tau.shape[0])
+        for l in range(n):
+            others = [j for j in range(n) if j != l]
+            total += weights[l] * sigma[:, l] * np.prod(tau[:, others], axis=1)
+        return total[0] if scalar else total
+
+    def Sprime(x):
+        scalar = np.isscalar(x)
+        tau, sigma, dtau, dsigma = parts(x)
+        total = np.zeros(tau.shape[0])
+        for l in range(n):
+            others = [j for j in range(n) if j != l]
+            total += weights[l] * dsigma[:, l] * np.prod(tau[:, others], axis=1)
+            for m in others:
+                rest = [j for j in range(n) if j != l and j != m]
+                total += weights[l] * sigma[:, l] * dtau[:, m] * np.prod(tau[:, rest], axis=1)
+        return total[0] if scalar else total
+
+    return S, Sprime
+
+
+def _edge_factors_reference(lengths, kinds, x):
+    arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
+    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    return np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
+
+
+def derivative_at_root_reference(lengths, kinds, weights, x):
+    """-sum_l w_l L_l prod_{j != l} tau_j / tau_l."""
+    tau = _edge_factors_reference(lengths, kinds, x)
+    total = np.zeros(tau.shape[0])
+    for l in range(len(lengths)):
+        others = [j for j in range(len(lengths)) if j != l]
+        total += weights[l] * lengths[l] * np.prod(tau[:, others], axis=1) / tau[:, l]
+    return -total
+
+
+def envelope_reference(lengths, kinds, weights, x):
+    """(min_l L_l) sum_l w_l prod_{j != l} |tau_j|."""
+    tau = np.abs(_edge_factors_reference(lengths, kinds, x))
+    total = np.zeros(tau.shape[0])
+    for l in range(len(lengths)):
+        others = [j for j in range(len(lengths)) if j != l]
+        total += weights[l] * np.prod(tau[:, others], axis=1)
+    return float(np.min(lengths)) * total
+
+
+def mixed_product_sum_reference(lengths, i1, x):
+    """sum_l prod_{j != l} |tau_j|, cos on the edges in i1 and sin on the rest."""
+    lengths = np.asarray(lengths, dtype=float)
+    arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
+    tau = np.empty_like(arg)
+    for j in range(lengths.size):
+        tau[:, j] = np.abs(np.cos(arg[:, j])) if j in i1 else np.abs(np.sin(arg[:, j]))
+    total = np.zeros(arg.shape[0])
+    for l in range(lengths.size):
+        others = [j for j in range(lengths.size) if j != l]
+        total += np.prod(tau[:, others], axis=1)
+    return total
+
+
+def product_bound_reference(lengths, i1, x):
+    """min over i of the distance products over j != i, half-integer and integer grids."""
+    lengths = np.asarray(lengths, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = lengths.size
+    tilde = np.where([j in i1 for j in range(n)], 2 * lengths, lengths)
+    prod_half = np.full(x.size, np.inf)
+    prod_int = np.full(x.size, np.inf)
+    for i in range(n):
+        m_half = np.rint(lengths[i] / math.pi * x - 0.5) + 0.5
+        m_int = np.rint(lengths[i] / math.pi * x)
+        ph = np.ones(x.size)
+        pi_ = np.ones(x.size)
+        for j in range(n):
+            if j == i:
+                continue
+            y = m_half * tilde[j] / lengths[i]
+            ph *= np.abs(y - np.rint(y))
+            y = m_int * tilde[j] / lengths[i]
+            pi_ *= np.abs(y - np.rint(y))
+        prod_half = np.minimum(prod_half, ph)
+        prod_int = np.minimum(prod_int, pi_)
+    return np.minimum(prod_half, prod_int)
 
 
 # -- admissible transition pairs ----------------------------------------------

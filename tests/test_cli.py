@@ -11,6 +11,7 @@ from graphctrl.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, 
 from graphctrl.graph import load_problem
 
 SQRT2 = math.sqrt(2.0)
+SAMPLES = Path(__file__).resolve().parents[1] / "sample_problems"
 
 STAR2 = {
     "graph": {
@@ -227,6 +228,29 @@ def test_unused_solver_settings_rejected_at_load(tmp_path, capsys, key, value):
     assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum",
                      "--problem", str(bad)]) == EXIT_VALIDATION
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("solver", "num_modes", "abc", "'num_modes'"),
+    ("solver", "num_modes", 12.7, "'num_modes'"),
+    ("solver", "num_modes", True, "'num_modes'"),
+    ("solver", "num_modes", 0, "'num_modes'"),
+    ("control", "e1", [1.0, "x", 1.0], "e1 coefficient 1"),
+    ("control", "e1", [1.0, float("nan"), 1.0], "e1 coefficient 1"),
+    ("control", "e1", [True, -2.0, 1.0], "e1 coefficient 0"),
+    ("graph", "edges", [1], "edge must be an object"),
+    ("graph", "vertices", 5, "'vertices' must be a list"),
+], ids=["modes_str", "modes_float", "modes_bool", "modes_zero",
+        "coeff_str", "coeff_nan", "coeff_bool", "edge_not_object", "vertices_not_list"])
+def test_bad_value_types_rejected_at_load(tmp_path, capsys, section, key, value, field):
+    # each escaped as an uncaught ValueError or TypeError, or was silently cut, cast or accepted
+    doc = json.loads(SAMPLES.joinpath("star2_dirichlet.json").read_text())
+    doc[section][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum", "--problem", str(bad),
+                     "--modes", "5"]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
 
 
 def test_numerical_exit_code(tmp_path):

@@ -425,6 +425,26 @@ def test_block_span_test_matches_sequential_gram_schmidt():
         assert accepted.tolist() == np.flatnonzero(eps >= 1e-9).tolist()
 
 
+def test_span_receives_only_skew_hermitian_blocks(monkeypatch):
+    """_SpanBasis reads only the strict upper triangle and the imaginary
+    diagonal, so a generator or bracket that is not skew-Hermitian would be
+    projected without complaint: every block it is given has X + X^H = 0 exactly."""
+    extend = _SpanBasis.extend
+    defects = []
+
+    def checked(self, X):
+        defects.append(float(np.abs(X + np.conj(np.swapaxes(X, 1, 2))).max(initial=0.0)))
+        return extend(self, X)
+
+    monkeypatch.setattr(_SpanBasis, "extend", checked)
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(6, 6))
+    for system in (two_level(), chain4(),
+                   GalerkinSystem(lam=np.sort(rng.uniform(0.0, 50.0, 6)), B=B + B.T)):
+        assert lie_closure(system).generated
+    assert len(defects) > 3 and max(defects) == 0.0
+
+
 @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
 def test_admissible_pairs_rejects_bad_tolerance(tol):
     with pytest.raises(ValidationError, match="resonance tolerance"):

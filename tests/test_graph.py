@@ -78,6 +78,33 @@ def test_roundtrip(tmp_path):
     assert settings2 == settings
 
 
+LOOP = {"graph": {"edges": [{"id": "e1", "length": 1.0, "from": "c", "to": "c"},
+                            {"id": "e2", "length": 1.0, "from": "v2", "to": "c"},
+                            {"id": "e3", "length": 1.0, "from": "v3", "to": "c"}],
+                  "vertices": [{"id": "v2", "bc": "D"}, {"id": "v3", "bc": "D"},
+                               {"id": "c", "bc": "NK"}]}}
+TWO_CENTRES = {"graph": {"edges": [{"id": "e1", "length": 1.0, "from": "v1", "to": "c1"},
+                                   {"id": "e2", "length": 1.0, "from": "c1", "to": "c2"},
+                                   {"id": "e3", "length": 1.0, "from": "c2", "to": "v2"}],
+                         "vertices": [{"id": "v1", "bc": "D"}, {"id": "c1", "bc": "NK"},
+                                      {"id": "c2", "bc": "NK"}, {"id": "v2", "bc": "D"}]}}
+
+
+@pytest.mark.parametrize("doc, topology, match", [
+    (LOOP, None, "loop edges are not supported"),
+    (TWO_CENTRES, None, "exactly one internal vertex"),
+    (STAR3, "strar", "unknown topology 'strar'"),
+    (STAR3, "star_with_loops", "unknown topology 'star_with_loops'"),
+], ids=["loop", "two_centres", "strar", "star_with_loops"])
+def test_load_rejects_graphs_no_solver_handles(tmp_path, doc, topology, match):
+    # only intervals and stars are solved; anything else fails at load, not in a solver
+    doc = json.loads(json.dumps(doc))
+    if topology is not None:
+        doc["graph"]["topology"] = topology
+    with pytest.raises(ValidationError, match=match):
+        load_problem(write_problem(tmp_path, doc))
+
+
 def test_parse_error_reports_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"graph": \n  nope}')

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphctrl.errors import ValidationError
 from graphctrl.graph import BoundaryCondition as BC
-from graphctrl.lowerbounds import (build_secular_product, check_cos_lower_bound,
+from graphctrl.lowerbounds import (SecularProduct, build_secular_product, check_cos_lower_bound,
                                    diophantine_products, fit_derivative_bound, frac_distance,
                                    half_distance, mixed_product_sum, nearest_integer)
-from graphctrl.spectrum import solve_spectrum
+from graphctrl.spectrum import TrigMode, assemble_secular, solve_spectrum
 
-from conftest import interval, star
+from conftest import (assemble_secular_reference, derivative_at_root_reference,
+                      envelope_reference, interval, mixed_product_sum_reference,
+                      product_bound_reference, star)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -88,6 +92,53 @@ def test_complex_plane_growth_envelope(star2_irrational):
                   * np.prod([np.sin(z * sp.lengths[j]) for j in range(2) if j != l])
                   for l, w in enumerate(sp.weights))
         assert abs(val) <= sp.sup_bound * math.exp(total * abs(z)) * (1 + 1e-12)
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), \
+        f"first difference at {np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))[:5]}"
+
+
+# rational ratios among these make distance products vanish exactly
+LENGTH_CHOICES = [0.5, 1.0, 1.5, 2.0, 3.0, SQRT2, math.sqrt(3.0), PI / 3, math.e]
+
+
+@settings(max_examples=80)
+@given(n=st.integers(2, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
+    """Every sum over l of products over j != l equals the old term-by-term loop
+    bit for bit, at points where edge factors vanish exactly (x = +-0 on sine
+    edges, integer distances in the diophantine products) and near their
+    closed-form zeros."""
+    lengths = np.array(data.draw(st.lists(st.sampled_from(LENGTH_CHOICES), min_size=n, max_size=n)))
+    is_sin = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    weights = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
+    kinds = [TrigMode.SIN if s else TrigMode.COS for s in is_sin]
+    rng = np.random.default_rng(seed)
+    zeros = np.concatenate([(np.arange(1, 6) - (0.0 if s else 0.5)) * PI / L
+                            for L, s in zip(lengths, is_sin)])
+    away = np.concatenate([rng.uniform(-40.0, 40.0, int(rng.integers(300, 500))),
+                           zeros, np.nextafter(zeros, np.inf), -zeros])
+    x = np.concatenate([[0.0, -0.0], away])
+
+    S, Sprime = assemble_secular(lengths, kinds, weights)
+    S_ref, Sprime_ref = assemble_secular_reference(lengths, kinds, weights)
+    assert_same_bits(S(x), S_ref(x))
+    assert_same_bits(Sprime(x), Sprime_ref(x))
+    sp = SecularProduct(lengths=lengths, kinds=kinds, weights=weights)
+    assert_same_bits(sp.envelope(x), envelope_reference(lengths, kinds, weights, x))
+    # derivative_at_root divides by tau_l, so it is compared away from x = 0
+    assert_same_bits(sp.derivative_at_root(away),
+                     derivative_at_root_reference(lengths, kinds, weights, away))
+    i1 = [j for j in range(n) if not is_sin[j]]
+    i2 = [j for j in range(n) if is_sin[j]]
+    assert_same_bits(mixed_product_sum(lengths, i1, i2, x), mixed_product_sum_reference(lengths, i1, x))
+    grid = np.abs(away)
+    grid = grid[grid > 0.5 * PI * float(np.max(1.0 / lengths))]
+    bound = diophantine_products(lengths, i1, i2, grid).product_bound
+    assert_same_bits(bound, product_bound_reference(lengths, i1, grid))
 
 
 def test_paired_weights():

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphctrl.errors import UnsupportedTopology
-from graphctrl.graph import BoundaryCondition as BC, Edge, MetricGraph, Topology
-from graphctrl.lowerbounds import check_cos_lower_bound
+from graphctrl.graph import BoundaryCondition as BC
+from graphctrl.lowerbounds import build_secular_product, check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
-from graphctrl.spectrum import (explicit_subsystem, equilateral_dropped_modes, secular_function,
-                                solve_spectrum, validate_spectral_hypotheses)
+from graphctrl.spectrum import (explicit_subsystem, equilateral_dropped_modes, solve_spectrum,
+                                validate_spectral_hypotheses)
 
 from conftest import assert_fills_slots, interlacing_slots, interval, star
 
@@ -32,18 +31,6 @@ def bisect_oracle(f, a, b, iters=80):
 
 # -- secular functions -------------------------------------------------------
 
-def test_interval_secular_is_sine():
-    S, _ = secular_function(interval(1.0))
-    xs = np.linspace(0.1, 10, 50)
-    assert np.allclose(S(xs), np.sin(xs), atol=1e-14)
-
-
-def test_two_star_secular_matches_angle_addition(star2_irrational):
-    S, _ = secular_function(star2_irrational)
-    xs = np.linspace(0.1, 20, 101)
-    assert np.allclose(S(xs), np.sin((1 + SQRT2) * xs), atol=1e-12)
-
-
 def test_two_star_first_root_bisection_oracle(star2_irrational):
     # independent oracle: bisect the raw assembled secular combination on (0, 3),
     # bracketing only the first of the two roots in that window
@@ -52,14 +39,6 @@ def test_two_star_first_root_bisection_oracle(star2_irrational):
     assert abs(root - PI / (1 + SQRT2)) < 1e-12
     basis = solve_spectrum(star2_irrational, 1)
     assert abs(basis.omegas[0] - root) < 1e-12
-
-
-def test_unsupported_topology():
-    g = MetricGraph(edges=[Edge("e1", 1.0, "c", "c"), Edge("e2", 1.0, "v2", "c")],
-                    bc={"v2": BC.DIRICHLET, "c": BC.NEUMANN_KIRCHHOFF},
-                    topology=Topology.STAR_WITH_LOOPS)
-    with pytest.raises(UnsupportedTopology):
-        secular_function(g)
 
 
 # -- interval spectra ---------------------------------------------------------
@@ -111,8 +90,7 @@ def test_neumann_star_includes_constant_mode(star5_neumann):
 
 def test_secular_residual_at_roots(star2_irrational):
     basis = solve_spectrum(star2_irrational, 50)
-    S, _ = secular_function(star2_irrational)
-    vals = np.abs(S(basis.omegas))
+    vals = np.abs(build_secular_product(star2_irrational).value(basis.omegas))
     assert vals.max() < 1e-10 * 2  # |S| <= N on the real axis
 
 
