@@ -106,8 +106,10 @@ def _jsonable(x):
 # commands
 
 def _solve_from_problem(args):
+    if args.modes is not None and args.modes < 1:
+        raise ValidationError(f"--modes must be >= 1, got {args.modes}")
     graph, control, settings = load_problem(args.problem)
-    modes = args.modes if args.modes else settings.num_modes
+    modes = settings.num_modes if args.modes is None else args.modes
     basis = spectrum.solve_spectrum(graph, modes)
     return graph, control, settings, basis
 
@@ -201,19 +203,25 @@ def cmd_moment_solve(args, runner: Runner):
 
 
 def _control_from_file(path) -> dynamics.TrigControl | dynamics.SampledControl:
+    """The control of a JSON file; the control classes check the values they are given."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"control file {path}: expected a JSON object")
     kind = doc.get("kind", "trig")
-    if kind == "resonant":
-        return dynamics.resonant_pulse(float(doc["amplitude"]), float(doc["frequency"]),
-                                       float(doc["T"]))
-    if kind == "trig":
-        return dynamics.TrigControl(horizon=float(doc["T"]), const=float(doc.get("const", 0.0)),
-                                    terms=[(float(f), str(k), float(c))
-                                           for f, k, c in doc.get("terms", [])])
-    if kind == "samples":
-        return dynamics.SampledControl(samples=np.asarray(doc["samples"], dtype=float),
-                                       dt=float(doc["dt"]))
+    try:
+        if kind == "resonant":
+            return dynamics.resonant_pulse(float(doc["amplitude"]), float(doc["frequency"]),
+                                           float(doc["T"]))
+        if kind == "trig":
+            return dynamics.TrigControl(horizon=float(doc["T"]), const=float(doc.get("const", 0.0)),
+                                        terms=[(float(f), str(k), float(c))
+                                               for f, k, c in doc.get("terms", [])])
+        if kind == "samples":
+            return dynamics.SampledControl(samples=np.asarray(doc["samples"], dtype=float),
+                                           dt=float(doc["dt"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"control file {path}: malformed {kind!r} control ({exc!r})") from exc
     raise ValidationError(f"unknown control kind {kind!r}")
 
 
@@ -311,17 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction amplitudes (CSV)")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
 
     p = sub.add_parser("check-assumptions", help="coupling decay / resonances / vertex conditions")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--tol-res", dest="tol_res", type=float, default=1e-10)
     p.add_argument("--floor", type=float, default=None)
 
     p = sub.add_parser("lowerbounds", help="secular-derivative lower-bound fits")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
 
     p = sub.add_parser("moment-solve", help="solve a truncated moment problem")
     p.add_argument("--freqs", required=True, help="CSV with columns k,lambda")
@@ -332,18 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="propagate the truncated dynamics")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--control", required=True, help="control JSON file")
     p.add_argument("--initial", type=int, default=1)
 
     p = sub.add_parser("liealg", help="bracket-closure dimension report")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--resonance-tol", dest="resonance_tol", type=float, default=1e-8)
 
     p = sub.add_parser("report", help="combined spectral / coupling / bound / transfer report")
     p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=0)
+    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--eps", type=float, default=0.01)
 
     return ap

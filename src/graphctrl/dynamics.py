@@ -5,7 +5,11 @@ Lambda + u(t) B with Lambda diagonal and B real symmetric.  A step is the
 Strang split step e^{-i Lambda dt/2} Q e^{-i u(t_mid) dt D} Q^T e^{-i Lambda dt/2}
 with B = Q D Q^T diagonalized once per call (Strang, SIAM J. Numer. Anal.
 1968): unitary, second order, O(K^2) work, and the kick factors are formed
-in blocks of steps, so memory does not grow with the step count.
+in blocks of steps, so memory does not grow with the step count.  A long
+single-frequency drive instead runs powers of its one-period map.  The
+window of that map starts where the drive is even, so the map is multiplied
+out from the steps of half a period, and the powers between records come
+from repeated squaring.
 
 Also here: the first-order (linearized) response used to validate moment
 controls, the bracket-closure dimension count behind the finite-dimensional
@@ -51,6 +55,11 @@ class GalerkinSystem:
 # ---------------------------------------------------------------------------
 # control signals
 
+def _require_finite(name, value, positive=False):
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise ValidationError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
+
+
 @dataclass
 class TrigControl:
     """u(t) = const + sum of coeff * cos/sin(freq t) on [0, horizon]."""
@@ -58,6 +67,15 @@ class TrigControl:
     horizon: float
     const: float = 0.0
     terms: list[tuple[float, str, float]] = field(default_factory=list)  # (freq, "cos"|"sin", coeff)
+
+    def __post_init__(self):
+        _require_finite("control horizon", self.horizon, positive=True)
+        _require_finite("control constant", self.const)
+        for freq, kind, c in self.terms:
+            if kind not in ("cos", "sin"):
+                raise ValidationError(f"control term kind must be 'cos' or 'sin', got {kind!r}")
+            _require_finite("control frequency", freq)
+            _require_finite("control coefficient", c)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -86,6 +104,19 @@ class TrigControl:
             return None
         return 2 * math.pi / freqs[0]
 
+    @property
+    def even_time(self) -> float:
+        """A time t0 in [0, period/2) about which a single-frequency u is even.
+
+        const + A cos(wt) + B sin(wt) = const + R cos(w(t - t0)) with
+        t0 = atan2(B, A) / w, taken modulo half a period since a sinusoid is
+        even about its minima as well as its maxima: 0 for every cosine drive.
+        """
+        omega = 2 * math.pi / self.period
+        A = sum(c for f, k, c in self.terms if f != 0.0 and k == "cos")
+        B = sum(c if f > 0 else -c for f, k, c in self.terms if f != 0.0 and k == "sin")
+        return (math.atan2(B, A) % math.pi) / omega
+
     def scaled(self, factor: float) -> "TrigControl":
         return TrigControl(horizon=self.horizon, const=factor * self.const,
                            terms=[(f, k, factor * c) for f, k, c in self.terms])
@@ -104,6 +135,11 @@ class SampledControl:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.ndim != 1 or self.samples.size == 0:
+            raise ValidationError("control samples must be a non-empty list of numbers")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValidationError("control samples must be finite")
+        _require_finite("control sample step dt", self.dt, positive=True)
 
     @property
     def horizon(self) -> float:
@@ -168,25 +204,37 @@ def _step_matrices(lam, B, u_mids, dt):
     return np.exp(-0.5j * dt * lam), Q, D
 
 
-def _split_evolve(lam, B, u_mids, dt, psi, rec_every=0):
-    """Apply the split steps with control midpoints u_mids to psi (a state, or rows of states).
+def _free_step(half, Q):
+    """W = Q^T e^{-i Lambda dt} Q projected to the nearest unitary (else the norm
+    drifts ~10x faster over long grids); W is complex symmetric up to rounding."""
+    return _polar_unitary((Q.T * half**2) @ Q)
 
-    Returns the final psi and (step, state) after every rec_every-th and the last
-    step.  In a = Q^T half psi a step is a <- W (kick * a), W = Q^T e^{-i Lambda dt} Q
-    projected to the nearest unitary (else the norm drifts ~10x faster over long
-    grids), and the kicks e^{-i u dt D} are formed _KICK_BLOCK steps at a time.
+
+def _kick_steps(a, W, D, u_mids, dt, rec_every=0):
+    """Split steps a <- W (kick * a) on rows a in B's eigenbasis, kick = e^{-i u dt D}.
+
+    Returns the final a and (step, a) after every rec_every-th and the last
+    step.  The kicks are formed _KICK_BLOCK steps at a time.
     """
-    half, Q, D = _step_matrices(lam, B, u_mids, dt)
-    W = _polar_unitary((Q.T * half**2) @ Q)
-    a = (half * psi) @ Q
     recorded, n = [], len(u_mids)
     for start in range(0, n, _KICK_BLOCK):
         kicks = np.exp(-1j * dt * np.multiply.outer(u_mids[start:start + _KICK_BLOCK], D))
         for step, kick in enumerate(kicks, start=start + 1):
             a = (kick * a) @ W.T
             if rec_every and (step % rec_every == 0 or step == n):
-                recorded.append((step, half.conj() * (a @ Q.T)))
-    return half.conj() * (a @ Q.T), recorded
+                recorded.append((step, a))
+    return a, recorded
+
+
+def _split_evolve(lam, B, u_mids, dt, psi, rec_every=0):
+    """Apply the split steps with control midpoints u_mids to psi (a state, or rows of states).
+
+    Returns the final psi and (step, state) after every rec_every-th and the
+    last step; the steps run on a = Q^T half psi.
+    """
+    half, Q, D = _step_matrices(lam, B, u_mids, dt)
+    a, recorded = _kick_steps((half * psi) @ Q, _free_step(half, Q), D, u_mids, dt, rec_every)
+    return half.conj() * (a @ Q.T), [(step, half.conj() * (r @ Q.T)) for step, r in recorded]
 
 
 def _polar_unitary(U):
@@ -232,32 +280,63 @@ def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
                       np.array([psi0] + [state for _, state in recorded]), n)
 
 
+def _period_map(system, control, period, t0, n_per_period):
+    """The n_per_period split steps over [t0, t0 + period), as one unitary matrix.
+
+    u is even about t0, so the kicks of the second half of the window mirror
+    those of the first (n_per_period is even).  With X = W k_{h-1} ... W k_0
+    the first h = n_per_period / 2 steps in B's eigenbasis, and W complex
+    symmetric and unitary, the whole window is the time-symmetric composition
+    W X^T conj(W) X (McLachlan & Quispel, Acta Numerica 2002): u is evaluated
+    and multiplied out at h midpoints only.  The map is projected to the
+    nearest unitary: its roundoff would otherwise grow into a norm drift.
+    """
+    dt = period / n_per_period
+    u_mids = control(t0 + (np.arange(n_per_period // 2) + 0.5) * dt)
+    half, Q, D = _step_matrices(system.lam, system.B, u_mids, dt)
+    W = _free_step(half, Q)
+    W = (W + W.T) / 2    # exactly symmetric, so X^T is the mirrored half; still unitary to O(eps^2)
+    Xt, _ = _kick_steps(np.eye(system.dim, dtype=complex), W, D, u_mids, dt)
+    return _polar_unitary(half.conj()[:, None] * (Q @ (W @ Xt @ W.conj() @ Xt.T) @ Q.T) * half)
+
+
 def _propagate_periodic(system, psi0, control, period, record, n_per_period=1024):
     """Powers of the one-period map: a transfer runs thousands of periods, too many to step.
 
-    The map is the split steps of one period applied to the identity, projected
-    to the nearest unitary: its roundoff would otherwise grow into a norm drift.
+    The period window starts at t0 = control.even_time, where u is even
+    (_period_map); the lead-in [0, t0) and the rest of the horizon after the
+    last whole period are stepped.  With r periods between records, M^r comes
+    from repeated squaring, is projected to the nearest unitary and is applied
+    once per record; M^(n_periods mod r) is applied once for the final state.
     """
-    T = control.horizon
-    dt = period / n_per_period
-    rows, _ = _split_evolve(system.lam, system.B, control((np.arange(n_per_period) + 0.5) * dt),
-                            dt, np.eye(system.dim, dtype=complex))
-    M = _polar_unitary(rows.T)
-    n_periods = int(T // period)
-    times, states, psi = [0.0], [psi0], psi0
+    lam, B, T = system.lam, system.B, control.horizon
+    t0 = control.even_time
+    M = _period_map(system, control, period, t0, n_per_period)
+
+    def step_through(start, length, psi):
+        n = max(8, int(n_per_period * length / period))
+        dts = length / n
+        return _split_evolve(lam, B, control(start + (np.arange(n) + 0.5) * dts), dts, psi)[0], n
+
+    times, states, psi, steps = [0.0], [psi0], psi0, 0
+    if t0 > 0:
+        psi, steps = step_through(0.0, t0, psi)
+    n_periods = int((T - t0) // period)
     rec_every = max(1, n_periods // max(record - 1, 1))
-    for p in range(n_periods):
-        psi = M @ psi
-        if (p + 1) % rec_every == 0 or p + 1 == n_periods:
-            times.append((p + 1) * period)
-            states.append(psi)
-    steps = n_periods * n_per_period
-    remainder = T - n_periods * period
-    if remainder > 1e-12 * T:    # step through the rest of the horizon
-        n_rem = max(8, int(n_per_period * remainder / period))
-        dtr = remainder / n_rem
-        tm = n_periods * period + (np.arange(n_rem) + 0.5) * dtr
-        psi, _ = _split_evolve(system.lam, system.B, control(tm), dtr, psi)
+    M_rec = _polar_unitary(np.linalg.matrix_power(M, rec_every))    # by repeated squaring
+    for p in range(rec_every, n_periods + 1, rec_every):
+        psi = M_rec @ psi
+        times.append(t0 + p * period)
+        states.append(psi)
+    if n_periods % rec_every:
+        psi = np.linalg.matrix_power(M, n_periods % rec_every) @ psi
+        times.append(t0 + n_periods * period)
+        states.append(psi)
+    steps += n_periods * n_per_period
+    end = t0 + n_periods * period
+    remainder = T - end
+    if remainder > 1e-12 * T:
+        psi, n_rem = step_through(end, remainder, psi)
         times.append(T)
         states.append(psi)
         steps += n_rem

@@ -116,6 +116,46 @@ def test_simulate_command(problem, tmp_path):
     assert sum(doc["final_populations"]) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("control, message", [
+    ({"kind": "trig", "T": 0.5, "terms": [[3.0, "tan", 0.05]]}, "term kind"),
+    ({"kind": "trig", "T": 0.0, "terms": [[3.0, "cos", 0.05]]}, "horizon"),
+    ({"kind": "trig", "T": -0.5, "terms": [[3.0, "cos", 0.05]]}, "horizon"),
+    ({"kind": "trig", "T": float("nan"), "terms": [[3.0, "cos", 0.05]]}, "horizon"),
+    ({"kind": "trig", "T": 0.5, "terms": [[3.0, "cos", float("inf")]]}, "coefficient"),
+    ({"kind": "trig", "T": 0.5, "terms": [[3.0, "cos"]]}, "malformed"),
+    ({"kind": "resonant", "amplitude": 0.01, "frequency": 3.0, "T": -1.0}, "horizon"),
+    ({"kind": "samples", "samples": [], "dt": 0.1}, "non-empty"),
+    ({"kind": "samples", "samples": [0.1, float("nan")], "dt": 0.1}, "finite"),
+    ({"kind": "samples", "samples": [0.1, 0.2], "dt": 0.0}, "dt"),
+    ([0.1, 0.2], "JSON object"),
+], ids=["kind_tan", "T0", "Tneg", "Tnan", "coeff_inf", "term_short", "pulse_Tneg",
+        "samples_empty", "sample_nan", "dt0", "not_object"])
+def test_simulate_bad_control_exit_code(problem, tmp_path, capsys, control, message):
+    # "tan" ran as "sin" with exit 0; T <= 0 exited 3, T = NaN and empty samples exited 1
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(control))
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem),
+                     "--modes", "6", "--control", str(path)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "check-assumptions", "lowerbounds", "simulate",
+                                     "liealg", "report"])
+@pytest.mark.parametrize("modes", ["0", "-3"])
+def test_modes_below_one_exit_code(problem, tmp_path, capsys, command, modes):
+    # --modes 0 was read as "not given" and ran with the file's num_modes
+    args = ["--out-dir", str(tmp_path / "o"), command, "--problem", str(problem), "--modes", modes]
+    if command == "simulate":
+        control = tmp_path / "u.json"
+        control.write_text(json.dumps({"kind": "trig", "T": 0.5, "terms": [[3.0, "cos", 0.05]]}))
+        args += ["--control", str(control)]
+    assert dispatch(args) == EXIT_VALIDATION
+    assert "--modes must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_simulate_error_estimate_bounds_true_error(tmp_path):
     problem = Path(__file__).resolve().parents[1] / "sample_problems" / "interval_dirichlet.json"
     terms = [[3.3 * math.pi**2, "cos", 0.04], [7.1 * math.pi**2, "sin", 0.02]]

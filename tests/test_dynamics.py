@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphctrl import dynamics
 from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _SpanBasis,
+                                _free_step, _kick_steps, _period_map, _polar_unitary,
+                                _split_evolve, _step_matrices,
                                 admissible_pairs, first_order_prediction, lie_closure,
                                 linearized_response, propagate, propagate_reversed,
                                 resonant_pulse, resonant_transfer, subsystem_transfer_demo)
 from graphctrl.errors import ValidationError
 from graphctrl.moment import solve_moment
-from graphctrl.potentials import ControlOperator, build_matrix
+from graphctrl.potentials import ControlOperator, build_matrix, squared_shift_potential
 from graphctrl.spectrum import solve_spectrum
 
 from conftest import admissible_pairs_reference, interval, lie_closure_reference, star
@@ -102,6 +105,102 @@ def test_periodic_path_matches_fixed_steps():
     assert np.max(np.abs(periodic.final - fixed.final)) <= 1e-7
 
 
+@pytest.mark.parametrize("const, terms, t0_periods", [
+    (0.0, [(3 * PI**2, "sin", 0.05)], 0.25),
+    (0.02, [(3 * PI**2, "cos", -0.03), (-3 * PI**2, "sin", 0.04)], None),
+], ids=["sine", "mixed"])
+def test_shifted_periodic_window_matches_fixed_steps(const, terms, t0_periods):
+    # the period window starts at even_time, where u is even; the lead-in before it is stepped
+    sys8 = interval_system()
+    u = TrigControl(horizon=3.0, const=const, terms=terms)
+    P, t0 = u.period, u.even_time
+    assert 0 < t0 < P / 2
+    if t0_periods is not None:
+        assert t0 == pytest.approx(t0_periods * P, rel=1e-14)
+    s = np.random.default_rng(7).uniform(0, P, 50)
+    assert np.max(np.abs(u(t0 + s) - u(t0 - s))) < 1e-15
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    periodic = propagate(sys8, psi0, u)
+    assert periodic.period_steps == 1024
+    assert periodic.times[-1] == 3.0
+    whole = (periodic.times[1:-1] - t0) / P
+    assert np.max(np.abs(whole - np.round(whole))) < 1e-12
+    fixed = propagate(sys8, psi0, u, n_steps=200000)
+    assert np.max(np.abs(periodic.final - fixed.final)) <= 1e-7
+
+
+def random_system(K, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(K, K))
+    return GalerkinSystem(lam=np.sort(rng.uniform(0.0, 50.0, K)), B=0.5 * (B + B.T))
+
+
+@pytest.mark.parametrize("terms", [[(7.0, "cos", 0.8)], [(7.0, "cos", 0.3), (7.0, "sin", -0.6)],
+                                   [(-7.0, "cos", -0.5)]], ids=["cos", "phase", "negative"])
+def test_half_period_map_matches_full_product(monkeypatch, terms):
+    system = random_system(6, 11)
+    u = TrigControl(horizon=50.0, const=0.1, terms=terms)
+    P, t0, n = u.period, u.even_time, 1024
+    dt = P / n
+    mids = u(t0 + (np.arange(n) + 0.5) * dt)
+    rows, _ = _split_evolve(system.lam, system.B, mids, dt, np.eye(6, dtype=complex))
+    full = _polar_unitary(rows.T)
+    # all 1024 steps with the map's exactly symmetric free step: equal up to rounding
+    # (2.5e-13 apart with the free step left as projected, its asymmetry repeated 512 times)
+    half, Q, D = _step_matrices(system.lam, system.B, mids, dt)
+    W = _free_step(half, Q)
+    W = (W + W.T) / 2
+    a, _ = _kick_steps(np.eye(6, dtype=complex), W, D, mids, dt)
+    full_symmetric = _polar_unitary(half.conj()[:, None] * (Q @ a.T @ Q.T) * half)
+    # every path passes the midpoints it steps through _step_matrices, where the benchmark counts them
+    stepped = []
+    step_matrices = dynamics._step_matrices
+    monkeypatch.setattr(dynamics, "_step_matrices",
+                        lambda lam, B, u_mids, dt: stepped.append(len(u_mids)) or
+                        step_matrices(lam, B, u_mids, dt))
+    M = _period_map(system, u, P, t0, n)
+    assert stepped == [n // 2]
+    assert np.max(np.abs(M - full)) <= 1e-12
+    assert np.max(np.abs(M - full_symmetric)) <= 2e-14
+    assert np.max(np.abs(M.conj().T @ M - np.eye(6))) <= 1e-14
+
+
+@pytest.mark.parametrize("record", [2, 17, 129])
+def test_period_powers_match_sequential_loop(record):
+    system = random_system(6, 12)
+    u = TrigControl(horizon=300.3 * 2 * PI / 7.0, terms=[(7.0, "cos", 0.8)])
+    P = u.period
+    psi0 = np.zeros(6, dtype=complex)
+    psi0[0] = 1.0
+    traj = propagate(system, psi0, u, record=record)
+    # the periodic path before period powers: the period map applied one period at a time
+    M = _period_map(system, u, P, 0.0, 1024)
+    n_periods = int(u.horizon // P)
+    rec_every = max(1, n_periods // (record - 1))
+    times, states, psi = [0.0], [psi0], psi0
+    for p in range(1, n_periods + 1):
+        psi = M @ psi
+        if p % rec_every == 0 or p == n_periods:
+            times.append(p * P)
+            states.append(psi)
+    assert np.array_equal(traj.times[:-1], times) and traj.times[-1] == u.horizon
+    assert np.max(np.abs(traj.states[:-1] - np.array(states))) <= 1e-12
+    # the projected power keeps the norm of the whole-period states at rounding level
+    assert np.max(np.abs(np.linalg.norm(traj.states[:-1], axis=1) - 1.0)) <= 1e-13
+
+
+def test_transfer_norm_drift_at_rounding_level():
+    # 4 040 periods at K=30: applying the period map once per period drifts by 7.1e-13,
+    # and the squared power left unprojected by 2.7e-12
+    basis = solve_spectrum(star([1.0, math.sqrt(2.0)]), 30)
+    op = ControlOperator(per_edge={"e1": squared_shift_potential(1.0)})
+    system = GalerkinSystem(lam=basis.eigenvalues, B=build_matrix(op, basis))
+    res = resonant_transfer(system, 1, 2, 0.01)
+    assert res.fidelity > 0.9999999
+    assert res.norm_drift <= 5e-13
+
+
 def test_long_propagation_memory_and_drift():
     rng = np.random.default_rng(5)
     K = 100
@@ -121,6 +220,29 @@ def test_long_propagation_memory_and_drift():
     # the unitary projection of the free step keeps the drift at rounding level
     # (1.5e-11 here without it)
     assert traj.steps == 20000 and traj.norm_drift < 5e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrigControl(horizon=0.0),
+    lambda: TrigControl(horizon=-1.0),
+    lambda: TrigControl(horizon=math.nan),
+    lambda: TrigControl(horizon=math.inf),
+    lambda: TrigControl(horizon=1.0, const=math.nan),
+    lambda: TrigControl(horizon=1.0, terms=[(3.0, "tan", 0.1)]),
+    lambda: TrigControl(horizon=1.0, terms=[(math.inf, "cos", 0.1)]),
+    lambda: TrigControl(horizon=1.0, terms=[(3.0, "sin", math.nan)]),
+    lambda: resonant_pulse(0.01, 3.0, -2.0),
+    lambda: SampledControl(samples=[], dt=0.1),
+    lambda: SampledControl(samples=[0.1, math.nan], dt=0.1),
+    lambda: SampledControl(samples=[0.1, 0.2], dt=0.0),
+    lambda: SampledControl(samples=[0.1, 0.2], dt=-0.1),
+    lambda: SampledControl(samples=[0.1, 0.2], dt=math.nan),
+], ids=["T0", "Tneg", "Tnan", "Tinf", "const_nan", "kind_tan", "freq_inf", "coeff_nan",
+        "pulse_Tneg", "samples_empty", "sample_nan", "dt0", "dtneg", "dtnan"])
+def test_controls_validated_at_construction(make):
+    # an unknown kind ran as "sin"; T <= 0, a NaN horizon and empty samples failed deep in propagate
+    with pytest.raises(ValidationError):
+        make()
 
 
 def test_time_reversal_returns_initial_state():
