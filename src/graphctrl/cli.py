@@ -1,9 +1,9 @@
 """Command-line front end: spectra, checker reports, moment solves, dynamics.
 
 Every command writes its data files plus a manifest.json recording the
-command, input digests, settings and produced files.  All floating output
-uses 17 significant digits so reruns round-trip bit for bit; apart from the
-manifest's wall-time stamp, outputs are deterministic.
+command, input digests, settings and produced files.  CSV rows are streamed
+from whole columns with floats as %.17g, so every double round-trips; JSON goes
+through json.dump.  Apart from the manifest's wall time, outputs are deterministic.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 64 usage.
 """
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +30,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
-
-
-def fmt(x) -> str:
-    """17-significant-digit decimal: lossless double round-trip."""
-    return format(float(x), ".17g")
+_CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}   # by dtype kind
 
 
 def _sha256(path) -> str:
@@ -60,15 +57,18 @@ class Runner:
 
     def write_json(self, name: str, payload: dict):
         with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
 
-    def write_csv(self, name: str, header: list[str], rows):
+    def write_csv(self, name: str, header: list[str], columns):
+        """A CSV table from equal-length 1-D integer or float arrays, streamed as one
+        %-template line per row ending in CRLF; csv.writer writes (and quotes) the header."""
+        if not {c.dtype.kind for c in columns} <= set(_CSV_FORMATS):
+            raise TypeError(f"{name}: columns must be integer or float arrays")
+        template = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns) + "\r\n"
         with open(self.path(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row)
+            csv.writer(fh).writerow(header)
+            fh.writelines(template % r for r in zip(*(c.tolist() for c in columns), strict=True))
 
     def finish(self):
         manifest = {
@@ -79,27 +79,27 @@ class Runner:
             "outputs": sorted(self.outputs),
             "wall_time_s": round(time.monotonic() - self.t0, 6),
         }
-        with open(self.out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_json("manifest.json", manifest)
 
 
-def _jsonable(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
+def _json_default(x):
+    """JSON form of complex numbers and numpy scalars and arrays (json prints float64 itself)."""
     if isinstance(x, complex):
         return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _read_input(path, what: str, parse):
+    """parse(file) of an input file; a missing file or a malformed value exits 2 naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return parse(fh)
+    except OSError as exc:
+        raise ValidationError(f"{what} file {path}: {exc.strerror}") from None
+    except (KeyError, TypeError, ValueError) as exc:   # JSONDecodeError is a ValueError
+        raise ValidationError(f"{what} file {path}: malformed ({exc!r})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +117,16 @@ def _solve_from_problem(args):
 def cmd_spectrum(args, runner: Runner):
     graph, _, settings, basis = _solve_from_problem(args)
     header = ["k", "lambda", "omega", "multiplicity"] + [f"amp_{eid}" for eid in basis.edge_ids]
-    counts = {}
-    for m in basis.modes:
-        if m.multiplicity_group is not None:
-            counts[m.multiplicity_group] = counts.get(m.multiplicity_group, 0) + 1
-    rows = []
-    for m in basis.modes:
-        mult = counts.get(m.multiplicity_group, 1)
-        rows.append([m.index, fmt(m.lam), fmt(m.omega), mult] + [fmt(a) for a, _ in m.per_edge])
-    runner.write_csv("spectrum.csv", header, rows)
+    groups = [m.multiplicity_group for m in basis.modes]
+    counts = Counter(groups)
+    multiplicity = np.array([1 if g is None else counts[g] for g in groups])
+    amplitudes = np.array([[a for a, _ in m.per_edge] for m in basis.modes], dtype=float)
+    runner.write_csv("spectrum.csv", header, [np.array([m.index for m in basis.modes]),
+                                              basis.eigenvalues, basis.omegas, multiplicity,
+                                              *amplitudes.T])
     report = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     lengths = check_length_set(graph.lengths)
-    runner.write_json("spectrum_summary.json", _jsonable({
+    runner.write_json("spectrum_summary.json", {
         "num_modes": len(basis),
         "weyl": basis.weyl_report,
         "sqrt_gap": {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
@@ -136,7 +134,7 @@ def cmd_spectrum(args, runner: Runner):
         "center_decay_exponent": report.center_decay_exponent if report else None,
         "length_scan": {"independent": lengths.independence_flag,
                         "hits": lengths.rational_hits},
-    }))
+    })
 
 
 def cmd_check_assumptions(args, runner: Runner):
@@ -144,7 +142,7 @@ def cmd_check_assumptions(args, runner: Runner):
     rep = potentials.analyze_coupling(control, basis, len(basis),
                                       tol_res=args.tol_res, floor=args.floor)
     vertex = potentials.check_vertex_compatibility(control, graph)
-    runner.write_json("assumptions.json", _jsonable({
+    runner.write_json("assumptions.json", {
         "decay_fit": {"exponent": rep.decay_fit[0], "constant": rep.decay_fit[1],
                       "rms_residual": rep.decay_fit[2]},
         "envelope_fit": {"exponent": rep.envelope_fit[0], "constant": rep.envelope_fit[1]},
@@ -160,52 +158,48 @@ def cmd_check_assumptions(args, runner: Runner):
             "boundary_class": vertex.boundary_class,
             "conditions": vertex.conditions,
         },
-    }))
+    })
 
 
 def cmd_lowerbounds(args, runner: Runner):
     graph, _, settings, basis = _solve_from_problem(args)
     sp = lowerbounds.build_secular_product(graph)
     fit = lowerbounds.fit_derivative_bound(sp, basis)
-    rows = []
-    for i, m in enumerate(basis.modes):
-        model = fit.constant / (i + 1) ** (1 + fit.dtilde)
-        rows.append([m.index, fmt(m.omega), fmt(fit.values[i]), fmt(model)])
-    runner.write_csv("derivative_bound.csv", ["k", "sqrt_lambda", "abs_Gprime", "bound_model"], rows)
-    runner.write_json("lowerbounds_summary.json", _jsonable({
+    # scalar powers: numpy's vectorized pow may differ from libm's in the last bit
+    model = np.array([fit.constant / k ** (1 + fit.dtilde) for k in range(1, len(basis) + 1)])
+    runner.write_csv("derivative_bound.csv", ["k", "sqrt_lambda", "abs_Gprime", "bound_model"],
+                     [np.array([m.index for m in basis.modes]), basis.omegas, fit.values, model])
+    runner.write_json("lowerbounds_summary.json", {
         "dtilde_fit": fit.dtilde,
         "constant": fit.constant,
         "raw_slope": fit.raw_slope,
         "worst_k": fit.worst_k,
         "scaled_infimum_eps": {str(e): float(np.min(fit.values * np.arange(1, len(basis) + 1) ** (1 + e)))
                                for e in (0.05, 0.1, 0.25, 0.5)},
-    }))
+    })
 
 
 def cmd_moment_solve(args, runner: Runner):
-    lambdas, targets = [], []
-    with open(args.freqs) as fh:
-        for row in csv.DictReader(fh):
-            lambdas.append(float(row["lambda"]))
-    with open(args.target) as fh:
-        for row in csv.DictReader(fh):
-            targets.append(complex(float(row["re_x"]), float(row["im_x"])))
+    if args.samples < 2:
+        raise ValidationError(f"--samples must be >= 2 to span [0, T], got {args.samples}")
+    lambdas = _read_input(args.freqs, "freqs",
+                          lambda fh: [float(row["lambda"]) for row in csv.DictReader(fh)])
+    targets = _read_input(args.target, "target", lambda fh: [
+        complex(float(row["re_x"]), float(row["im_x"])) for row in csv.DictReader(fh)])
     sol = moment.solve_moment(lambdas, targets, args.T, mode=args.mode)
-    t, u = sol.samples(args.samples)
-    runner.write_csv("control.csv", ["t", "u"], [[fmt(a), fmt(b)] for a, b in zip(t, u)])
-    runner.write_json("moment_diagnostics.json", _jsonable({
+    runner.write_csv("control.csv", ["t", "u"], sol.samples(args.samples))
+    runner.write_json("moment_diagnostics.json", {
         "mode": sol.mode,
         "max_residual": sol.max_residual,
         "gram_condition": sol.gram_condition,
         "imag_moment_defect": sol.imag_moment_defect,
         "residuals": [complex(r) for r in sol.residuals],
-    }))
+    })
 
 
 def _control_from_file(path) -> dynamics.TrigControl | dynamics.SampledControl:
     """The control of a JSON file; the control classes check the values they are given."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_input(path, "control", json.load)
     if not isinstance(doc, dict):
         raise ValidationError(f"control file {path}: expected a JSON object")
     kind = doc.get("kind", "trig")
@@ -233,6 +227,8 @@ def _galerkin_from_problem(args):
 
 def cmd_simulate(args, runner: Runner):
     basis, system = _galerkin_from_problem(args)
+    if not 1 <= args.initial <= system.dim:
+        raise ValidationError(f"--initial must be a mode in 1..{system.dim}, got {args.initial}")
     u = _control_from_file(args.control)
     psi0 = np.zeros(system.dim, dtype=complex)
     psi0[args.initial - 1] = 1.0
@@ -240,31 +236,34 @@ def cmd_simulate(args, runner: Runner):
     header = (["t"] + [f"re_{k+1}" for k in range(system.dim)]
               + [f"im_{k+1}" for k in range(system.dim)]
               + ["norm"] + [f"pop_{k+1}" for k in range(system.dim)])
-    rows = []
-    for t, st in zip(traj.times, traj.states):
-        rows.append([fmt(t)] + [fmt(v) for v in st.real] + [fmt(v) for v in st.imag]
-                    + [fmt(np.linalg.norm(st))] + [fmt(abs(v) ** 2) for v in st])
-    runner.write_csv("trajectory.csv", header, rows)
-    runner.write_json("simulate_summary.json", _jsonable({
+    # bit for bit np.linalg.norm(row) and abs(v) ** 2; a vectorized norm or x * x rounds otherwise
+    norms = np.array([np.linalg.norm(st) for st in traj.states])
+    re, im = traj.states.real, traj.states.imag
+    runner.write_csv("trajectory.csv", header, [traj.times, *re.T, *im.T, norms,
+                                                *np.float_power(np.hypot(re, im), 2.0).T])
+    runner.write_json("simulate_summary.json", {
         "norm_drift": traj.norm_drift,
         "steps": traj.steps,
         "error_estimate": dynamics.step_doubling_error(system, psi0, u, traj),
         "final_populations": np.abs(traj.final) ** 2,
-    }))
+    })
 
 
 def cmd_liealg(args, runner: Runner):
     basis, system = _galerkin_from_problem(args)
+    if system.dim > (cap := dynamics.LIE_CLOSURE_MAX_DIM):
+        raise ValidationError(f"bracket closure is capped at {cap} modes, {system.dim} requested: "
+                              f"rerun with --modes {cap} or fewer")
     rep = dynamics.lie_closure(system, resonance_tol=args.resonance_tol,
                                int_labels=basis.int_labels)
-    runner.write_json("lie_closure.json", _jsonable({
+    runner.write_json("lie_closure.json", {
         "dimension": rep.n1,
         "admissible_pairs": rep.admissible_pairs,
         "reached_dimension": rep.reached_dimension,
         "target_dimension": rep.target_dimension,
         "generated": rep.generated,
         "bracket_depth": rep.bracket_depth,
-    }))
+    })
 
 
 def cmd_report(args, runner: Runner):
@@ -305,7 +304,7 @@ def cmd_report(args, runner: Runner):
                                     "boundary_population": res.boundary_population}
         except (ValidationError, NumericalError) as exc:
             out["transfer_demo"] = {"error": str(exc)}
-    runner.write_json("report.json", _jsonable(out))
+    runner.write_json("report.json", out)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def dispatch(argv) -> int:
     inputs = [v for k, v in vars(args).items()
               if k in ("problem", "freqs", "target", "control") and v]
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
-    runner = Runner(args.command, Path(args.out_dir), inputs, _jsonable(settings))
+    runner = Runner(args.command, Path(args.out_dir), inputs, settings)
     try:
         _HANDLERS[args.command](args, runner)
         runner.finish()

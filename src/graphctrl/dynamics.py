@@ -504,6 +504,10 @@ class _SpanBasis:
         return np.array(accepted, dtype=int)
 
 
+# the span holds up to n^2 - 1 rows of n^2 floats: 104 MB at n = 60
+LIE_CLOSURE_MAX_DIM = 12
+
+
 def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
                 int_labels=None) -> LieClosureReport:
     """Dimension of the real Lie algebra generated by the admissible rotations.
@@ -518,8 +522,8 @@ def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
     a Gram-Schmidt test of each bracket on its own.
     """
     n = system.dim
-    if n > 12:
-        raise ValidationError("bracket closure capped at dimension 12")
+    if n > LIE_CLOSURE_MAX_DIM:
+        raise ValidationError(f"bracket closure capped at dimension {LIE_CLOSURE_MAX_DIM}, got {n}")
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
     gens = [(j - 1, k - 1, np.exp(1j * theta)) for (j, k) in pairs for theta in (0.0, math.pi / 2)]
 

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -432,3 +434,52 @@ def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):
     return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=rank,
                             target_dimension=target, generated=(rank == target),
                             bracket_depth=depth)
+
+
+# -- CLI data files --------------------------------------------------------------
+# The per-value row writer and the recursive JSON copy graphctrl.cli used before
+# its column writer and json default hook, kept as byte references.
+
+def fmt_reference(x) -> str:
+    """17-significant-digit decimal: lossless double round-trip."""
+    return format(float(x), ".17g")
+
+
+def write_csv_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+def trajectory_rows_reference(times, states):
+    """trajectory.csv rows: t, Re and Im of each mode, the row's norm and each population."""
+    fmt = fmt_reference
+    return [[fmt(t)] + [fmt(v) for v in st.real] + [fmt(v) for v in st.imag]
+            + [fmt(np.linalg.norm(st))] + [fmt(abs(v) ** 2) for v in st]
+            for t, st in zip(times, states)]
+
+
+def jsonable_reference(x):
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (np.floating, float)):
+        return float(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, complex):
+        return {"re": float(x.real), "im": float(x.imag)}
+    if isinstance(x, np.ndarray):
+        return [jsonable_reference(v) for v in x.tolist()]
+    if isinstance(x, (list, tuple)):
+        return [jsonable_reference(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): jsonable_reference(v) for k, v in x.items()}
+    return x
+
+
+def write_json_reference(path, payload):
+    with open(path, "w") as fh:
+        json.dump(jsonable_reference(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import (fmt_reference, trajectory_rows_reference, write_csv_reference,
+                      write_json_reference)
 from graphctrl import dynamics, potentials, spectrum
-from graphctrl.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, dispatch
+from graphctrl.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, Runner,
+                           dispatch)
 from graphctrl.graph import load_problem
 
 SQRT2 = math.sqrt(2.0)
@@ -338,3 +344,184 @@ def test_moment_solve_residual_gate_exit_code(tmp_path, capsys, mode):
                      "--target", str(target), "--T", "4.0", "--mode", mode]) == EXIT_NUMERICAL
     assert "moment residual" in capsys.readouterr().err
     assert not (out / "control.csv").exists()
+
+
+# -- the column writer and the JSON hook against the old writers -------------------
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                  2.2250738585072014e-308, 0.1, 1 / 3]
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    header, columns = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        header.append(draw(st.one_of(st.sampled_from(["k", "amp_a,b", 'q"t', "re 1"]),
+                                     st.text(max_size=6))))
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=np.int64))
+        else:
+            values = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                                   min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=float))
+    return header, columns
+
+
+def bytes_by_both_writers(write_new, write_old):
+    with tempfile.TemporaryDirectory() as d:
+        runner = Runner("test", Path(d), [], {})
+        write_new(runner, "new")
+        write_old(Path(d) / "old")
+        return (Path(d) / "new").read_bytes(), (Path(d) / "old").read_bytes()
+
+
+@settings(max_examples=200)
+@given(tables())
+@example((["k", "amp_a,b", "x"], [np.array([1, -2, 3]), np.array([math.nan, -0.0, 5e-324]),
+                                  np.array([math.inf, -math.inf, 1e308])]))
+def test_column_writer_matches_reference_rows(table):
+    header, columns = table
+    rows = [[int(v) if c.dtype.kind == "i" else fmt_reference(v) for v, c in zip(row, columns)]
+            for row in zip(*columns)]
+    new, old = bytes_by_both_writers(lambda r, name: r.write_csv(name, header, columns),
+                                     lambda path: write_csv_reference(path, header, rows))
+    assert new == old
+
+
+@pytest.mark.parametrize("column", [np.array([1 + 2j]), np.array([True]), np.array(["1.0"]),
+                                    np.array([1.0], dtype=object)],
+                         ids=["complex", "bool", "str", "object"])
+def test_column_writer_rejects_other_dtypes(tmp_path, column):
+    with pytest.raises(TypeError, match="integer or float"):
+        Runner("test", tmp_path, [], {}).write_csv("t.csv", ["a", "b"], [np.array([1.0]), column])
+
+
+def test_column_writer_rejects_unequal_lengths(tmp_path):
+    with pytest.raises(ValueError):
+        Runner("test", tmp_path, [], {}).write_csv("t.csv", ["a", "b"],
+                                                   [np.array([1.0, 2.0]), np.array([1, 2, 3])])
+
+
+def test_trajectory_columns_match_per_element_expressions(problem, tmp_path, monkeypatch):
+    # magnitudes 1e-300 ... 1e3 (squares underflow, subnormal and large), exact zeros,
+    # purely real and purely imaginary entries
+    rng = np.random.default_rng(17)
+    K, rows = 8, 400
+    states = 10.0 ** rng.uniform(-300, 3, (rows, K)) * np.exp(2j * np.pi * rng.random((rows, K)))
+    states[::7, 0] = 0.0
+    states[1::5, 1] = states[1::5, 1].real
+    states[2::5, 2] = 1j * states[2::5, 2].imag
+    times = np.sort(rng.random(rows))
+    traj = dynamics.Trajectory(times=times, states=states, steps=rows - 1)
+    monkeypatch.setattr(dynamics, "propagate", lambda *a, **k: traj)
+    monkeypatch.setattr(dynamics, "step_doubling_error", lambda *a, **k: 0.0)
+    control = tmp_path / "u.json"
+    control.write_text(json.dumps({"kind": "trig", "T": 0.5, "terms": [[3.0, "cos", 0.05]]}))
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem),
+                     "--modes", str(K), "--control", str(control)]) == EXIT_OK
+    header = (["t"] + [f"re_{k}" for k in range(1, K + 1)] + [f"im_{k}" for k in range(1, K + 1)]
+              + ["norm"] + [f"pop_{k}" for k in range(1, K + 1)])
+    write_csv_reference(tmp_path / "ref.csv", header, trajectory_rows_reference(times, states))
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32), _INT64.map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.lists(st.complex_numbers(), max_size=3),
+    st.lists(st.floats(), max_size=4).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.complex_numbers(), max_size=3).map(lambda v: np.array(v, dtype=complex)),
+    st.lists(_INT64, max_size=4).map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1)),
+    st.lists(st.booleans(), max_size=3).map(np.array))
+_JSON_PAYLOADS = st.dictionaries(st.text(max_size=4), st.recursive(
+    _JSON_LEAVES, lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner, inner),
+                                          st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12), max_size=4)
+
+
+@settings(max_examples=200)
+@given(_JSON_PAYLOADS)
+@example({"flag": np.bool_(True), "n": np.int64(7), "pairs": [(np.int64(1), 2)],
+          "residuals": [1 + 2j, np.complex128(-0.0 - 1j), complex(math.nan, math.inf)],
+          "grid": np.array([[1.5, math.nan], [-0.0, 5e-324]]), "mixed": np.array([1j, 2]),
+          "scalars": (np.float64(-0.0), np.float32(0.1), np.int32(-3))})
+def test_json_hook_matches_reference_copy(payload):
+    new, old = bytes_by_both_writers(lambda r, name: r.write_json(name, payload),
+                                     lambda path: write_json_reference(path, payload))
+    assert new == old
+
+
+# -- input checks -------------------------------------------------------------------
+
+@pytest.mark.parametrize("initial", ["0", "9", "-1"])
+def test_simulate_initial_out_of_range_exit_code(problem, tmp_path, capsys, initial):
+    # --initial 0 started from the last mode with exit 0; 9 ended in an IndexError
+    control = tmp_path / "u.json"
+    control.write_text(json.dumps({"kind": "trig", "T": 0.5, "terms": [[3.0, "cos", 0.05]]}))
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem), "--modes", "8",
+                     "--control", str(control), "--initial", initial]) == EXIT_VALIDATION
+    assert "--initial must be a mode in 1..8" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("which, extra_row", [
+    ("freqs", None), ("target", None), ("freqs", "no lambda column"), ("freqs", "7,abc"),
+    ("target", "7,abc,0.0"), ("target", "7,0.5")],
+    ids=["freqs_missing", "target_missing", "no_lambda_column", "lambda_not_number",
+         "target_not_number", "target_short_row"])
+def test_moment_solve_bad_input_file_exit_code(tmp_path, capsys, which, extra_row):
+    # each ended in a FileNotFoundError, KeyError or ValueError traceback with exit 1
+    files = dict(zip(["freqs", "target"], write_moment_inputs(
+        tmp_path, [(k * math.pi) ** 2 for k in range(1, 7)], [1.0, 0, 0, 0, 0, 0])))
+    bad = files[which]
+    if extra_row is None:
+        bad.unlink()
+    elif extra_row == "no lambda column":
+        bad.write_text(bad.read_text().replace("lambda", "lam"))
+    else:
+        bad.write_text(bad.read_text() + extra_row + "\n")
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(files["freqs"]),
+                     "--target", str(files["target"]), "--T", "1.0"]) == EXIT_VALIDATION
+    assert f"{which} file {bad}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-5"])
+def test_moment_solve_samples_below_two_exit_code(tmp_path, capsys, samples):
+    # 0 wrote a header-only control.csv with exit 0; -5 raised a ValueError
+    freqs, target = write_moment_inputs(tmp_path, [(k * math.pi) ** 2 for k in range(1, 7)],
+                                        [1.0, 0, 0, 0, 0, 0])
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
+                     "--target", str(target), "--T", "1.0", "--samples", samples]) == EXIT_VALIDATION
+    assert "--samples must be >= 2" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
+def test_simulate_unreadable_control_file_exit_code(problem, tmp_path, capsys, content):
+    control = tmp_path / "u.json"
+    if content is not None:
+        control.write_text(content)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem), "--modes", "6",
+                     "--control", str(control)]) == EXIT_VALIDATION
+    assert f"control file {control}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_liealg_cap_message_names_modes(problem, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "liealg", "--problem", str(problem),
+                     "--modes", "13"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "13 requested" in err and "rerun with --modes 12 or fewer" in err
+    assert not (out / "manifest.json").exists()
