@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -356,6 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: construction costs about 30 parses, and
+# parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "spectrum": cmd_spectrum,
     "check-assumptions": cmd_check_assumptions,
@@ -368,7 +373,7 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .moment import exp_inner
 
 
@@ -39,6 +39,8 @@ class GalerkinSystem:
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
+        require_finite("eigenvalues", self.lam)
+        require_finite("coupling matrix", self.B)
         K = self.lam.size
         if self.B.shape != (K, K):
             raise ValidationError("coupling matrix shape must match the eigenvalue count")
@@ -263,6 +265,7 @@ def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
     get choose_step_count steps.
     """
     psi0 = np.asarray(psi0, dtype=complex)
+    require_finite("initial state", psi0)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
         raise ValidationError("initial state must be normalized")
     T, period = control.horizon, control.period
@@ -360,11 +363,12 @@ def propagate_reversed(system: GalerkinSystem, psi0, control, n_steps: int) -> n
     is the exact inverse of forward step n - 1 - i, so forward-then-reversed
     returns the initial state up to rounding.
     """
+    psi0 = np.asarray(psi0, dtype=complex)
+    require_finite("initial state", psi0)
     T = control.horizon
     dt = T / n_steps
     t_mid = T - (np.arange(n_steps) + 0.5) * dt   # u(T - t) on the forward grid
-    return _split_evolve(-system.lam, system.B, -np.asarray(control(t_mid)), dt,
-                         np.asarray(psi0, dtype=complex))[0]
+    return _split_evolve(-system.lam, system.B, -np.asarray(control(t_mid)), dt, psi0)[0]
 
 
 def linearized_response(system: GalerkinSystem, control) -> np.ndarray:

@@ -13,10 +13,13 @@ that statement at finite rank through the extreme eigenvalues of the Gram
 matrix.
 
 The moment solver produces a real control u on (0, T) with prescribed
-windowed Fourier coefficients at the shifted frequencies lambda_k -
-lambda_1.  Realness is built in by mirroring the data to signed frequencies
-with conjugate targets, exactly the symmetrization that makes the imaginary
-part orthogonal to the whole family.
+windowed Fourier coefficients at the shifted frequencies alpha_k = lambda_k -
+lambda_1.  The control lives on the real dictionary {1, cos alpha_k t,
+sin alpha_k t}, so realness is built in, and both solve modes work on that
+dictionary's real Gram.  The divided-difference mode clusters the alpha's and
+recombines each cluster's cos columns, and again its sin columns, into
+divided differences; the cluster holding alpha_0 = 0 recombines {1, cos} over
+all its alphas and its sin columns over its nonzero ones, since sin 0 t = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 
 MAX_MOMENT_SIZE = 512
 CONDITION_LIMIT = 1e10
@@ -47,6 +50,10 @@ class ClusterPartition:
     @property
     def sizes(self) -> list[int]:
         return [e - s for s, e in self.clusters]
+
+    @property
+    def positions(self) -> list[range]:
+        return [range(s, e) for s, e in self.clusters]
 
     def cluster_values(self, c: int) -> np.ndarray:
         s, e = self.clusters[c]
@@ -253,18 +260,18 @@ def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceS
                                    trace_diag=traces)
 
 
-def _apply_blocks(partition: ClusterPartition, blocks, X, transpose: bool = False) -> np.ndarray:
-    """W @ X, or W.T @ X, for W = blockdiag(F_m) without forming W.
+def _apply_blocks(positions, blocks, X, transpose: bool = False) -> np.ndarray:
+    """W @ X, or W.T @ X, without forming W: block F_m of W sits on the indices positions[m].
 
-    Singleton clusters have F = [[1]] and are copied; the other clusters are
-    multiplied in one batched product per cluster size.
+    Blocks of size 1 are [[1]] and are copied; the others are multiplied in
+    one batched product per block size.
     """
     X = np.asarray(X)
     out = X.astype(np.result_type(X, float))
-    sizes = partition.sizes
+    sizes = [len(p) for p in positions]
     for size in set(sizes) - {1}:
         members = [c for c, n in enumerate(sizes) if n == size]
-        rows = np.array([np.arange(*partition.clusters[c]) for c in members])
+        rows = np.array([positions[c] for c in members])
         F = np.stack([blocks[c] for c in members])
         if transpose:
             F = F.transpose(0, 2, 1)
@@ -275,8 +282,13 @@ def _apply_blocks(partition: ClusterPartition, blocks, X, transpose: bool = Fals
 
 def _block_gram(partition: ClusterPartition, blocks, G: np.ndarray) -> np.ndarray:
     """W^T G W for W = blockdiag(F_m): the Gram of the divided-difference family."""
-    WtG = _apply_blocks(partition, blocks, G, transpose=True)
-    return _apply_blocks(partition, blocks, WtG.T, transpose=True).T
+    return _congruence(partition.positions, blocks, G)
+
+
+def _congruence(positions, blocks, G: np.ndarray) -> np.ndarray:
+    """W^T G W for the block-diagonal W of _apply_blocks."""
+    WtG = _apply_blocks(positions, blocks, G, transpose=True)
+    return _apply_blocks(positions, blocks, WtG.T, transpose=True).T
 
 
 @dataclass
@@ -328,7 +340,7 @@ class MomentSolution:
     coefficients: np.ndarray              # real coefficients over the dictionary
     residuals: np.ndarray                 # complex, per target equation
     gram_condition: float
-    imag_moment_defect: float
+    imag_moment_defect: float             # max |moment of Im u|: 0.0, the coefficients are real
     mode: str
 
     def control(self, t):
@@ -358,15 +370,19 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
     """Real control u on (0, T) with integral of u e^{i (lambda_k - lambda_1) t} = x_k.
 
     The control is represented over the real dictionary {1} U {cos, sin} at
-    the shifted frequencies, whose moment matrix is the dictionary's Gram;
-    it is solved directly, or (mode "dd_preconditioned") over the signed
-    exponential family recombined per cluster into divided differences,
-    whose Gram stays well conditioned when frequencies cluster.  Breakdown
-    raises NumericalError: a Gram condition above CONDITION_LIMIT, or a
-    residual above RESIDUAL_LIMIT * max(1, max |x|).
+    the shifted frequencies alpha, whose moment matrix is the dictionary's
+    real Gram.  Mode "direct" solves that Gram; mode "dd_preconditioned"
+    solves it in the divided-difference coordinates of the clusters of alpha
+    (_solve_dd), whose Gram stays well conditioned when frequencies cluster.
+    The coefficients are real either way, so Im u vanishes identically.
+    Non-finite input raises ValidationError before any other check.
+    Breakdown raises NumericalError: a Gram condition above CONDITION_LIMIT,
+    or a residual above RESIDUAL_LIMIT * max(1, max |x|).
     """
     lam = np.asarray(lambdas, dtype=float)
     x = np.asarray(x, dtype=complex)
+    require_finite("lambdas", lam)
+    require_finite("x", x)
     K = lam.size
     if x.size != K:
         raise ValidationError("lambdas and targets must have equal length")
@@ -378,19 +394,19 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         raise ValidationError("x_1 must be real (tangent-space condition)")
     if np.any(np.diff(lam) <= 0):
         raise ValidationError("frequencies must be strictly increasing (duplicates are infeasible)")
+    if mode not in ("direct", "dd_preconditioned"):
+        raise ValidationError(f"unknown mode {mode!r}")
     alpha = lam - lam[0]
 
+    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
+    A, b = _real_rows(moments), _real_rows(x)
     if mode == "direct":
-        coeffs, resid, cond = _solve_direct(alpha, x, T)
-        defect = 0.0  # real dictionary with real coefficients: Im u vanishes identically
-        dictionary = _dictionary(alpha)
-        sol = MomentSolution(horizon=T, dictionary=dictionary, coefficients=coeffs,
-                             residuals=resid, gram_condition=cond,
-                             imag_moment_defect=defect, mode=mode)
-    elif mode == "dd_preconditioned":
-        sol = _solve_dd(alpha, x, T, delta, M)
+        coeffs, cond = _solve_direct(A, b)
     else:
-        raise ValidationError(f"unknown mode {mode!r}")
+        coeffs, cond = _solve_dd(alpha, A, b, T, delta, M)
+    sol = MomentSolution(horizon=T, dictionary=_dictionary(alpha), coefficients=coeffs,
+                         residuals=moments @ coeffs - x, gram_condition=cond,
+                         imag_moment_defect=0.0, mode=mode)
     limit = RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(x))))
     if not sol.max_residual <= limit:
         raise NumericalError(
@@ -457,75 +473,59 @@ def _real_rows(z):
     return out
 
 
-def _solve_direct(alpha, x, T):
-    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
-    A, b = _real_rows(moments), _real_rows(x)
+def _solve_direct(A, b):
     cond = _gram_condition(A)
     try:
-        coeffs = np.linalg.solve(A, b)
+        return np.linalg.solve(A, b), cond
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"moment system singular: {exc}")
-    return coeffs, moments @ coeffs - x, cond
 
 
-def _solve_dd(alpha, x, T, delta, M):
-    """Signed-frequency complex solve in the Gram of the divided-difference family.
+def _solve_dd(alpha, A, b, T, delta, M):
+    """The real Gram A solved in divided-difference coordinates.
 
-    The signed family is alpha_{-k} = -alpha_k with conjugate targets (the
-    zero frequency enters once), and the equations read A d = x with A[p, q]
-    the integral of e^{i (alpha_p + alpha_q) t}.  The family is symmetric, so
-    G = A[:, ::-1] is the Hermitian Gram of the exponentials and G c = x for
-    c = d[::-1].  With c = W y, W = blockdiag(F_m) the divided-difference
-    matrix, this is (W^T G W) y = W^T x: the Gram of the divided differences,
-    solved with Jacobi (unit-diagonal) scaling, whose condition number is the
-    frame-bound ratio of the scaled family.
+    With coefficients c = W y for a real block-diagonal W, A c = b becomes
+    (W^T A W) y = W^T b, solved with Jacobi (unit-diagonal) scaling; its
+    condition number is the frame-bound ratio of the scaled family.  W comes
+    from the clusters of alpha (_dictionary_blocks) and is applied block by
+    block, never formed.
     """
-    K = alpha.size
-    signed = _signed(alpha)                               # ascending, 2K-1 entries
-    labels = np.concatenate([-np.arange(K, 1, -1), np.arange(1, K + 1)])
-    xt = np.concatenate([np.conj(x[:0:-1]), x])
-    part = build_partition(signed, delta, M, labels=labels)
-    blocks = _dd_blocks(part, T)
-    A = exp_inner(signed[:, None] + signed, T)
-    H = _block_gram(part, blocks, A[:, ::-1])
-    diag = H.diagonal().real
+    positions, blocks = _dictionary_blocks(build_partition(alpha, delta, M), T)
+    H = _congruence(positions, blocks, A)
+    diag = H.diagonal()
     if not np.all(diag > 0):
         raise NumericalError("divided-difference Gram has a non-positive diagonal; increase T")
     s = 1.0 / np.sqrt(diag)
     Hs = s[:, None] * H * s
     cond = _gram_condition(Hs)
     try:
-        z = np.linalg.solve(Hs, s * _apply_blocks(part, blocks, xt, transpose=True))
+        z = np.linalg.solve(Hs, s * _apply_blocks(positions, blocks, b, transpose=True))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"divided-difference moment system singular: {exc}")
-    d = _apply_blocks(part, blocks, s * z)[::-1]
-
-    # collapse e^{+-i a t} pairs onto the real dictionary: d[K - 1 + k] is on
-    # alpha_k, d[K - 1 - k] on -alpha_k
-    pos, neg = d[K:], d[K - 2::-1]
-    coeffs = np.empty(2 * K - 1)
-    coeffs[0] = d[K - 1].real
-    coeffs[1::2] = (pos + neg).real
-    coeffs[2::2] = (neg - pos).imag
-    defect = _imag_moment_defect(signed, d, A)
-    resid = _moment_matrix(A[K - 1:]) @ coeffs - x
-    return MomentSolution(horizon=T, dictionary=_dictionary(alpha), coefficients=coeffs,
-                          residuals=resid, gram_condition=cond,
-                          imag_moment_defect=defect, mode="dd_preconditioned")
+    return _apply_blocks(positions, blocks, s * z), cond
 
 
-def _imag_moment_defect(signed, d, A):
-    """max_k | integral of Im(u) e^{i alpha_k t} | for u = sum d_q e^{i alpha_q t}.
+def _dictionary_blocks(partition: ClusterPartition, T: float):
+    """The divided-difference blocks of a partition of alpha, placed on the real dictionary.
 
-    A[k, q] is the integral of e^{i (alpha_k + alpha_q) t}.
+    Dictionary index 0 is the constant (cos 0 t), 2k - 1 is cos alpha_k t and
+    2k is sin alpha_k t.  Each cluster's block acts on its cos columns and
+    again on its sin columns.  The cluster holding alpha_0 = 0 has no sin 0 t:
+    its sin columns take the block over its nonzero alphas.
     """
-    # Im u = (u - conj u) / 2i has coefficients (d_q - conj(d_{q'}))/2i on e^{i a_q}
-    # against the mirrored index q' (the first alpha within 1e-12 of -alpha_q)
-    mirror = np.minimum(np.searchsorted(signed, -signed - 1e-12), signed.size - 1)
-    found = np.abs(signed[mirror] + signed) <= 1e-12
-    conj_coeff = np.where(found, np.conj(d[mirror]), 0.0)
-    im_coeff = (d - conj_coeff) / 2j
-    return float(np.max(np.abs(A @ im_coeff)))
+    positions, out = [], []
+    for (s, e), F in zip(partition.clusters, _dd_blocks(partition, T)):
+        k = np.arange(s, e)
+        positions.append(np.maximum(2 * k - 1, 0))
+        out.append(F)
+        if s == 0:
+            k = k[1:]
+            if k.size == 0:
+                continue
+            F = dd_matrix(partition.frequencies[1:e])
+        positions.append(2 * k)
+        out.append(F)
+    return positions, out
 
 
 def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, float]:
@@ -549,8 +549,8 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
     part, blocks = system.partition, system.blocks
     E = exponential_gram(part.frequencies, system.horizon)
     # <u_m, e_j>: u_m = sum_q Ginv[q, m] xi_q, xi in e-coords via W
-    U_e = _apply_blocks(part, blocks, Ginv)          # e-coordinates of the u family (columns)
-    inner_ue = U_e.conj().T @ E                      # <u_m, e_j>
-    inner_we = _apply_blocks(part, blocks, inner_ue)  # rows: w_k against e_j
+    U_e = _apply_blocks(part.positions, blocks, Ginv)          # e-coordinates of the u family
+    inner_ue = U_e.conj().T @ E                                # <u_m, e_j>
+    inner_we = _apply_blocks(part.positions, blocks, inner_ue)  # rows: w_k against e_j
     dev2 = float(np.max(np.abs(inner_we - np.eye(n))))
     return dev1, dev2

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -492,6 +495,55 @@ def test_moment_solve_bad_input_file_exit_code(tmp_path, capsys, which, extra_ro
                      "--target", str(files["target"]), "--T", "1.0"]) == EXIT_VALIDATION
     assert f"{which} file {bad}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("which, value, message", [
+    ("freqs", "nan", "lambdas[2] = nan"), ("freqs", "inf", "lambdas[2] = inf"),
+    ("target", "nan", "x[2] = (nan+0j)"), ("target", "-inf", "x[2] = (-inf+0j)")])
+def test_moment_solve_non_finite_input_exit_code(tmp_path, capsys, which, value, message):
+    # float() accepts nan and inf: a nan frequency ended in a LinAlgError traceback, a nan
+    # target in exit 3 blaming nearly equal frequencies
+    lambdas = [(k * math.pi) ** 2 for k in range(1, 7)]
+    targets = [1.0, 0, 0, 0, 0, 0]
+    (lambdas if which == "freqs" else targets)[2] = float(value)
+    freqs, target = write_moment_inputs(tmp_path, lambdas, targets)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
+                     "--target", str(target), "--T", "1.0"]) == EXIT_VALIDATION
+    assert f"{message} is not finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_dispatch_in_one_process_matches_fresh_processes(problem, tmp_path, capfd, monkeypatch):
+    # the parser is built once per process: repeated and failed parses must leave no trace
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage lines to the terminal width
+    freqs, target = write_moment_inputs(tmp_path, [(k * math.pi) ** 2 for k in range(1, 7)],
+                                        [1.0, 0.5j, 0, 0, 0.25, 0])
+    runs = [["spectrum", "--problem", str(problem), "--modes", "6"],
+            ["moment-solve", "--freqs", str(freqs), "--target", str(target), "--T", "1.0",
+             "--samples", "11", "--mode", "dd_preconditioned"],
+            ["spectrum", "--problem", str(problem), "--modes", "abc"],
+            ["spectrum", "--problem", str(problem), "--modes", "5"]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    codes = []
+    for i, args in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        code = dispatch(["--out-dir", str(here)] + args)
+        err = capfd.readouterr().err
+        proc = subprocess.run([sys.executable, "-c", "from graphctrl.cli import main; main()",
+                               "--out-dir", str(fresh)] + args,
+                              capture_output=True, text=True, env=env)
+        assert (code, err) == (proc.returncode, proc.stderr)
+        codes.append(code)
+        assert sorted(p.name for p in here.glob("*")) == sorted(p.name for p in fresh.glob("*"))
+        for path in here.glob("*"):
+            if path.name == "manifest.json":
+                mine, theirs = (json.loads(p.read_text()) for p in (path, fresh / path.name))
+                del mine["wall_time_s"], theirs["wall_time_s"]
+                assert mine == theirs
+            else:
+                assert read(path) == read(fresh / path.name)
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
 
 
 @pytest.mark.parametrize("samples", ["0", "1", "-5"])

@@ -245,6 +245,30 @@ def test_controls_validated_at_construction(make):
         make()
 
 
+@pytest.mark.parametrize("lam, B, message", [
+    ([0.0, math.nan, 2.0], np.eye(3), r"eigenvalues\[1\] = nan"),
+    ([0.0, 1.0, math.inf], np.eye(3), r"eigenvalues\[2\] = inf"),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0, 0.0], [1.0, 0.0, math.nan], [0.0, math.nan, 0.0]],
+     r"coupling matrix\[1, 2\] = nan"),
+    ([0.0, 1.0], [[0.0, -math.inf], [-math.inf, 0.0]], r"coupling matrix\[0, 1\] = -inf"),
+], ids=["lambda_nan", "lambda_inf", "coupling_nan", "coupling_inf"])
+def test_galerkin_system_rejects_non_finite_input(lam, B, message):
+    # a nan eigenvalue passed the ascending check; a nan coupling read as "not symmetric"
+    with pytest.raises(ValidationError, match=message + " is not finite"):
+        GalerkinSystem(lam=lam, B=B)
+
+
+@pytest.mark.parametrize("evolve", [propagate, propagate_reversed])
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)], ids=["nan", "inf"])
+def test_propagation_rejects_non_finite_initial_state(evolve, bad):
+    # abs(nan - 1) > 1e-12 is False, so a nan state ran and returned a nan final state
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0], psi0[3] = 1.0, bad
+    u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05)])
+    with pytest.raises(ValidationError, match=r"initial state\[3\] = .* is not finite"):
+        evolve(interval_system(), psi0, u, n_steps=64)
+
+
 def test_time_reversal_returns_initial_state():
     sys8 = interval_system()
     u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05), (8 * PI**2, "sin", 0.03)])

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from graphctrl import moment
 from graphctrl.errors import NumericalError, ValidationError
-from graphctrl.moment import (_block_gram, _dd_blocks, _gram_condition, _moment_matrix, _real_rows,
-                              _signed, build_dd_system, build_partition, check_trace_bounds,
-                              dd_matrix, estimate_gap_parameters, exp_inner, exponential_gram,
-                              solve_moment, verify_biorthogonality)
+from graphctrl.moment import (_block_gram, _congruence, _dd_blocks, _dictionary_blocks,
+                              _gram_condition, _moment_matrix, _real_rows, _signed,
+                              build_dd_system, build_partition, check_trace_bounds, dd_matrix,
+                              estimate_gap_parameters, exp_inner, exponential_gram, solve_moment,
+                              verify_biorthogonality)
+from graphctrl.spectrum import solve_spectrum
+
+from conftest import star
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -380,3 +385,97 @@ def test_residual_gate_raises_instead_of_returning(mode):
     lam = eps_pair_family(1e-5)
     with pytest.raises(NumericalError, match="moment residual"):
         solve_moment(lam, random_targets(3, lam.size), 4.0, mode=mode)
+
+
+# -- the divided-difference mode on the real dictionary --------------------------
+
+def dense_dictionary_weights(alpha, part):
+    """W on the dictionary {1, cos alpha_k t, sin alpha_k t}, built entry by entry.
+
+    A cluster's divided differences act on its cos columns (the constant is
+    cos 0 t) and on its sin columns; sin 0 t does not exist, so the sin
+    columns of the cluster holding alpha_0 = 0 take its nonzero alphas only.
+    """
+    n = 2 * alpha.size - 1
+    cos = [0] + list(range(1, n, 2))
+    sin = [None] + list(range(2, n, 2))
+    W = np.zeros((n, n))
+    for s, e in part.clusters:
+        ks = list(range(s, e))
+        nonzero = [k for k in ks if k > 0]
+        for index, nodes in (([cos[k] for k in ks], ks), ([sin[k] for k in nonzero], nonzero)):
+            if nodes:
+                W[np.ix_(index, index)] = dd_matrix(alpha[nodes])
+    return W
+
+
+@pytest.mark.parametrize("alpha, delta, M, T, zero_size", [
+    (eps_pair_family(1e-2), None, None, 4.0, 1),
+    (np.array([0.0, 0.3, 3.0, 3.4, 7.0]), 1.0, 3, 8.0, 2),
+    (np.array([0.0, 0.3, 0.7, 5.0, 5.4, 9.0, 9.2]), 1.0, 4, 8.0, 3),
+    ((np.arange(1, 65) * PI) ** 2 - PI ** 2, None, None, 1.0, 3),
+])
+def test_dictionary_blocks_match_dense_weights(alpha, delta, M, T, zero_size):
+    part = build_partition(alpha, delta, M)
+    assert part.sizes[0] == zero_size
+    A = _real_rows(_moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T)))
+    W = dense_dictionary_weights(alpha, part)
+    dense = W.T @ A @ W
+    positions, blocks = _dictionary_blocks(part, T)
+    assert sorted(np.concatenate(positions).tolist()) == list(range(A.shape[0]))
+    got = _congruence(positions, blocks, A)
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def two_star_frequencies(K):
+    return solve_spectrum(star([1.0, math.sqrt(2.0)]), K).eigenvalues[:K]
+
+
+@pytest.mark.parametrize("family", ["interval", "star2"])
+def test_dd_mode_is_real_and_agrees_with_direct(family):
+    K = 64
+    if family == "interval":
+        lam, T = (np.arange(1, K + 1) * PI) ** 2, 1.0
+    else:
+        lam = two_star_frequencies(K)
+        T = 1.5 * TWO_PI / float(np.min(np.diff(lam)))
+    x = random_targets(7, K)
+    direct = solve_moment(lam, x, T, mode="direct")
+    dd = solve_moment(lam, x, T, mode="dd_preconditioned")
+    assert direct.imag_moment_defect == 0.0 and dd.imag_moment_defect == 0.0
+    assert dd.coefficients.dtype == float and dd.dictionary == direct.dictionary
+    rel = np.max(np.abs(dd.coefficients - direct.coefficients)) / np.max(np.abs(direct.coefficients))
+    assert rel <= 1e-12
+    assert dd.max_residual <= 1e-12 * np.max(np.abs(x))
+    assert dd.gram_condition < 200
+
+
+def test_dd_mode_builds_no_signed_family_matrix(monkeypatch):
+    # the only exponential integrals are the K x (2K - 1) moments of the real dictionary
+    shapes = []
+
+    def recording(omega, T):
+        shapes.append(np.shape(omega))
+        return exp_inner(omega, T)
+
+    monkeypatch.setattr(moment, "exp_inner", recording)
+    K = 32
+    solve_moment((np.arange(1, K + 1) * PI) ** 2, random_targets(2, K), 1.0,
+                 mode="dd_preconditioned")
+    assert shapes == [(K, 2 * K - 1)]
+
+
+@pytest.mark.parametrize("lam, x, message", [
+    ([1.0, math.nan, 9.0], [1.0, 0.0, 0.0], r"lambdas\[1\] = nan"),
+    ([1.0, 4.0, math.inf], [1.0, 0.0, 0.0], r"lambdas\[2\] = inf"),
+    ([1.0, 4.0, 9.0], [1.0, complex(0.5, math.nan), 0.0], r"x\[1\]"),
+    ([1.0, 4.0, 9.0], [1.0, 0.0, complex(-math.inf, 0.0)], r"x\[2\]"),
+    ([-math.inf, 4.0, math.nan], [math.nan, 0.0], r"lambdas\[0\] = -inf"),
+    ([1.0, 4.0], [1.0, math.nan, 0.0, 0.0], r"x\[1\]"),
+], ids=["lambda_nan", "lambda_inf", "target_nan", "target_inf", "first_bad_index",
+        "before_length_check"])
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_non_finite_input_rejected_first(lam, x, message, mode):
+    # a nan frequency ended in LinAlgError; a nan target in a residual-gate NumericalError
+    with pytest.raises(ValidationError, match=message + ".* is not finite"):
+        solve_moment(lam, x, TWO_PI, mode=mode)
