@@ -188,7 +188,8 @@ def cmd_moment_solve(args, runner: Runner):
     targets = _read_input(args.target, "target", lambda fh: [
         complex(float(row["re_x"]), float(row["im_x"])) for row in csv.DictReader(fh)])
     sol = moment.solve_moment(lambdas, targets, args.T, mode=args.mode)
-    runner.write_csv("control.csv", ["t", "u"], sol.samples(args.samples))
+    t = np.linspace(0.0, args.T, args.samples)
+    runner.write_csv("control.csv", ["t", "u"], [t, sol.control(t)])
     runner.write_json("moment_diagnostics.json", {
         "mode": sol.mode,
         "max_residual": sol.max_residual,

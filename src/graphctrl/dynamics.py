@@ -11,24 +11,28 @@ window of that map starts where the drive is even, so the map is multiplied
 out from the steps of half a period, and the powers between records come
 from repeated squaring.
 
-Also here: the first-order (linearized) response used to validate moment
-controls, the bracket-closure dimension count behind the finite-dimensional
-controllability criterion, and resonant population-transfer synthesis.  The
-closure brackets each pair generator with the whole frontier as one block
-(two rows and two columns move; no matrix product) and tests the block's rank
-gain with one projection onto the current span, in n^2 real su(n)
-coordinates, before the per-bracket Gram-Schmidt test.
+Controls are a graphctrl.moment.TrigControl (imported here) or a
+piecewise-constant SampledControl; both give their moments, the integrals of
+u(t) e^{i alpha t}, as one array over alpha.  Also here: the first-order
+(linearized) response -i B[k, 0] times those moments at alpha_k = lambda_k -
+lambda_1, used to validate moment controls; the bracket-closure dimension
+count behind the finite-dimensional controllability criterion; and resonant
+population-transfer synthesis.  The closure brackets each pair generator
+with the whole frontier as one block (two rows and two columns move; no
+matrix product) and tests the block's rank gain with one projection onto the
+current span, in n^2 real su(n) coordinates, before the per-bracket
+Gram-Schmidt test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, require_finite
-from .moment import exp_inner
+from .moment import TrigControl, exp_inner
 
 
 @dataclass
@@ -57,73 +61,6 @@ class GalerkinSystem:
 # ---------------------------------------------------------------------------
 # control signals
 
-def _require_finite(name, value, positive=False):
-    if not (math.isfinite(value) and (value > 0 or not positive)):
-        raise ValidationError(f"{name} must be finite{' and > 0' if positive else ''}, got {value!r}")
-
-
-@dataclass
-class TrigControl:
-    """u(t) = const + sum of coeff * cos/sin(freq t) on [0, horizon]."""
-
-    horizon: float
-    const: float = 0.0
-    terms: list[tuple[float, str, float]] = field(default_factory=list)  # (freq, "cos"|"sin", coeff)
-
-    def __post_init__(self):
-        _require_finite("control horizon", self.horizon, positive=True)
-        _require_finite("control constant", self.const)
-        for freq, kind, c in self.terms:
-            if kind not in ("cos", "sin"):
-                raise ValidationError(f"control term kind must be 'cos' or 'sin', got {kind!r}")
-            _require_finite("control frequency", freq)
-            _require_finite("control coefficient", c)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.const, dtype=float)
-        for freq, kind, c in self.terms:
-            out = out + c * (np.cos(freq * t) if kind == "cos" else np.sin(freq * t))
-        return out
-
-    def moment_integral(self, alpha: float) -> complex:
-        """Closed form of the integral of u(t) e^{i alpha t} over (0, horizon)."""
-        total = self.const * exp_inner(alpha, self.horizon)
-        for freq, kind, c in self.terms:
-            plus = exp_inner(alpha + freq, self.horizon)
-            minus = exp_inner(alpha - freq, self.horizon)
-            total += c * (0.5 * (plus + minus) if kind == "cos" else (plus - minus) / 2j)
-        return total
-
-    @property
-    def max_frequency(self) -> float:
-        return max([abs(f) for f, _, _ in self.terms], default=0.0)
-
-    @property
-    def period(self) -> float | None:
-        freqs = sorted({abs(f) for f, _, _ in self.terms if f != 0.0})
-        if len(freqs) != 1:
-            return None
-        return 2 * math.pi / freqs[0]
-
-    @property
-    def even_time(self) -> float:
-        """A time t0 in [0, period/2) about which a single-frequency u is even.
-
-        const + A cos(wt) + B sin(wt) = const + R cos(w(t - t0)) with
-        t0 = atan2(B, A) / w, taken modulo half a period since a sinusoid is
-        even about its minima as well as its maxima: 0 for every cosine drive.
-        """
-        omega = 2 * math.pi / self.period
-        A = sum(c for f, k, c in self.terms if f != 0.0 and k == "cos")
-        B = sum(c if f > 0 else -c for f, k, c in self.terms if f != 0.0 and k == "sin")
-        return (math.atan2(B, A) % math.pi) / omega
-
-    def scaled(self, factor: float) -> "TrigControl":
-        return TrigControl(horizon=self.horizon, const=factor * self.const,
-                           terms=[(f, k, factor * c) for f, k, c in self.terms])
-
-
 def resonant_pulse(amplitude: float, frequency: float, horizon: float) -> TrigControl:
     return TrigControl(horizon=horizon, terms=[(frequency, "cos", amplitude)])
 
@@ -139,9 +76,9 @@ class SampledControl:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("control samples must be a non-empty list of numbers")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValidationError("control samples must be finite")
-        _require_finite("control sample step dt", self.dt, positive=True)
+        require_finite("control samples", self.samples)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"control sample step dt must be finite and > 0, got {self.dt!r}")
 
     @property
     def horizon(self) -> float:
@@ -152,15 +89,17 @@ class SampledControl:
         idx = np.clip((t / self.dt).astype(int), 0, self.samples.size - 1)
         return self.samples[idx]
 
-    def moment_integral(self, alpha: float) -> complex:
-        total = 0.0 + 0.0j
-        for i, u in enumerate(self.samples):
-            a, b = i * self.dt, (i + 1) * self.dt
-            if alpha == 0.0:
-                total += u * (b - a)
-            else:
-                total += u * (np.exp(1j * alpha * b) - np.exp(1j * alpha * a)) / (1j * alpha)
-        return complex(total)
+    def moments(self, alpha):
+        """Integral of u(t) e^{i alpha t} over (0, horizon), elementwise over alpha.
+
+        Sample i contributes u_i e^{i alpha i dt} times the integral of
+        e^{i alpha t} over one step.  The phases are formed one alpha at a
+        time, so memory stays O(len(samples)) however many alphas are asked.
+        """
+        alpha = np.asarray(alpha, dtype=float)
+        t = np.arange(self.samples.size) * self.dt
+        sums = np.array([np.exp(1j * a * t) @ self.samples for a in alpha.ravel()])
+        return sums.reshape(alpha.shape) * exp_inner(alpha, self.dt)
 
     @property
     def max_frequency(self) -> float:
@@ -376,9 +315,7 @@ def linearized_response(system: GalerkinSystem, control) -> np.ndarray:
 
     gamma_k = -i B[k, 0] * integral of u(t) e^{i (lambda_k - lambda_1) t}.
     """
-    alpha = system.lam - system.lam[0]
-    return np.array([-1j * system.B[k, 0] * control.moment_integral(alpha[k])
-                     for k in range(system.dim)])
+    return -1j * system.B[:, 0] * control.moments(system.lam - system.lam[0])
 
 
 def first_order_prediction(system: GalerkinSystem, control) -> np.ndarray:

@@ -20,6 +20,12 @@ dictionary's real Gram.  The divided-difference mode clusters the alpha's and
 recombines each cluster's cos columns, and again its sin columns, into
 divided differences; the cluster holding alpha_0 = 0 recombines {1, cos} over
 all its alphas and its sin columns over its nonzero ones, since sin 0 t = 0.
+The solution's control is a TrigControl over that dictionary.
+
+TrigControl, the trigonometric control that the dynamics propagate, lives
+here beside exp_inner: its moments, the integrals of u(t) e^{i alpha t}, are
+one exp_inner call at alpha + (0, f, -f) over its terms, the same closed
+form as the moment matrix.
 """
 
 from __future__ import annotations
@@ -101,13 +107,7 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
         raise ValidationError("delta must be positive and M >= 1")
     validate_gap_condition(freqs, delta, M)
 
-    clusters = []
-    start = 0
-    for i in range(freqs.size - 1):
-        if freqs[i + 1] - freqs[i] >= delta:
-            clusters.append((start, i + 1))
-            start = i + 1
-    clusters.append((start, freqs.size))
+    clusters = _greedy_clusters(freqs, delta)
     limit = 1 if M == 1 else M - 1
     for s, e in clusters:
         if e - s > limit:
@@ -138,22 +138,15 @@ def estimate_gap_parameters(freqs: np.ndarray, m_max: int = 10) -> tuple[float, 
     for M, d in deltas.items():
         if d < 0.5 * best or d <= 0:
             continue
-        sizes = _greedy_sizes(freqs, d)
-        if max(sizes) <= (1 if M == 1 else M - 1):
+        if max(e - s for s, e in _greedy_clusters(freqs, d)) <= (1 if M == 1 else M - 1):
             return (d, M)
     return (best, max(deltas, key=deltas.get))
 
 
-def _greedy_sizes(freqs, delta):
-    sizes, run = [], 1
-    for g in np.diff(freqs):
-        if g >= delta:
-            sizes.append(run)
-            run = 1
-        else:
-            run += 1
-    sizes.append(run)
-    return sizes
+def _greedy_clusters(freqs, delta) -> list[tuple[int, int]]:
+    """[start, end) runs of freqs, cut after every position whose next gap is >= delta."""
+    cuts = (np.flatnonzero(np.diff(freqs) >= delta) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [len(freqs)]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +217,74 @@ def exp_inner(omega, T: float):
     return complex(out) if out.ndim == 0 else out
 
 
+@dataclass
+class TrigControl:
+    """u(t) = const + sum of coeff * cos/sin(freq t) on [0, horizon]."""
+
+    horizon: float
+    const: float = 0.0
+    terms: list[tuple[float, str, float]] = field(default_factory=list)  # (freq, "cos"|"sin", coeff)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValidationError(f"control horizon must be finite and > 0, got {self.horizon!r}")
+        require_finite("control constant", self.const)
+        for _, kind, _ in self.terms:
+            if kind not in ("cos", "sin"):
+                raise ValidationError(f"control term kind must be 'cos' or 'sin', got {kind!r}")
+        require_finite("control frequencies", [f for f, _, _ in self.terms])
+        require_finite("control coefficients", [c for _, _, c in self.terms])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.full_like(t, self.const, dtype=float)
+        for freq, kind, c in self.terms:
+            out = out + c * (np.cos(freq * t) if kind == "cos" else np.sin(freq * t))
+        return out
+
+    def moments(self, alpha):
+        """Closed-form integrals of u(t) e^{i alpha t} over (0, horizon), elementwise over alpha.
+
+        One exp_inner call at alpha + s for the offsets s = (0, f, -f) of the
+        constant and of each term, weighted by const and, per term, c/2 and c/2
+        (cos) or c/2i and -c/2i (sin).
+        """
+        offsets = [0.0] + [s * f for f, _, _ in self.terms for s in (1.0, -1.0)]
+        weights = [self.const] + [w for _, kind, c in self.terms
+                                  for w in ((c / 2, c / 2) if kind == "cos" else (c / 2j, -c / 2j))]
+        alpha = np.asarray(alpha, dtype=float)
+        inner = exp_inner(alpha[..., None] + np.array(offsets), self.horizon)
+        return inner @ np.array(weights, dtype=complex)
+
+    @property
+    def max_frequency(self) -> float:
+        return max([abs(f) for f, _, _ in self.terms], default=0.0)
+
+    @property
+    def period(self) -> float | None:
+        freqs = sorted({abs(f) for f, _, _ in self.terms if f != 0.0})
+        if len(freqs) != 1:
+            return None
+        return 2 * math.pi / freqs[0]
+
+    @property
+    def even_time(self) -> float:
+        """A time t0 in [0, period/2) about which a single-frequency u is even.
+
+        const + A cos(wt) + B sin(wt) = const + R cos(w(t - t0)) with
+        t0 = atan2(B, A) / w, taken modulo half a period since a sinusoid is
+        even about its minima as well as its maxima: 0 for every cosine drive.
+        """
+        omega = 2 * math.pi / self.period
+        A = sum(c for f, k, c in self.terms if f != 0.0 and k == "cos")
+        B = sum(c if f > 0 else -c for f, k, c in self.terms if f != 0.0 and k == "sin")
+        return (math.atan2(B, A) % math.pi) / omega
+
+    def scaled(self, factor: float) -> "TrigControl":
+        return TrigControl(horizon=self.horizon, const=factor * self.const,
+                           terms=[(f, k, factor * c) for f, k, c in self.terms])
+
+
 def exponential_gram(freqs: np.ndarray, T: float) -> np.ndarray:
     """Hermitian Gram <e_p, e_q> = integral of e^{i (nu_q - nu_p) t}."""
     E = exp_inner(freqs[None, :] - freqs[:, None], T)
@@ -251,7 +312,7 @@ def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
 def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceSystem:
     """Assemble the divided-difference family and its Gram frame bounds."""
     blocks = _dd_blocks(partition, T)
-    G = _block_gram(partition, blocks, exponential_gram(partition.frequencies, T))
+    G = _congruence(partition.positions, blocks, exponential_gram(partition.frequencies, T))
     G = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(G)
     traces = [float(np.sum(F * F)) for F in blocks]
@@ -278,11 +339,6 @@ def _apply_blocks(positions, blocks, X, transpose: bool = False) -> np.ndarray:
         Xc = X[rows]
         out[rows] = (F @ Xc.reshape(len(members), size, -1)).reshape(Xc.shape)
     return out
-
-
-def _block_gram(partition: ClusterPartition, blocks, G: np.ndarray) -> np.ndarray:
-    """W^T G W for W = blockdiag(F_m): the Gram of the divided-difference family."""
-    return _congruence(partition.positions, blocks, G)
 
 
 def _congruence(positions, blocks, G: np.ndarray) -> np.ndarray:
@@ -335,30 +391,12 @@ def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceB
 
 @dataclass
 class MomentSolution:
-    horizon: float
-    dictionary: list[tuple[float, str]]   # (frequency, "const" | "cos" | "sin")
-    coefficients: np.ndarray              # real coefficients over the dictionary
+    control: TrigControl                  # const, then cos and sin at each alpha_k, k >= 1
+    coefficients: np.ndarray              # the same, over the dictionary {1, cos alpha_k t, sin alpha_k t}
     residuals: np.ndarray                 # complex, per target equation
     gram_condition: float
     imag_moment_defect: float             # max |moment of Im u|: 0.0, the coefficients are real
     mode: str
-
-    def control(self, t):
-        """Evaluate the reconstructed real control."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for (freq, kind), c in zip(self.dictionary, self.coefficients):
-            if kind == "const":
-                out = out + c
-            elif kind == "cos":
-                out = out + c * np.cos(freq * t)
-            else:
-                out = out + c * np.sin(freq * t)
-        return out
-
-    def samples(self, n: int):
-        t = np.linspace(0.0, self.horizon, n)
-        return t, self.control(t)
 
     @property
     def max_residual(self) -> float:
@@ -404,16 +442,21 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         coeffs, cond = _solve_direct(A, b)
     else:
         coeffs, cond = _solve_dd(alpha, A, b, T, delta, M)
-    sol = MomentSolution(horizon=T, dictionary=_dictionary(alpha), coefficients=coeffs,
-                         residuals=moments @ coeffs - x, gram_condition=cond,
-                         imag_moment_defect=0.0, mode=mode)
+    # the gate runs before the control is built: a non-finite coefficient is a numerical
+    # failure (exit 3), which TrigControl would report as invalid input
+    residuals = moments @ coeffs - x
+    worst = float(np.max(np.abs(residuals)))
     limit = RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(x))))
-    if not sol.max_residual <= limit:
+    if not worst <= limit:
         raise NumericalError(
-            f"moment residual {sol.max_residual:.3g} above {limit:.3g} "
-            f"({mode} solve, Gram condition {sol.gram_condition:.3g}): the solve lost "
+            f"moment residual {worst:.3g} above {limit:.3g} "
+            f"({mode} solve, Gram condition {cond:.3g}): the solve lost "
             f"accuracy, most likely to nearly equal frequencies")
-    return sol
+    terms = list(zip(np.repeat(alpha[1:], 2).tolist(), ("cos", "sin") * (K - 1),
+                     coeffs[1:].tolist()))
+    return MomentSolution(control=TrigControl(horizon=T, const=float(coeffs[0]), terms=terms),
+                          coefficients=coeffs, residuals=residuals, gram_condition=cond,
+                          imag_moment_defect=0.0, mode=mode)
 
 
 def _gram_condition(S: np.ndarray) -> float:
@@ -428,14 +471,6 @@ def _gram_condition(S: np.ndarray) -> float:
             f"moment system condition {cond:.3g} above {CONDITION_LIMIT:.0e}; "
             f"increase T (the Riesz window needs T > 2 pi / delta)")
     return cond
-
-
-def _dictionary(alpha):
-    dictionary = [(0.0, "const")]
-    for a in alpha[1:]:
-        dictionary.append((float(a), "cos"))
-        dictionary.append((float(a), "sin"))
-    return dictionary
 
 
 def _signed(alpha):

@@ -9,6 +9,7 @@ from hypothesis import settings
 from graphctrl.dynamics import LieClosureReport, admissible_pairs
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
+from graphctrl.moment import exp_inner
 from graphctrl.spectrum import TrigMode
 
 
@@ -323,6 +324,70 @@ def product_bound_reference(lengths, i1, x):
         prod_half = np.minimum(prod_half, ph)
         prod_int = np.minimum(prod_int, pi_)
     return np.minimum(prod_half, prod_int)
+
+
+# -- scalar moment integrals, control evaluation and greedy clusters -------------
+# The loops that graphctrl's array code replaced, kept as references for it.
+
+def trig_moment_integral_reference(control, alpha):
+    """Integral of a TrigControl u(t) e^{i alpha t} over (0, horizon), term by term."""
+    total = control.const * exp_inner(alpha, control.horizon)
+    for freq, kind, c in control.terms:
+        plus = exp_inner(alpha + freq, control.horizon)
+        minus = exp_inner(alpha - freq, control.horizon)
+        total += c * (0.5 * (plus + minus) if kind == "cos" else (plus - minus) / 2j)
+    return total
+
+
+def sampled_moment_integral_reference(control, alpha):
+    """Integral of a SampledControl u(t) e^{i alpha t} over (0, horizon), sample by sample."""
+    total = 0.0 + 0.0j
+    for i, u in enumerate(control.samples):
+        a, b = i * control.dt, (i + 1) * control.dt
+        if alpha == 0.0:
+            total += u * (b - a)
+        else:
+            total += u * (np.exp(1j * alpha * b) - np.exp(1j * alpha * a)) / (1j * alpha)
+    return complex(total)
+
+
+def moment_control_reference(alpha, coefficients, t):
+    """The moment control over the real dictionary {1, cos alpha_k t, sin alpha_k t}, term by term."""
+    dictionary = [(0.0, "const")] + [(float(a), kind) for a in alpha[1:] for kind in ("cos", "sin")]
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for (freq, kind), c in zip(dictionary, coefficients):
+        if kind == "const":
+            out = out + c
+        elif kind == "cos":
+            out = out + c * np.cos(freq * t)
+        else:
+            out = out + c * np.sin(freq * t)
+    return out
+
+
+def greedy_clusters_reference(freqs, delta):
+    """[start, end) clusters of the greedy rule: cut wherever the next gap is >= delta."""
+    clusters, start = [], 0
+    for i in range(freqs.size - 1):
+        if freqs[i + 1] - freqs[i] >= delta:
+            clusters.append((start, i + 1))
+            start = i + 1
+    clusters.append((start, freqs.size))
+    return clusters
+
+
+def greedy_sizes_reference(freqs, delta):
+    """Cluster sizes of the greedy rule, counted run by run."""
+    sizes, run = [], 1
+    for g in np.diff(freqs):
+        if g >= delta:
+            sizes.append(run)
+            run = 1
+        else:
+            run += 1
+    sizes.append(run)
+    return sizes
 
 
 # -- admissible transition pairs ----------------------------------------------

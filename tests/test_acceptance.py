@@ -97,7 +97,7 @@ def test_criterion_05_moment_solvability():
             x[0] = x[0].real
             sol = solve_moment(lam, x, 1.0, mode="direct")
             assert sol.max_residual < 1e-8
-            # realness through the signed-symmetrization route
+            # realness: the divided-difference mode solves the real dictionary's Gram
             sol_dd = solve_moment(lam, x, 1.0, mode="dd_preconditioned")
             assert sol_dd.imag_moment_defect < 1e-12
             assert sol_dd.max_residual < 1e-8

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _Sp
                                 linearized_response, propagate, propagate_reversed,
                                 resonant_pulse, resonant_transfer, subsystem_transfer_demo)
 from graphctrl.errors import ValidationError
+from graphctrl.graph import load_problem
 from graphctrl.moment import solve_moment
-from graphctrl.potentials import ControlOperator, build_matrix, squared_shift_potential
+from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matrix,
+                                  squared_shift_potential)
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import admissible_pairs_reference, interval, lie_closure_reference, star
+from conftest import (admissible_pairs_reference, interval, lie_closure_reference,
+                      sampled_moment_integral_reference, star, trig_moment_integral_reference)
 
 PI = math.pi
+SAMPLES = Path(__file__).resolve().parents[1] / "sample_problems"
 
 
 def interval_system(K=8):
@@ -303,8 +308,8 @@ def test_linearized_matches_moment_solution():
     x[0] = x[0].real
     sol = solve_moment(lam, x, 1.0)
     u = TrigControl(horizon=1.0, const=sol.coefficients[0],
-                    terms=[(f, kind, c) for (f, kind), c in
-                           zip(sol.dictionary[1:], sol.coefficients[1:])])
+                    terms=[(f, kind, c) for (f, kind, _), c in
+                           zip(sol.control.terms, sol.coefficients[1:])])
     gamma = linearized_response(sys8, u)
     expected = -1j * x * sys8.B[:, 0]
     assert np.max(np.abs(gamma - expected)) < 1e-8
@@ -322,6 +327,89 @@ def test_first_order_remainder_is_quadratic():
         errs.append(np.linalg.norm(traj.final - first_order_prediction(sys8, u)))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert 3.5 < errs[1] / errs[2] < 4.5
+
+
+# -- array moments against the scalar references --------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trig_moments_match_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(-80.0, 80.0, 6)
+    kinds = rng.choice(["cos", "sin"], 6).tolist()
+    u = TrigControl(horizon=float(rng.uniform(0.5, 4.0)), const=float(rng.normal()),
+                    terms=list(zip(freqs.tolist(), kinds, rng.normal(size=6).tolist())))
+    # alpha = 0, +-f (a term's own frequency, negative ones included) and generic values
+    alpha = np.concatenate([[0.0], freqs, -freqs, rng.uniform(-100.0, 100.0, 8)])
+    ref = np.array([trig_moment_integral_reference(u, a) for a in alpha.tolist()])
+    got = u.moments(alpha)
+    assert got.shape == alpha.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert u.moments(alpha[3]) == pytest.approx(ref[3], rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_moments_match_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    dt = 0.005
+    u = SampledControl(samples=rng.normal(scale=0.5, size=200), dt=dt)
+    # the reference subtracts e^{i alpha a} from e^{i alpha b} and loses digits once
+    # 0 < |alpha| dt << 1, so the generic alphas keep |alpha| >= 1
+    generic = rng.choice([-1.0, 1.0], 8) * rng.uniform(1.0, 300.0, 8)
+    alpha = np.concatenate([[0.0], generic, [PI / dt, -PI / dt]])
+    ref = np.array([sampled_moment_integral_reference(u, a) for a in alpha.tolist()])
+    got = u.moments(alpha)
+    assert got.shape == alpha.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert u.moments(0.0) == pytest.approx(ref[0], rel=1e-13)
+
+
+# -- the linearization oracle -------------------------------------------------
+# At first order the endpoint map is u -> -i B[k, 0] * integral of u e^{i alpha_k t},
+# the moment problem: a moment control for x_k = i gamma_k / B[k, 0] reaches
+# e^{-i Lambda T} (e_1 + eps gamma) up to O(eps^2) once scaled by eps.
+
+def sample_system(name, K):
+    graph, op, _ = load_problem(SAMPLES / f"{name}.json")
+    basis = solve_spectrum(graph, K)
+    return basis, GalerkinSystem(lam=basis.eigenvalues, B=build_matrix(op, basis))
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_moment_control_passes_linearization_oracle(mode):
+    K, T = 12, 4.0
+    _, system = sample_system("star2_dirichlet", K)
+    rng = np.random.default_rng(12)
+    gamma = rng.normal(size=K) + 1j * rng.normal(size=K)
+    gamma[0] = 1j * gamma[0].imag      # tangent to the unit sphere at e_1
+    sol = solve_moment(system.lam, 1j * gamma / system.B[:, 0], T, mode=mode)
+    psi0 = np.zeros(K, dtype=complex)
+    psi0[0] = 1.0
+    errs = []
+    for eps in (1e-2, 5e-3, 2.5e-3):
+        u = sol.control.scaled(eps)
+        linear = linearized_response(system, u)
+        assert np.max(np.abs(linear - eps * gamma)) <= 1e-12 * eps * np.max(np.abs(gamma))
+        final = propagate(system, psi0, u, n_steps=20000).final
+        errs.append(np.linalg.norm(final - np.exp(-1j * system.lam * T) * (psi0 + eps * gamma)))
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+    assert 3.5 <= errs[1] / errs[2] <= 4.5
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_linearization_oracle_fails_where_coupling_vanishes(mode):
+    # the linear potential on (0, 1) has B[k, 0] = 0 at every odd k >= 3: there the
+    # hypothesis B[k, 0] != 0 fails and no moment control moves those modes at first order
+    K = 12
+    basis, system = sample_system("interval_dirichlet", K)
+    zeros = analyze_coupling(system.B, basis, K).zero_elements
+    assert zeros == [3, 5, 7, 9, 11]
+    x = np.ones(K)
+    response = linearized_response(system, solve_moment(system.lam, x, 1.0, mode=mode).control)
+    dead = np.array(zeros) - 1
+    live = np.setdiff1d(np.arange(K), dead)
+    assert np.max(np.abs(response[dead])) < 1e-14
+    col = system.B[:, 0]
+    assert np.max(np.abs(response[live] + 1j * col[live] * x[live])) <= 1e-12 * np.max(np.abs(col))
 
 
 # -- bracket closure ----------------------------------------------------------

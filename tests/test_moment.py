@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from graphctrl import moment
 from graphctrl.errors import NumericalError, ValidationError
-from graphctrl.moment import (_block_gram, _congruence, _dd_blocks, _dictionary_blocks,
-                              _gram_condition, _moment_matrix, _real_rows, _signed,
+from graphctrl.moment import (_congruence, _dd_blocks, _dictionary_blocks, _gram_condition,
+                              _greedy_clusters, _moment_matrix, _real_rows, _signed,
                               build_dd_system, build_partition, check_trace_bounds, dd_matrix,
                               estimate_gap_parameters, exp_inner, exponential_gram, solve_moment,
                               verify_biorthogonality)
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import star
+from conftest import (greedy_clusters_reference, greedy_sizes_reference,
+                      moment_control_reference, star)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -67,6 +70,21 @@ def test_partition_rejects_oversized_cluster():
     # valid window condition for M=3 but a greedy cluster of size 3 > M-1
     with pytest.raises(ValidationError, match="size 3"):
         build_partition([0.0, 0.3, 0.6, 1.8, 3.0, 4.2], delta=0.4, M=3)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=8), max_size=40),
+       st.integers(min_value=1, max_value=8))
+def test_greedy_clusters_match_scalar_loops(gaps, delta_units):
+    # gaps and delta are multiples of 1/8, so gap == delta ties compare exactly
+    freqs = np.cumsum([0.0] + gaps) / 8.0
+    delta = delta_units / 8.0
+    clusters = _greedy_clusters(freqs, delta)
+    assert clusters == greedy_clusters_reference(freqs, delta)
+    assert [e - s for s, e in clusters] == greedy_sizes_reference(freqs, delta)
+    part = build_partition(freqs, delta, M=freqs.size + 1)
+    assert part.clusters == clusters
+    assert all(type(i) is int for c in part.clusters for i in c)
 
 
 def shrinking_pairs(n_pairs):
@@ -134,8 +152,8 @@ def test_horizon_hypothesis_enforced():
 
 
 def test_preconditioned_solve_enforces_horizon():
-    # the signed family +-(0, 1.5, 3, 3.4) has pair clusters at +-(3, 3.4) for delta = 1, M = 3,
-    # so the window needs T >= 2 pi
+    # the shifted frequencies (0, 1.5, 3, 3.4) cluster as {0}, {1.5}, {3, 3.4} for delta = 1,
+    # M = 3, so the window needs T >= 2 pi
     lam = [0.0, 1.5, 3.0, 3.4]
     x = [1.0, 0.5j, 0.0, 0.25]
     with pytest.raises(ValidationError, match="T > 2 pi / delta"):
@@ -238,7 +256,7 @@ def test_moment_realness_mechanism():
     x[0] = x[0].real
     sol = solve_moment(lam, x, 1.0, mode="dd_preconditioned")
     assert sol.imag_moment_defect < 1e-12
-    # conjugate moments match conjugate targets (the signed-family identity)
+    # u is real, so its moments at -alpha_k are the conjugates of its moments at alpha_k
     t = np.linspace(0, 1.0, 2**15 + 1)
     u = sol.control(t)
     assert np.max(np.abs(u.imag)) == 0.0  # real dictionary representation
@@ -258,6 +276,16 @@ def test_moment_modes_agree():
     t = np.linspace(0, 1.0, 512)
     u1, u2 = s1.control(t), s2.control(t)
     assert np.max(np.abs(u1 - u2)) < 1e-6 * max(1.0, np.max(np.abs(u1)))
+
+
+@pytest.mark.parametrize("K", [40, 200])
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_moment_control_is_the_dictionary_evaluator_bitwise(mode, K):
+    lam = (np.arange(1, K + 1) * PI) ** 2
+    sol = solve_moment(lam, random_targets(9, K), 1.0, mode=mode)
+    t = np.linspace(0.0, 1.0, 1001)
+    ref = moment_control_reference(lam - lam[0], sol.coefficients, t)
+    assert sol.control(t).tobytes() == ref.tobytes()
 
 
 def test_moment_requires_real_first_target():
@@ -349,7 +377,8 @@ def test_block_applied_weights_match_dense_products(freqs, delta, M, T):
 
 
 def test_block_gram_of_signed_family_matches_dense():
-    # the Gram the divided-difference solve uses: A[:, ::-1] of the signed family
+    # the block congruence W^T G W on the Hermitian Gram G[p, q] = integral of
+    # e^{i (s_p - s_q) t} of a signed family s, whose clusters lie on both sides of 0
     alpha = eps_pair_family(1e-2)
     signed = _signed(alpha)
     part = build_partition(signed)
@@ -359,7 +388,7 @@ def test_block_gram_of_signed_family_matches_dense():
     assert max(part.sizes) == 2
     W = build_dd_system(part, 4.0).weights
     dense = W.T @ G @ W
-    assert np.max(np.abs(_block_gram(part, blocks, G) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(_congruence(part.positions, blocks, G) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -443,7 +472,8 @@ def test_dd_mode_is_real_and_agrees_with_direct(family):
     direct = solve_moment(lam, x, T, mode="direct")
     dd = solve_moment(lam, x, T, mode="dd_preconditioned")
     assert direct.imag_moment_defect == 0.0 and dd.imag_moment_defect == 0.0
-    assert dd.coefficients.dtype == float and dd.dictionary == direct.dictionary
+    assert dd.coefficients.dtype == float and ([t[:2] for t in dd.control.terms]
+                                               == [t[:2] for t in direct.control.terms])
     rel = np.max(np.abs(dd.coefficients - direct.coefficients)) / np.max(np.abs(direct.coefficients))
     assert rel <= 1e-12
     assert dd.max_residual <= 1e-12 * np.max(np.abs(x))
