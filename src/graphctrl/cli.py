@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -111,20 +110,14 @@ def _solve_from_problem(args):
         raise ValidationError(f"--modes must be >= 1, got {args.modes}")
     graph, control, settings = load_problem(args.problem)
     modes = settings.num_modes if args.modes is None else args.modes
-    basis = spectrum.solve_spectrum(graph, modes)
-    return graph, control, settings, basis
+    return graph, control, spectrum.solve_spectrum(graph, modes)
 
 
 def cmd_spectrum(args, runner: Runner):
-    graph, _, settings, basis = _solve_from_problem(args)
+    graph, _, basis = _solve_from_problem(args)
     header = ["k", "lambda", "omega", "multiplicity"] + [f"amp_{eid}" for eid in basis.edge_ids]
-    groups = [m.multiplicity_group for m in basis.modes]
-    counts = Counter(groups)
-    multiplicity = np.array([1 if g is None else counts[g] for g in groups])
-    amplitudes = np.array([[a for a, _ in m.per_edge] for m in basis.modes], dtype=float)
-    runner.write_csv("spectrum.csv", header, [np.array([m.index for m in basis.modes]),
-                                              basis.eigenvalues, basis.omegas, multiplicity,
-                                              *amplitudes.T])
+    runner.write_csv("spectrum.csv", header, [np.arange(1, len(basis) + 1), basis.eigenvalues,
+                                              basis.omegas, basis.multiplicity, *basis.amplitudes.T])
     report = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     lengths = check_length_set(graph.lengths)
     runner.write_json("spectrum_summary.json", {
@@ -139,7 +132,7 @@ def cmd_spectrum(args, runner: Runner):
 
 
 def cmd_check_assumptions(args, runner: Runner):
-    graph, control, settings, basis = _solve_from_problem(args)
+    graph, control, basis = _solve_from_problem(args)
     rep = potentials.analyze_coupling(control, basis, len(basis),
                                       tol_res=args.tol_res, floor=args.floor)
     vertex = potentials.check_vertex_compatibility(control, graph)
@@ -163,13 +156,13 @@ def cmd_check_assumptions(args, runner: Runner):
 
 
 def cmd_lowerbounds(args, runner: Runner):
-    graph, _, settings, basis = _solve_from_problem(args)
+    graph, _, basis = _solve_from_problem(args)
     sp = lowerbounds.build_secular_product(graph)
     fit = lowerbounds.fit_derivative_bound(sp, basis)
     # scalar powers: numpy's vectorized pow may differ from libm's in the last bit
     model = np.array([fit.constant / k ** (1 + fit.dtilde) for k in range(1, len(basis) + 1)])
     runner.write_csv("derivative_bound.csv", ["k", "sqrt_lambda", "abs_Gprime", "bound_model"],
-                     [np.array([m.index for m in basis.modes]), basis.omegas, fit.values, model])
+                     [np.arange(1, len(basis) + 1), basis.omegas, fit.values, model])
     runner.write_json("lowerbounds_summary.json", {
         "dtilde_fit": fit.dtilde,
         "constant": fit.constant,
@@ -222,7 +215,7 @@ def _control_from_file(path) -> dynamics.TrigControl | dynamics.SampledControl:
 
 
 def _galerkin_from_problem(args):
-    graph, control, settings, basis = _solve_from_problem(args)
+    _, control, basis = _solve_from_problem(args)
     B = potentials.build_matrix(control, basis)
     return basis, dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B)
 
@@ -253,9 +246,6 @@ def cmd_simulate(args, runner: Runner):
 
 def cmd_liealg(args, runner: Runner):
     basis, system = _galerkin_from_problem(args)
-    if system.dim > (cap := dynamics.LIE_CLOSURE_MAX_DIM):
-        raise ValidationError(f"bracket closure is capped at {cap} modes, {system.dim} requested: "
-                              f"rerun with --modes {cap} or fewer")
     rep = dynamics.lie_closure(system, resonance_tol=args.resonance_tol,
                                int_labels=basis.int_labels)
     runner.write_json("lie_closure.json", {
@@ -271,9 +261,9 @@ def cmd_liealg(args, runner: Runner):
 def cmd_report(args, runner: Runner):
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ValidationError(f"--eps must be finite and > 0, got {args.eps!r}")
-    graph, control, settings, basis = _solve_from_problem(args)
+    graph, control, basis = _solve_from_problem(args)
     out: dict = {"spectrum": {
-        "eigenvalues": [m.lam for m in basis.modes],
+        "eigenvalues": basis.eigenvalues,
         "weyl": basis.weyl_report,
         "sqrt_gap": {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
     }}

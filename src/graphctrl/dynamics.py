@@ -464,7 +464,9 @@ def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
     """
     n = system.dim
     if n > LIE_CLOSURE_MAX_DIM:
-        raise ValidationError(f"bracket closure capped at dimension {LIE_CLOSURE_MAX_DIM}, got {n}")
+        cap = LIE_CLOSURE_MAX_DIM
+        raise ValidationError(f"bracket closure is capped at {cap} modes, {n} requested: "
+                              f"rerun with --modes {cap} or fewer")
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
     gens = [(j - 1, k - 1, np.exp(1j * theta)) for (j, k) in pairs for theta in (0.0, math.pi / 2)]
 
@@ -499,12 +501,10 @@ class TransferResult:
     fidelity: float
     norm_drift: float
     boundary_population: float
-    trajectory: Trajectory | None = None
 
 
 def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitude: float,
-                      resonance_tol: float = 1e-8, int_labels=None,
-                      keep_trajectory: bool = False) -> TransferResult:
+                      resonance_tol: float = 1e-8, int_labels=None) -> TransferResult:
     """Population transfer source -> target (1-based) by a resonant pulse.
 
     u(t) = amplitude * cos(|lambda_m - lambda_n| t) over the first-order
@@ -544,8 +544,7 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
     boundary = float(pops[:, -2:].max()) if K >= max(source, target) + 3 else 0.0
     fid = float(abs(traj.final[nn]))
     return TransferResult(control=u, fidelity=fid, norm_drift=traj.norm_drift,
-                          boundary_population=boundary,
-                          trajectory=traj if keep_trajectory else None)
+                          boundary_population=boundary)
 
 
 @dataclass
@@ -578,18 +577,8 @@ def subsystem_transfer_demo(family: str, params: dict, source: int, target: int,
         B = potentials.build_matrix(op, basis)
         dropped = spectrum.equilateral_dropped_modes(max(2, num_modes // 2),
                                                      int(params.get("n_edges", 3)), L)
-        poly = potentials.squared_shift_potential(L)
-        worst = 0.0
         # B acts on edge 1 only, where the dropped family vanishes identically
-        for dm in dropped:
-            amp_d = dm.per_edge[0][0]
-            for k in range(1, num_modes + 1):
-                mk = basis.modes[k - 1]
-                acc = sum(c * potentials.trig_poly_integral(p, dm.omega, L,
-                                                            potentials.TrigKind.SINSIN, mk.omega)
-                          for p, c in enumerate(poly))
-                worst = max(worst, abs(amp_d * mk.per_edge[0][0] * acc))
-        dropped_max = worst
+        dropped_max = float(np.abs(potentials.coupling_block(op, dropped, basis)).max())
     else:
         B = potentials.build_exchange_matrix(basis)
         dropped_max = 0.0

@@ -112,7 +112,6 @@ class DerivativeBoundFit:
     worst_k: int
     raw_slope: float
     values: np.ndarray       # min(|G'(sqrt lam)|, |G'(-sqrt lam)|) per mode
-    envelope_values: np.ndarray
 
 
 def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None = None) -> DerivativeBoundFit:
@@ -132,7 +131,6 @@ def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None
     if np.any(vals == 0.0):
         k0 = int(np.argmin(vals)) + 1
         raise ValidationError(f"derivative vanishes at mode {k0}: degenerate zero")
-    env = np.asarray(sp.envelope(omegas))
     ks = np.arange(1, K + 1, dtype=float)
     A = np.vstack([np.log(ks), np.ones(K)]).T
     slope = float(np.linalg.lstsq(A, np.log(vals), rcond=None)[0][0])
@@ -140,7 +138,7 @@ def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None
     prods = vals * ks ** (1.0 + dtilde)
     worst = int(np.argmin(prods)) + 1
     return DerivativeBoundFit(dtilde=dtilde, constant=float(prods.min()), worst_k=worst,
-                              raw_slope=slope, values=vals, envelope_values=env)
+                              raw_slope=slope, values=vals)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,6 @@ class DividedDifferenceSystem:
     blocks: list[np.ndarray]
     gram: np.ndarray
     frame_bounds: tuple[float, float]
-    trace_diag: list[float] = field(default_factory=list)
 
     @property
     def weights(self) -> np.ndarray:
@@ -315,10 +314,8 @@ def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceS
     G = _congruence(partition.positions, blocks, exponential_gram(partition.frequencies, T))
     G = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(G)
-    traces = [float(np.sum(F * F)) for F in blocks]
     return DividedDifferenceSystem(partition=partition, horizon=float(T), blocks=blocks,
-                                   gram=G, frame_bounds=(float(eigs[0]), float(eigs[-1])),
-                                   trace_diag=traces)
+                                   gram=G, frame_bounds=(float(eigs[0]), float(eigs[-1])))
 
 
 def _apply_blocks(positions, blocks, X, transpose: bool = False) -> np.ndarray:

@@ -4,7 +4,10 @@ The control operator acts edgewise as psi^j -> P_j(x) psi^j with real
 polynomial potentials P_j.  Matrix elements against trigonometric
 eigenfunctions reduce to integrals x^p * trig * trig which are evaluated in
 closed form (product-to-sum plus the x^p cos recurrence) by one array
-kernel, over all requested mode pairs at once.
+kernel.  The frequencies, amplitudes and per-edge trig kinds are read from
+the array basis, so each edge is one kernel call over all requested mode
+pairs; the same per-edge sum gives the cross block between two bases on the
+same edges (``coupling_block``).
 
 The module also hosts the two numerical checkers used before a control run:
 the decay/resonance analysis of the coupling column <phi_k, B phi_1>, and
@@ -14,7 +17,6 @@ conditions (and hence the higher smoothness classes) of the graph Laplacian.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -25,12 +27,6 @@ from .graph import BoundaryCondition, MetricGraph
 from .spectrum import SpectralBasis, TrigMode
 
 MAX_DEGREE = 12
-
-
-class TrigKind(enum.Enum):
-    SINSIN = "sinsin"
-    SINCOS = "sincos"
-    COSCOS = "coscos"
 
 
 def _series(power, live, q, L, odd):
@@ -124,22 +120,6 @@ def _overlap(coeffs, a, b, L, sin_a, sin_b):
     return acc
 
 
-_FACTORS = {TrigKind.SINSIN: (TrigMode.SIN, TrigMode.SIN),
-            TrigKind.SINCOS: (TrigMode.SIN, TrigMode.COS),
-            TrigKind.COSCOS: (TrigMode.COS, TrigMode.COS)}
-
-
-def trig_poly_integral(p: int, omega: float, L: float, kind: TrigKind, omega2: float) -> float:
-    """Closed form of the integral over (0, L) of x^p trig(omega x) trig(omega2 x).
-
-    kind selects sin*sin, sin*cos or cos*cos (first factor carries omega).
-    """
-    if kind not in _FACTORS:
-        raise ValidationError(f"unknown kind {kind!r}")
-    mode1, mode2 = _FACTORS[kind]
-    return mode_overlap_integral(omega, mode1, omega2, mode2, L, p)
-
-
 def mode_overlap_integral(omega1, mode1: TrigMode, omega2, mode2: TrigMode, L, p: int = 0):
     """x^p-weighted overlap of two edge trig factors on (0, L)."""
     if p < 0 or p > MAX_DEGREE:
@@ -194,29 +174,39 @@ def degree6_neumann_potential(L: float) -> np.ndarray:
     return np.array([-L ** 6, 0.0, 15 * L ** 4, -40 * L ** 3, 45 * L ** 2, -24 * L, 5.0])
 
 
+def _edge_sum(op: ControlOperator, left: SpectralBasis, rows, right: SpectralBasis, cols):
+    """<phi_j, B psi_k> for phi_j = left mode rows[i], psi_k = right mode cols[i], elementwise.
+
+    Both bases live on the same edges.  Edges are summed in order and an
+    edge where either mode vanishes adds nothing.
+    """
+    total = np.zeros(np.shape(rows))
+    for e, (eid, L) in enumerate(zip(right.edge_ids, right.lengths)):
+        coeffs = op.coeffs(eid)
+        if not np.any(coeffs):
+            continue
+        acc = _overlap(coeffs, left.omegas[rows], right.omegas[cols], L,
+                       left.kinds[e] is TrigMode.SIN, right.kinds[e] is TrigMode.SIN)
+        aj, ak = left.amplitudes[rows, e], right.amplitudes[cols, e]
+        total += np.where((aj != 0.0) & (ak != 0.0), aj * ak * acc, 0.0)
+    return total
+
+
 def _coupling_elements(op: ControlOperator, basis: SpectralBasis, rows, cols) -> np.ndarray:
     """<phi_j, B phi_k> for 0-based index arrays rows <= cols, elementwise.
 
     The ordered pair fixes every argument, so a pair and its mirror agree
-    bit for bit; edges are summed in order and an edge where either mode
-    vanishes adds nothing.
+    bit for bit.
     """
-    n = int(cols.max()) + 1 if cols.size else 0
-    if n > len(basis):
+    if cols.size and int(cols.max()) >= len(basis):
         raise ValidationError("mode index out of range")
-    modes = basis.modes[:n]
-    omega = np.array([m.omega for m in modes])
-    total = np.zeros(rows.shape)
-    for e, (eid, L) in enumerate(zip(basis.edge_ids, basis.lengths)):
-        coeffs = op.coeffs(eid)
-        if not np.any(coeffs):
-            continue
-        amp = np.array([m.per_edge[e][0] for m in modes])
-        sin = np.array([m.per_edge[e][1] is TrigMode.SIN for m in modes])
-        acc = _overlap(coeffs, omega[rows], omega[cols], L, sin[rows], sin[cols])
-        aj, ak = amp[rows], amp[cols]
-        total += np.where((aj != 0.0) & (ak != 0.0), aj * ak * acc, 0.0)
-    return total
+    return _edge_sum(op, basis, rows, basis, cols)
+
+
+def coupling_block(op: ControlOperator, left: SpectralBasis, right: SpectralBasis) -> np.ndarray:
+    """<phi_j, B psi_k> for every mode phi_j of left and psi_k of right, on the same edges."""
+    rows, cols = np.indices((len(left), len(right))).reshape(2, -1)
+    return _edge_sum(op, left, rows, right, cols).reshape(len(left), len(right))
 
 
 def matrix_element(op: ControlOperator, basis: SpectralBasis, j: int, k: int) -> float:
@@ -259,7 +249,10 @@ def _exchange_elements(basis: SpectralBasis, rows, cols) -> np.ndarray:
         return 4.0 / L * _overlap([0.0, 0.0, 1.0], omega[rows], omega[cols], L, True, True)
     if basis.family not in ("paired_star", "loops"):
         raise ValidationError(f"no exchange operator for family {basis.family!r}")
-    support = np.array([_support_length(basis, m) for m in basis.modes[:n]])
+    amps = basis.amplitudes[:n]
+    if not amps.any(axis=1).all():
+        raise ValidationError("mode has empty support")
+    support = basis.lengths[np.argmax(amps != 0.0, axis=1)]   # the first edge a mode lives on
     Lj, Lk = support[rows], support[cols]
     if basis.family == "paired_star":
         label = np.round(omega * support / math.pi)
@@ -281,13 +274,6 @@ def exchange_matrix_element(basis: SpectralBasis, j: int, k: int) -> float:
     """
     lo, hi = (j, k) if j <= k else (k, j)
     return float(_exchange_elements(basis, np.array([lo - 1]), np.array([hi - 1]))[0])
-
-
-def _support_length(basis: SpectralBasis, mode) -> float:
-    for e, (a, _) in enumerate(mode.per_edge):
-        if a != 0.0:
-            return float(basis.lengths[e])
-    raise ValidationError("mode has empty support")
 
 
 def build_exchange_matrix(basis: SpectralBasis, K: int | None = None) -> np.ndarray:

@@ -25,6 +25,12 @@ carries r-1 eigenfunctions supported on those edges that vanish at the
 center (a zero of S of order r-1).  Branch points exist only when length
 ratios are rational.  The count below any x is therefore known in closed
 form, and all brackets are refined at once by vectorized bisection on M.
+
+A basis is held as arrays (``SpectralBasis``): the eigenvalues, a K x E
+amplitude matrix, one trig kind per edge and the center values.  The
+amplitudes of all simple roots come from one array evaluation; a branch
+point fills its r-1 rows, and ``multiplicity`` counts the members of each
+eigenspace among the modes kept.
 """
 
 from __future__ import annotations
@@ -48,41 +54,44 @@ class TrigMode(enum.Enum):
 
 
 @dataclass
-class EigenMode:
-    index: int              # 1-based position in the ordered spectrum
-    lam: float
-    omega: float
-    per_edge: list[tuple[float, TrigMode]]
-    multiplicity_group: int | None = None
-    center_value: float = 0.0
-
-    def edge_value(self, edge: int, x):
-        amp, mode = self.per_edge[edge]
-        f = np.sin if mode is TrigMode.SIN else np.cos
-        return amp * f(self.omega * np.asarray(x))
-
-
-@dataclass
 class SpectralBasis:
-    modes: list[EigenMode]
+    """The first K eigenfunctions as arrays.
+
+    Mode k is amplitudes[k, l] * kinds[l](omegas[k] x) on edge l, where x
+    runs from the external vertex of the edge.  The trig kind belongs to
+    the edge (sin on Dirichlet ends, cos on Neumann ends), never to the mode.
+    """
+
+    eigenvalues: np.ndarray          # (K,) ascending
+    omegas: np.ndarray               # (K,) square roots of the eigenvalues
+    amplitudes: np.ndarray           # (K, E)
+    kinds: list[TrigMode]            # one per edge
+    center_values: np.ndarray        # (K,) eigenfunction value at the center
+    multiplicity: np.ndarray         # (K,) int: members of the mode's eigenspace among the K kept
     lengths: np.ndarray
     edge_ids: list[str]
     gap_report: tuple[int, float]    # (M, delta) for the sqrt-eigenvalue gap
     weyl_report: tuple[float, float]  # (c1, c2) = min/max over k>=2 of lambda_k / k^2
     int_labels: list[int] | None = None   # integer labels when mu_k = scale * label^2
-    int_scale: float | None = None
     family: str | None = None
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.eigenvalues)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
 
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([m.omega for m in self.modes])
+def _basis(omegas, amplitudes, kinds, lengths, edge_ids, center_values=None, multiplicity=None,
+           **labels) -> SpectralBasis:
+    """A basis from its frequency and amplitude arrays; the center values and
+    multiplicities default to 0 and 1, the reports are computed here."""
+    omegas = np.asarray(omegas, dtype=float)
+    lams = omegas * omegas
+    K = omegas.size
+    return SpectralBasis(eigenvalues=lams, omegas=omegas,
+                         amplitudes=np.asarray(amplitudes, dtype=float), kinds=list(kinds),
+                         center_values=np.zeros(K) if center_values is None else center_values,
+                         multiplicity=np.ones(K, dtype=int) if multiplicity is None else multiplicity,
+                         lengths=np.asarray(lengths, dtype=float), edge_ids=list(edge_ids),
+                         gap_report=_gap_report(omegas), weyl_report=_weyl_report(lams), **labels)
 
 
 # ---------------------------------------------------------------------------
@@ -271,63 +280,56 @@ def star_roots(lengths, kinds, count, distinct=False):
 # ---------------------------------------------------------------------------
 # eigenfunction assembly
 
-def _trig_norm_integral(omega, L, mode: TrigMode):
-    """Integral over (0, L) of sin^2(omega x) resp. cos^2(omega x)."""
-    if omega == 0.0:
-        return 0.0 if mode is TrigMode.SIN else L
-    osc = math.sin(2 * L * omega) / (4 * omega)
-    return L / 2 - osc if mode is TrigMode.SIN else L / 2 + osc
+def _trig_norm_integral(omega, L, is_sin):
+    """Integral over (0, L) of sin^2(omega x) where is_sin, else cos^2(omega x); omega > 0."""
+    osc = np.sin(2 * L * omega) / (4 * omega)
+    return np.where(is_sin, L / 2 - osc, L / 2 + osc)
 
 
-def _simple_mode(x0, lengths, kinds) -> tuple[list[float], float]:
-    """Amplitudes of the center-nonvanishing eigenfunction at sqrt(lambda)=x0.
+def _simple_modes(x, lengths, kinds):
+    """Amplitude rows and center values of the center-nonvanishing modes at sqrt(lambda) = x.
 
-    Continuity pins a_j * tau_j(x0 L_j) to a common center value c; the
+    Continuity pins a_j * tau_j(x L_j) to a common center value c; the
     normalization then fixes c.  This is equivalent to anchoring the
     continuity chain at the edge with the largest |tau| (no division by a
     near-vanishing factor: the quotient c / tau_j is the actual amplitude).
+    The norm is summed edge by edge and tau is squared by pow, as a loop
+    over the edges of one root would.
     """
-    taus = []
-    for L, k in zip(lengths, kinds):
-        t = math.sin(x0 * L) if k is TrigMode.SIN else math.cos(x0 * L)
-        taus.append(t)
-    norm_sq = 0.0
-    for (L, k), t in zip(zip(lengths, kinds), taus):
-        if t == 0.0:
-            raise NumericalError(f"edge factor vanishes at x={x0}; not a simple mode")
-        norm_sq += _trig_norm_integral(x0, L, k) / t**2
-    c = 1.0 / math.sqrt(norm_sq)
-    return [c / t for t in taus], c
+    x = np.asarray(x, dtype=float)[:, None]
+    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    arg = x * lengths
+    tau = np.where(is_sin, np.sin(arg), np.cos(arg))
+    vanishing = np.flatnonzero((tau == 0.0).any(axis=1))
+    if vanishing.size:
+        x0 = float(x[vanishing[0], 0])
+        raise NumericalError(f"edge factor vanishes at x={x0}; not a simple mode")
+    norm_sq = sum_in_order(_trig_norm_integral(x, lengths, is_sin) / np.float_power(tau, 2.0))
+    c = 1.0 / np.sqrt(norm_sq)
+    return c[:, None] / tau, c
 
 
 def _branch_modes(x0, lengths, kinds, support):
-    """Orthonormal basis (r-1 functions) of the center-vanishing eigenspace.
+    """Orthonormal basis (r-1 rows) of the center-vanishing eigenspace.
 
     The eigenfunctions are supported on the edges in ``support`` whose own
     factor vanishes at x0; the Kirchhoff condition leaves an (r-1)-dim
     amplitude space, orthonormalized against the L2 weights.
     """
     r = len(support)
-    d = []
-    for j in support:
-        L, k = lengths[j], kinds[j]
-        d.append(math.cos(x0 * L) if k is TrigMode.SIN else -math.sin(x0 * L))
-    w = np.array([_trig_norm_integral(x0, lengths[j], kinds[j]) for j in support])
-    d = np.array(d)
-    vecs = []
+    L = lengths[support]
+    is_sin = np.array([kinds[j] is TrigMode.SIN for j in support])
+    d = np.where(is_sin, np.cos(x0 * L), -np.sin(x0 * L))
+    w = _trig_norm_integral(x0, L, is_sin)
+    out = np.zeros((r - 1, len(lengths)))
     for i in range(1, r):
         v = np.zeros(r)
         v[i] = 1.0
         v[0] = -d[i] / d[0]
-        for prev in vecs:
+        for prev in out[:i - 1, support]:
             v -= prev * np.dot(prev * w, v)
         v /= math.sqrt(np.dot(v * w, v))
-        vecs.append(v)
-    out = []
-    for v in vecs:
-        amps = np.zeros(len(lengths))
-        amps[support] = v
-        out.append(amps)
+        out[i - 1, support] = v
     return out
 
 
@@ -360,7 +362,9 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     the closed-form branch points of rationally related lengths with their
     multiplicity.  The count is exact, so the window holding ``num_modes``
     eigenvalues is found in closed form before any root is refined.  The
-    all-Neumann constant mode is included explicitly.
+    all-Neumann constant mode is included explicitly.  When ``num_modes``
+    cuts through a branch point, the multiplicity of its kept modes counts
+    only those kept.
     """
     if num_modes < 1:
         raise ValidationError("num_modes must be >= 1")
@@ -369,60 +373,42 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
 
     lengths = graph.lengths
     kinds = _edge_kinds(graph)
-    modes: list[EigenMode] = []
-    if all(k is TrigMode.COS for k in kinds):
-        amp = 1.0 / math.sqrt(float(lengths.sum()))
-        modes.append(EigenMode(index=1, lam=0.0, omega=0.0,
-                               per_edge=[(amp, TrigMode.COS)] * len(lengths),
-                               center_value=amp))
-    group_id = 0
-    for x0, _, support in star_roots(lengths, kinds, num_modes - len(modes)):
-        lam = x0 * x0
-        if support is None:
-            amps, c = _simple_mode(x0, lengths, kinds)
-            modes.append(EigenMode(index=0, lam=lam, omega=x0,
-                                   per_edge=[(a, k) for a, k in zip(amps, kinds)],
-                                   center_value=c))
-        else:
-            group_id += 1
-            for amps in _branch_modes(x0, lengths, kinds, support):
-                modes.append(EigenMode(index=0, lam=lam, omega=x0,
-                                       per_edge=[(float(a), k) for a, k in zip(amps, kinds)],
-                                       multiplicity_group=group_id, center_value=0.0))
-
-    modes = modes[:num_modes]
-    for i, m in enumerate(modes):
-        m.index = i + 1
-    lams = [m.lam for m in modes]
-    return SpectralBasis(modes=modes, lengths=lengths, edge_ids=graph.edge_ids,
-                         gap_report=_gap_report([m.omega for m in modes]),
-                         weyl_report=_weyl_report(lams))
+    constant = all(k is TrigMode.COS for k in kinds)
+    entries = star_roots(lengths, kinds, num_modes - constant)
+    x = np.array([e[0] for e in entries])
+    size = np.array([e[1] for e in entries], dtype=int)   # 1 per simple root, r - 1 per branch point
+    simple = np.array([e[2] is None for e in entries], dtype=bool)
+    start = np.cumsum(size) - size + constant             # first row of each entry
+    amps = np.zeros((constant + int(size.sum()), lengths.size))
+    center = np.zeros(len(amps))
+    rows = start[simple]
+    amps[rows], center[rows] = _simple_modes(x[simple], lengths, kinds)
+    for i in np.flatnonzero(~simple):
+        amps[start[i]:start[i] + size[i]] = _branch_modes(x[i], lengths, kinds, entries[i][2])
+    omegas = np.repeat(x, size)
+    multiplicity = np.repeat(np.minimum(size, num_modes - start), size)
+    if constant:
+        amps[0] = center[0] = 1.0 / math.sqrt(float(lengths.sum()))
+        omegas, multiplicity = np.r_[0.0, omegas], np.r_[1, multiplicity]
+    return _basis(omegas[:num_modes], amps[:num_modes], kinds, lengths, graph.edge_ids,
+                  center[:num_modes], multiplicity[:num_modes])
 
 
 def _interval_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     e = graph.edges[0]
     L = e.length
     tail, head = graph.bc[e.tail], graph.bc[e.head]
-    mode = TrigMode.SIN if tail is BoundaryCondition.DIRICHLET else TrigMode.COS
-    modes = []
-    if tail is BoundaryCondition.NEUMANN and head is BoundaryCondition.NEUMANN:
-        modes.append(EigenMode(index=1, lam=0.0, omega=0.0,
-                               per_edge=[(1.0 / math.sqrt(L), TrigMode.COS)],
-                               center_value=1.0 / math.sqrt(L)))
-    mixed = (tail != head)
-    n = 1
-    while len(modes) < num_modes:
-        omega = ((n - 0.5) if mixed else n) * math.pi / L
-        amp = 1.0 / math.sqrt(_trig_norm_integral(omega, L, mode))
-        modes.append(EigenMode(index=len(modes) + 1, lam=omega * omega, omega=omega,
-                               per_edge=[(amp, mode)],
-                               center_value=amp * (math.sin(omega * L) if mode is TrigMode.SIN
-                                                   else math.cos(omega * L))))
-        n += 1
-    lams = [m.lam for m in modes]
-    return SpectralBasis(modes=modes, lengths=graph.lengths, edge_ids=graph.edge_ids,
-                         gap_report=_gap_report([m.omega for m in modes]),
-                         weyl_report=_weyl_report(lams))
+    is_sin = tail is BoundaryCondition.DIRICHLET
+    constant = tail is BoundaryCondition.NEUMANN and head is BoundaryCondition.NEUMANN
+    n = np.arange(1, num_modes + 1 - constant)
+    omegas = (n - 0.5 if tail != head else n) * math.pi / L
+    amps = 1.0 / np.sqrt(_trig_norm_integral(omegas, L, is_sin))
+    center = amps * (np.sin(omegas * L) if is_sin else np.cos(omegas * L))
+    if constant:
+        amp = 1.0 / math.sqrt(L)
+        omegas, amps, center = np.r_[0.0, omegas], np.r_[amp, amps], np.r_[amp, center]
+    return _basis(omegas, amps[:, None], [TrigMode.SIN if is_sin else TrigMode.COS],
+                  graph.lengths, graph.edge_ids, center)
 
 
 # ---------------------------------------------------------------------------
@@ -459,68 +445,43 @@ def _equilateral_subsystem(num_modes, n_edges, L) -> SpectralBasis:
         raise ValidationError("equilateral star family requires >= 3 edges")
     if L <= 0:
         raise ValidationError("length must be positive")
-    modes = []
-    for k in range(1, num_modes + 1):
-        omega = k * math.pi / (2 * L)
-        if k % 2 == 1:  # simple level: equal amplitude on every edge
-            amp = math.sqrt(2.0 / (n_edges * L))
-            amps = [amp] * n_edges
-        else:  # the one member of the degenerate level not vanishing on edge 1
-            a = -math.sqrt(2.0 * (n_edges - 1) / (n_edges * L))
-            b = math.sqrt(2.0 / (n_edges * (n_edges - 1) * L))
-            amps = [a] + [b] * (n_edges - 1)
-        modes.append(EigenMode(index=k, lam=omega * omega, omega=omega,
-                               per_edge=[(a, TrigMode.SIN) for a in amps],
-                               center_value=(amps[0] * math.sin(omega * L))))
-    return SpectralBasis(modes=modes, lengths=np.full(n_edges, L),
-                         edge_ids=[f"e{j+1}" for j in range(n_edges)],
-                         gap_report=_gap_report([m.omega for m in modes]),
-                         weyl_report=_weyl_report([m.lam for m in modes]),
-                         int_labels=list(range(1, num_modes + 1)),
-                         int_scale=math.pi**2 / (4 * L * L),
-                         family="equilateral_star")
+    k = np.arange(1, num_modes + 1)
+    omegas = k * math.pi / (2 * L)
+    # odd k: the simple level, equal amplitude on every edge; even k: the one
+    # member of the degenerate level not vanishing on edge 1
+    degenerate = np.r_[-math.sqrt(2.0 * (n_edges - 1) / (n_edges * L)),
+                       np.full(n_edges - 1, math.sqrt(2.0 / (n_edges * (n_edges - 1) * L)))]
+    amps = np.where((k % 2 == 1)[:, None], math.sqrt(2.0 / (n_edges * L)), degenerate)
+    return _basis(omegas, amps, [TrigMode.SIN] * n_edges, np.full(n_edges, L),
+                  [f"e{j+1}" for j in range(n_edges)], amps[:, 0] * np.sin(omegas * L),
+                  int_labels=k.tolist(), family="equilateral_star")
 
 
-def equilateral_dropped_modes(num_levels, n_edges, L) -> list[EigenMode]:
-    """The degenerate-level eigenfunctions vanishing on edge 1 (leakage checks)."""
-    out = []
-    for k in range(1, num_levels + 1):
-        omega = k * math.pi / L
-        # orthonormal basis of {amps: amps[0] = 0, sum amps = 0}, weights L/2
-        raw = []
-        for i in range(1, n_edges - 1):
-            v = np.zeros(n_edges)
-            v[i] = 1.0
-            v[i + 1] = -1.0
-            raw.append(v)
-        basis = []
-        for v in raw:
-            for prev in basis:
-                v = v - prev * np.dot(prev, v)
-            v = v / math.sqrt(np.dot(v, v))
-            basis.append(v)
-        for v in basis:
-            amps = v * math.sqrt(2.0 / L)
-            out.append(EigenMode(index=k, lam=omega * omega, omega=omega,
-                                 per_edge=[(float(a), TrigMode.SIN) for a in amps],
-                                 multiplicity_group=k, center_value=0.0))
-    return out
+def equilateral_dropped_modes(num_levels, n_edges, L) -> SpectralBasis:
+    """The degenerate-level eigenfunctions vanishing on edge 1 (leakage checks).
+
+    Level k holds n_edges - 2 of them at omega = k pi / L: an orthonormal
+    basis of {amps: amps[0] = 0, sum amps = 0} under the weights L / 2.
+    """
+    vecs = []
+    for i in range(1, n_edges - 1):
+        v = np.zeros(n_edges)
+        v[i], v[i + 1] = 1.0, -1.0
+        for prev in vecs:
+            v = v - prev * np.dot(prev, v)
+        vecs.append(v / math.sqrt(np.dot(v, v)))
+    per_level = len(vecs)
+    omegas = np.repeat(np.arange(1, num_levels + 1) * math.pi / L, per_level)
+    return _basis(omegas, np.tile(np.array(vecs) * math.sqrt(2.0 / L), (num_levels, 1)),
+                  [TrigMode.SIN] * n_edges, np.full(n_edges, L), [f"e{j+1}" for j in range(n_edges)],
+                  multiplicity=np.full(omegas.size, per_level))
 
 
 def _two_equal_subsystem(num_modes, L) -> SpectralBasis:
     amp = 1.0 / math.sqrt(L)
-    modes = []
-    for k in range(1, num_modes + 1):
-        omega = k * math.pi / L
-        modes.append(EigenMode(index=k, lam=omega * omega, omega=omega,
-                               per_edge=[(amp, TrigMode.SIN), (-amp, TrigMode.SIN)],
-                               center_value=0.0))
-    return SpectralBasis(modes=modes, lengths=np.array([L, L]), edge_ids=["e1", "e2"],
-                         gap_report=_gap_report([m.omega for m in modes]),
-                         weyl_report=_weyl_report([m.lam for m in modes]),
-                         int_labels=list(range(1, num_modes + 1)),
-                         int_scale=math.pi**2 / (L * L),
-                         family="two_equal_edges")
+    k = np.arange(1, num_modes + 1)
+    return _basis(k * math.pi / L, np.tile([amp, -amp], (num_modes, 1)), [TrigMode.SIN] * 2,
+                  [L, L], ["e1", "e2"], int_labels=k.tolist(), family="two_equal_edges")
 
 
 def _scaled_family(num_modes, lengths, loop: bool) -> SpectralBasis:
@@ -533,38 +494,25 @@ def _scaled_family(num_modes, lengths, loop: bool) -> SpectralBasis:
     if lengths.size < 1 or np.any(lengths <= 0):
         raise ValidationError("family needs positive lengths")
     factor = 2.0 if loop else 1.0
-    # enumerate (m, j) by increasing frequency
-    heap = [(factor * math.pi / L, 1, j) for j, L in enumerate(lengths)]
-    entries = []
-    import heapq
-    heapq.heapify(heap)
-    while len(entries) < num_modes:
-        om, m, j = heapq.heappop(heap)
-        entries.append((om, m, j))
-        heapq.heappush(heap, (factor * (m + 1) * math.pi / lengths[j], m + 1, j))
-    n_edges = lengths.size if loop else 2 * lengths.size
-    modes = []
-    labels = []
-    for i, (om, m, j) in enumerate(entries):
-        amps = np.zeros(n_edges)
-        if loop:
-            amps[j] = math.sqrt(2.0 / lengths[j])
-        else:
-            amps[2 * j] = 1.0 / math.sqrt(lengths[j])
-            amps[2 * j + 1] = -amps[2 * j]
-        modes.append(EigenMode(index=i + 1, lam=om * om, omega=om,
-                               per_edge=[(float(a), TrigMode.SIN) for a in amps],
-                               center_value=0.0))
-        labels.append(m)
-    single = lengths.size == 1
-    edge_ids = [f"e{j+1}" for j in range(n_edges)]
-    return SpectralBasis(modes=modes, lengths=(lengths if loop else np.repeat(lengths, 2)),
-                         edge_ids=edge_ids,
-                         gap_report=_gap_report([m.omega for m in modes]),
-                         weyl_report=_weyl_report([m.lam for m in modes]),
-                         int_labels=labels if single else None,
-                         int_scale=(factor**2 * math.pi**2 / lengths[0]**2 if single else None),
-                         family="loops" if loop else "paired_star")
+    # the first num_modes (omega, m, j) of every component, in increasing order
+    m = np.arange(1, num_modes + 1)
+    om = factor * m[:, None] * math.pi / lengths
+    m, j = (a.ravel() for a in np.meshgrid(m, np.arange(lengths.size), indexing="ij"))
+    order = np.lexsort((j, m, om.ravel()))[:num_modes]
+    om, m, j = om.ravel()[order], m[order], j[order]
+    rows = np.arange(num_modes)
+    if loop:
+        amps = np.zeros((num_modes, lengths.size))
+        amps[rows, j] = np.sqrt(2.0 / lengths[j])
+    else:
+        amps = np.zeros((num_modes, 2 * lengths.size))
+        amps[rows, 2 * j] = 1.0 / np.sqrt(lengths[j])
+        amps[rows, 2 * j + 1] = -amps[rows, 2 * j]
+    return _basis(om, amps, [TrigMode.SIN] * amps.shape[1],
+                  lengths if loop else np.repeat(lengths, 2),
+                  [f"e{i+1}" for i in range(amps.shape[1])],
+                  int_labels=m.tolist() if lengths.size == 1 else None,
+                  family="loops" if loop else "paired_star")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +534,7 @@ def validate_spectral_hypotheses(basis: SpectralBasis, min_modes: int = 20) -> S
     lams = basis.eigenvalues
     rel = np.diff(lams) / np.maximum(np.abs(lams[1:]), 1e-300)
     simple = bool(np.all(rel > 1e-9))
-    centers = np.array([abs(m.center_value) for m in basis.modes])
+    centers = np.abs(basis.center_values)
     ks = np.arange(1, len(basis) + 1)
     sel = centers > 0
     if sel.sum() >= 2:

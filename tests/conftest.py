@@ -1,16 +1,18 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from graphctrl.dynamics import LieClosureReport, admissible_pairs
+from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
 from graphctrl.moment import exp_inner
-from graphctrl.spectrum import TrigMode
+from graphctrl.spectrum import TrigMode, _edge_kinds, star_roots
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -139,26 +141,102 @@ def trig_poly_integral_scalar(p, omega, L, kind, omega2):
 def matrix_element_scalar(op, basis, j, k):
     """<phi_j, B phi_k> summed one edge, one degree and one integral at a time."""
     lo, hi = (j, k) if j <= k else (k, j)
-    mj, mk = basis.modes[lo - 1], basis.modes[hi - 1]
     total = 0.0
-    for e, (eid, L) in enumerate(zip(basis.edge_ids, basis.lengths)):
-        aj, modej = mj.per_edge[e]
-        ak, modek = mk.per_edge[e]
+    for e, (eid, L, mode) in enumerate(zip(basis.edge_ids, basis.lengths, basis.kinds)):
+        aj, ak = float(basis.amplitudes[lo - 1, e]), float(basis.amplitudes[hi - 1, e])
         if aj == 0.0 or ak == 0.0:
             continue
-        a, b = mj.omega, mk.omega
-        if modej.value == modek.value:
-            kind = "sinsin" if modej.value == "sin" else "coscos"
-        else:
-            kind = "sincos"
-            if modej.value == "cos":
-                a, b = b, a
+        a, b = float(basis.omegas[lo - 1]), float(basis.omegas[hi - 1])
+        kind = "sinsin" if mode.value == "sin" else "coscos"
         acc = 0.0
         for p, c in enumerate(op.coeffs(eid)):
             if c != 0.0:
                 acc += c * trig_poly_integral_scalar(p, a, L, kind, b)
         total += aj * ak * acc
     return total
+
+
+# -- star eigenfunctions, one mode at a time ------------------------------------
+# The per-root amplitude loop and the per-mode assembly that graphctrl.spectrum
+# ran before its basis became arrays, kept as the reference: the array basis
+# must agree with these bit for bit.
+
+def _trig_norm_integral_reference(omega, L, mode):
+    """Integral over (0, L) of sin^2(omega x) resp. cos^2(omega x)."""
+    if omega == 0.0:
+        return 0.0 if mode is TrigMode.SIN else L
+    osc = math.sin(2 * L * omega) / (4 * omega)
+    return L / 2 - osc if mode is TrigMode.SIN else L / 2 + osc
+
+
+def simple_mode_reference(x0, lengths, kinds):
+    """Amplitudes and center value of the center-nonvanishing mode at sqrt(lambda) = x0."""
+    taus = []
+    for L, k in zip(lengths, kinds):
+        taus.append(math.sin(x0 * L) if k is TrigMode.SIN else math.cos(x0 * L))
+    norm_sq = 0.0
+    for (L, k), t in zip(zip(lengths, kinds), taus):
+        if t == 0.0:
+            raise NumericalError(f"edge factor vanishes at x={x0}; not a simple mode")
+        norm_sq += _trig_norm_integral_reference(x0, L, k) / t**2
+    c = 1.0 / math.sqrt(norm_sq)
+    return [c / t for t in taus], c
+
+
+def branch_modes_reference(x0, lengths, kinds, support):
+    """Orthonormal amplitude vectors of the center-vanishing eigenspace at x0."""
+    r = len(support)
+    d = []
+    for j in support:
+        L, k = lengths[j], kinds[j]
+        d.append(math.cos(x0 * L) if k is TrigMode.SIN else -math.sin(x0 * L))
+    w = np.array([_trig_norm_integral_reference(x0, lengths[j], kinds[j]) for j in support])
+    d = np.array(d)
+    vecs = []
+    for i in range(1, r):
+        v = np.zeros(r)
+        v[i] = 1.0
+        v[0] = -d[i] / d[0]
+        for prev in vecs:
+            v -= prev * np.dot(prev * w, v)
+        v /= math.sqrt(np.dot(v * w, v))
+        vecs.append(v)
+    out = []
+    for v in vecs:
+        amps = np.zeros(len(lengths))
+        amps[support] = v
+        out.append(amps)
+    return out
+
+
+def star_basis_reference(graph, num_modes):
+    """(eigenvalues, amplitudes, center values, multiplicity) of a star, mode by mode.
+
+    Each mode is a (lam, amplitudes, center value, group) record; the
+    multiplicity is the number of kept modes sharing the mode's group.
+    """
+    lengths = graph.lengths
+    kinds = _edge_kinds(graph)
+    modes = []
+    if all(k is TrigMode.COS for k in kinds):
+        amp = 1.0 / math.sqrt(float(lengths.sum()))
+        modes.append((0.0, [amp] * len(lengths), amp, None))
+    group_id = 0
+    for x0, _, support in star_roots(lengths, kinds, num_modes - len(modes)):
+        lam = x0 * x0
+        if support is None:
+            amps, c = simple_mode_reference(x0, lengths, kinds)
+            modes.append((lam, amps, c, None))
+        else:
+            group_id += 1
+            for amps in branch_modes_reference(x0, lengths, kinds, support):
+                modes.append((lam, [float(a) for a in amps], 0.0, group_id))
+    modes = modes[:num_modes]
+    counts = Counter(m[3] for m in modes)
+    return (np.array([m[0] for m in modes]),
+            np.array([m[1] for m in modes], dtype=float),
+            np.array([m[2] for m in modes]),
+            np.array([1 if m[3] is None else counts[m[3]] for m in modes]))
 
 
 # -- interlacing slots of a star ---------------------------------------------

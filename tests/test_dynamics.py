@@ -19,8 +19,8 @@ from graphctrl.errors import ValidationError
 from graphctrl.graph import load_problem
 from graphctrl.moment import solve_moment
 from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matrix,
-                                  squared_shift_potential)
-from graphctrl.spectrum import solve_spectrum
+                                  coupling_block, squared_shift_potential)
+from graphctrl.spectrum import equilateral_dropped_modes, explicit_subsystem, solve_spectrum
 
 from conftest import (admissible_pairs_reference, interval, lie_closure_reference,
                       sampled_moment_integral_reference, star, trig_moment_integral_reference)
@@ -732,6 +732,26 @@ def test_equilateral_demo_transfer():
     assert demo.dropped_coupling_max == 0.0
     assert demo.truncation_boundary_max < 1e-6
     assert demo.transfer.norm_drift < 1e-10
+
+
+def test_leakage_block_sees_a_potential_where_the_dropped_family_lives():
+    # the demo's leakage check is the block <dropped_j, B kept_k>: exactly zero
+    # for its potential on edge 1, where the dropped family vanishes, and
+    # nonzero for the same potential on edge 2, where that family lives
+    quad = pytest.importorskip("scipy.integrate").quad
+    kept = explicit_subsystem("equilateral_star", 12, n_edges=3, length=1.0)
+    dropped = equilateral_dropped_modes(6, 3, 1.0)
+    block = {eid: coupling_block(ControlOperator(per_edge={eid: squared_shift_potential(1.0)}),
+                                 dropped, kept) for eid in ("e1", "e2")}
+    assert block["e1"].shape == (6, 12)
+    assert np.all(block["e1"] == 0.0)
+    assert np.abs(block["e2"]).max() > 0.1
+    for j, k in [(0, 0), (1, 3), (5, 10)]:
+        wj, wk = dropped.omegas[j], kept.omegas[k]
+        ref, _ = quad(lambda x: (x - 1) ** 2 * np.sin(wj * x) * np.sin(wk * x), 0, 1,
+                      limit=200, epsabs=1e-14, epsrel=1e-13)
+        expected = dropped.amplitudes[j, 1] * kept.amplitudes[k, 1] * ref
+        assert abs(block["e2"][j, k] - expected) < 1e-12
 
 
 def test_two_equal_edges_demo_sequential():

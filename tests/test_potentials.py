@@ -8,50 +8,52 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from graphctrl.errors import ValidationError
-from graphctrl.potentials import (ControlOperator, TrigKind, analyze_coupling, build_matrix,
+from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matrix,
                                   check_vertex_compatibility, degree6_neumann_potential,
                                   exchange_matrix_element, find_resonant_quadruples,
                                   matrix_element, mode_overlap_integral,
-                                  quartic_shift_potential, squared_shift_potential, trig_moments,
-                                  trig_poly_integral)
+                                  quartic_shift_potential, squared_shift_potential, trig_moments)
 from graphctrl.spectrum import TrigMode, explicit_subsystem, solve_spectrum
 
 from conftest import (degree6_neumann_cos_integral, find_resonant_quadruples_reference, interval,
                       matrix_element_scalar, star, trig_moments_scalar, trig_poly_integral_scalar)
 
 PI = math.pi
+SIN, COS = TrigMode.SIN, TrigMode.COS
+# the factor kinds (first factor carries the first frequency), by the scalar reference's names
+KINDS = {"sinsin": (SIN, SIN), "sincos": (SIN, COS), "coscos": (COS, COS)}
 
 
 def quad_oracle(p, w1, L, kind, w2):
-    f = {TrigKind.SINSIN: lambda x: x**p * np.sin(w1 * x) * np.sin(w2 * x),
-         TrigKind.SINCOS: lambda x: x**p * np.sin(w1 * x) * np.cos(w2 * x),
-         TrigKind.COSCOS: lambda x: x**p * np.cos(w1 * x) * np.cos(w2 * x)}[kind]
+    f = {"sinsin": lambda x: x**p * np.sin(w1 * x) * np.sin(w2 * x),
+         "sincos": lambda x: x**p * np.sin(w1 * x) * np.cos(w2 * x),
+         "coscos": lambda x: x**p * np.cos(w1 * x) * np.cos(w2 * x)}[kind]
     val, err = quad(f, 0, L, limit=400, epsabs=1e-13, epsrel=1e-13)
     return val
 
 
 def test_trig_integral_orthonormality_normalizer():
-    assert trig_poly_integral(0, PI, 1.0, TrigKind.SINSIN, PI) == pytest.approx(0.5, abs=1e-15)
+    assert mode_overlap_integral(PI, SIN, PI, SIN, 1.0, 0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_trig_integral_against_quadrature():
-    val = trig_poly_integral(2, PI / 2, 1.0, TrigKind.SINSIN, PI)
-    assert abs(val - quad_oracle(2, PI / 2, 1.0, TrigKind.SINSIN, PI)) < 1e-12
+    val = mode_overlap_integral(PI / 2, SIN, PI, SIN, 1.0, 2)
+    assert abs(val - quad_oracle(2, PI / 2, 1.0, "sinsin", PI)) < 1e-12
 
 
 def test_trig_integral_zero_frequency():
-    assert trig_poly_integral(1, 0.0, 1.0, TrigKind.SINCOS, 0.0) == 0.0
+    assert mode_overlap_integral(0.0, SIN, 0.0, COS, 1.0, 1) == 0.0
 
 
 def test_trig_integral_tiny_phase_taylor_branch():
     w = 1e-6
-    val = trig_poly_integral(3, w, 2.0, TrigKind.COSCOS, w)
-    assert abs(val - quad_oracle(3, w, 2.0, TrigKind.COSCOS, w)) < 1e-14
+    val = mode_overlap_integral(w, COS, w, COS, 2.0, 3)
+    assert abs(val - quad_oracle(3, w, 2.0, "coscos", w)) < 1e-14
 
 
 def test_trig_integral_degree_cap():
     with pytest.raises(ValidationError):
-        trig_poly_integral(13, 1.0, 1.0, TrigKind.SINSIN, 1.0)
+        mode_overlap_integral(1.0, SIN, 1.0, SIN, 1.0, 13)
 
 
 @settings(max_examples=40)
@@ -59,9 +61,9 @@ def test_trig_integral_degree_cap():
        st.floats(min_value=0.0, max_value=30.0),
        st.floats(min_value=0.0, max_value=30.0),
        st.floats(min_value=0.2, max_value=3.0),
-       st.sampled_from(list(TrigKind)))
+       st.sampled_from(list(KINDS)))
 def test_trig_integral_matches_quadrature(p, w1, w2, L, kind):
-    val = trig_poly_integral(p, w1, L, kind, w2)
+    val = mode_overlap_integral(w1, KINDS[kind][0], w2, KINDS[kind][1], L, p)
     ref = quad_oracle(p, w1, L, kind, w2)
     assert abs(val - ref) < 1e-10 * max(1.0, abs(ref))
 
@@ -101,7 +103,7 @@ def bits(x):
 @given(st.floats(min_value=0.2, max_value=3.0),
        st.lists(st.floats(min_value=-40.0, max_value=40.0), min_size=1, max_size=12),
        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=12),
-       st.sampled_from(list(TrigKind)))
+       st.sampled_from(list(KINDS)))
 def test_trig_moments_match_scalar_bitwise(L, wide, narrow, kind):
     omega = np.concatenate([wide, narrow, switch_omegas(L)])
     for q, (ic, is_) in enumerate(trig_moments(omega, L, 12)):
@@ -110,8 +112,8 @@ def test_trig_moments_match_scalar_bitwise(L, wide, narrow, kind):
         assert bits(is_) == bits([r[1] for r in ref]), f"sin moment, q = {q}"
     for p in (0, 5, 12):
         for w1, w2 in zip(wide, narrow):
-            assert bits(trig_poly_integral(p, w1, L, kind, w2)) == \
-                bits(trig_poly_integral_scalar(p, w1, L, kind.value, w2))
+            assert bits(mode_overlap_integral(w1, KINDS[kind][0], w2, KINDS[kind][1], L, p)) == \
+                bits(trig_poly_integral_scalar(p, w1, L, kind, w2))
             # cos * sin is the sin * cos integral with the frequencies swapped
             assert bits(mode_overlap_integral(w1, TrigMode.COS, w2, TrigMode.SIN, L, p)) == \
                 bits(trig_poly_integral_scalar(p, w2, L, "sincos", w1))
@@ -188,10 +190,10 @@ def test_matrix_element_quadrature_agreement(star5_neumann):
     for _ in range(50):
         j, k = sorted(rng.integers(1, 13, size=2))
         got = matrix_element(op, basis, int(j), int(k))
-        mj, mk = basis.modes[j - 1], basis.modes[k - 1]
-        aj, ak = mj.per_edge[0][0], mk.per_edge[0][0]
+        wj, wk = basis.omegas[j - 1], basis.omegas[k - 1]
+        aj, ak = basis.amplitudes[j - 1, 0], basis.amplitudes[k - 1, 0]
         ref, _ = quad(lambda x: np.polynomial.polynomial.polyval(x, coeffs)
-                      * np.cos(mj.omega * x) * np.cos(mk.omega * x), 0, 1.0,
+                      * np.cos(wj * x) * np.cos(wk * x), 0, 1.0,
                       limit=400, epsabs=1e-13, epsrel=1e-13)
         assert abs(got - aj * ak * ref) < 1e-10 * max(1.0, abs(got))
 
@@ -202,11 +204,10 @@ def test_neumann_column_asymptote(star5_neumann):
     basis = solve_spectrum(star5_neumann, 120)
     op = ControlOperator(per_edge={"e1": degree6_neumann_potential(1.0)})
     k = 118
-    mk = basis.modes[k - 1]
-    a1 = basis.modes[0].per_edge[0][0]
-    ak = mk.per_edge[0][0]
+    a1 = basis.amplitudes[0, 0]
+    ak = basis.amplitudes[k - 1, 0]
     got = matrix_element(op, basis, 1, k)
-    pred = a1 * ak * degree6_neumann_cos_integral(mk.omega, 1.0)
+    pred = a1 * ak * degree6_neumann_cos_integral(basis.omegas[k - 1], 1.0)
     assert got / pred == pytest.approx(1.0, abs=1e-9)
 
 
@@ -216,14 +217,13 @@ def test_neumann_column_against_mpmath(star5_neumann):
     mpmath = pytest.importorskip("mpmath")
     basis = solve_spectrum(star5_neumann, 126)
     op = ControlOperator(per_edge={"e1": degree6_neumann_potential(1.0)})
-    a1 = basis.modes[0].per_edge[0][0]
+    a1 = float(basis.amplitudes[0, 0])
     with mpmath.workdps(30):
         for k in (74, 100, 120, 126):
-            mk = basis.modes[k - 1]
-            w = mpmath.mpf(mk.omega)
+            w = mpmath.mpf(basis.omegas[k - 1])
             integral = mpmath.quad(lambda x: (x - 1) ** 5 * (5 * x + 1) * mpmath.cos(w * x),
                                    mpmath.linspace(0, 1, 9))
-            ref = float(a1 * mk.per_edge[0][0] * integral)
+            ref = float(a1 * float(basis.amplitudes[k - 1, 0]) * integral)
             got = matrix_element(op, basis, 1, k)
             assert abs(got - ref) <= 1e-10 * abs(ref)
 

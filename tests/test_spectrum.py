@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.lowerbounds import build_secular_product, check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
-from graphctrl.spectrum import (explicit_subsystem, equilateral_dropped_modes, solve_spectrum,
+from graphctrl.spectrum import (TrigMode, _simple_modes, explicit_subsystem,
+                                equilateral_dropped_modes, solve_spectrum,
                                 validate_spectral_hypotheses)
 
-from conftest import assert_fills_slots, interlacing_slots, interval, star
+from conftest import (assert_fills_slots, interlacing_slots, interval, star,
+                      star_basis_reference)
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -27,6 +30,18 @@ def bisect_oracle(f, a, b, iters=80):
         else:
             a, fa = m, f(m)
     return 0.5 * (a + b)
+
+
+def gram(basis):
+    """<phi_i, phi_j> summed edge by edge through mode_overlap_integral."""
+    K = len(basis)
+    G = np.zeros((K, K))
+    for i in range(K):
+        for j in range(K):
+            G[i, j] = sum(basis.amplitudes[i, e] * basis.amplitudes[j, e]
+                          * mode_overlap_integral(basis.omegas[i], kind, basis.omegas[j], kind, L)
+                          for e, (L, kind) in enumerate(zip(basis.lengths, basis.kinds)))
+    return G
 
 
 # -- secular functions -------------------------------------------------------
@@ -51,7 +66,7 @@ def test_interval_dirichlet_spectrum():
 def test_interval_neumann_spectrum():
     basis = solve_spectrum(interval(1.0, BC.NEUMANN, BC.NEUMANN), 4)
     assert np.allclose(basis.eigenvalues, [0.0, PI**2, 4 * PI**2, 9 * PI**2], atol=1e-12)
-    amp, _ = basis.modes[0].per_edge[0]
+    amp = basis.amplitudes[0, 0]
     assert abs(amp - 1.0) < 1e-14  # constant mode on unit length
 
 
@@ -68,10 +83,10 @@ def test_equilateral_star_spectrum(star3_equilateral):
     expected = sorted([(2 * k - 1) ** 2 * PI**2 / 4 for k in range(1, 11)]
                       + [k**2 * PI**2 for k in range(1, 11) for _ in range(2)])[:30]
     assert np.allclose(basis.eigenvalues, expected, rtol=1e-10)
-    # the double levels carry multiplicity groups and vanish at the center
-    grouped = [m for m in basis.modes if m.multiplicity_group is not None]
-    assert len(grouped) == 20
-    assert all(m.center_value == 0.0 for m in grouped)
+    # the double levels carry multiplicity 2 and vanish at the center
+    grouped = basis.multiplicity > 1
+    assert grouped.sum() == 20
+    assert np.all(basis.center_values[grouped] == 0.0)
 
 
 def test_two_star_spectrum_progression(star2_irrational):
@@ -84,7 +99,7 @@ def test_two_star_spectrum_progression(star2_irrational):
 def test_neumann_star_includes_constant_mode(star5_neumann):
     basis = solve_spectrum(star5_neumann, 10)
     assert basis.eigenvalues[0] == 0.0
-    amp, _ = basis.modes[0].per_edge[0]
+    amp = basis.amplitudes[0, 0]
     assert abs(amp - 1.0 / math.sqrt(float(basis.lengths.sum()))) < 1e-14
 
 
@@ -97,40 +112,27 @@ def test_secular_residual_at_roots(star2_irrational):
 def test_orthonormality_gram(star3_equilateral):
     basis = solve_spectrum(star3_equilateral, 12)
     K = len(basis)
-    G = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            mi, mj = basis.modes[i], basis.modes[j]
-            G[i, j] = sum(mi.per_edge[e][0] * mj.per_edge[e][0]
-                          * mode_overlap_integral(mi.omega, mi.per_edge[e][1],
-                                                  mj.omega, mj.per_edge[e][1], L)
-                          for e, L in enumerate(basis.lengths))
+    G = gram(basis)
     assert np.max(np.abs(G - np.eye(K))) < 1e-9
 
 
 def test_orthonormality_gram_neumann_star(star5_neumann):
     basis = solve_spectrum(star5_neumann, 10)
     K = len(basis)
-    G = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            mi, mj = basis.modes[i], basis.modes[j]
-            G[i, j] = sum(mi.per_edge[e][0] * mj.per_edge[e][0]
-                          * mode_overlap_integral(mi.omega, mi.per_edge[e][1],
-                                                  mj.omega, mj.per_edge[e][1], L)
-                          for e, L in enumerate(basis.lengths))
+    G = gram(basis)
     assert np.max(np.abs(G - np.eye(K))) < 1e-9
 
 
 def test_vertex_conditions_hold(star5_neumann):
     basis = solve_spectrum(star5_neumann, 20)
-    for m in basis.modes[1:]:
-        vals = [m.edge_value(e, L) for e, L in enumerate(basis.lengths)]
+    is_sin = np.array([kind is TrigMode.SIN for kind in basis.kinds])
+    for w, amps in zip(basis.omegas[1:], basis.amplitudes[1:]):
+        arg = w * basis.lengths
+        vals = list(amps * np.where(is_sin, np.sin(arg), np.cos(arg)))
         assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(max(vals)))
         # Kirchhoff: for cos-modes the outgoing-derivative sum is omega * sum a sin(omega L)
-        ksum = sum(a * math.sin(m.omega * L)
-                   for (a, _), L in zip(m.per_edge, basis.lengths))
-        scale = sum(abs(a) for a, _ in m.per_edge)
+        ksum = sum(a * math.sin(w * L) for a, L in zip(amps, basis.lengths))
+        scale = sum(abs(a) for a in amps)
         assert abs(ksum) < 1e-8 * scale
 
 
@@ -207,37 +209,83 @@ def test_generic_mixed_star_roots_against_mpmath():
             assert abs(basis.omegas[k - 1] - float(ref)) <= 1e-12 * float(ref)
 
 
+# -- the array basis against the mode-by-mode assembly -------------------------
+
+@st.composite
+def reference_stars(draw):
+    """2-6 edges with mixed ends, generic lengths or multiples h m of one scale
+    (branch points), and a mode count K."""
+    n = draw(st.integers(2, 6))
+    dirichlet = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    else:
+        h = draw(st.floats(0.2, 0.8))
+        lengths = [h * m for m in draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))]
+    return lengths, dirichlet, draw(st.integers(1, 200))
+
+
+# K = 20 keeps one of the two modes of the branch point at 3 pi
+CUT_STAR = ([1.0, 1.0, 2.0, 3.0], [True, True, True, False], 20)
+# nine edges: np.sum adds eight or more terms in another order than a loop does
+WIDE_STAR = ([0.7 * math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)],
+             [True, False] * 4 + [True], 80)
+
+
+@settings(max_examples=200)
+@given(reference_stars())
+@example(CUT_STAR)
+@example(WIDE_STAR)
+def test_array_basis_matches_mode_by_mode_reference_bitwise(case):
+    lengths, dirichlet, K = case
+    graph = star(lengths, [BC.DIRICHLET if d else BC.NEUMANN for d in dirichlet])
+    basis = solve_spectrum(graph, K)
+    lams, amps, centers, multiplicity = star_basis_reference(graph, K)
+    assert basis.eigenvalues.tobytes() == lams.tobytes()
+    assert basis.amplitudes.tobytes() == amps.tobytes()
+    assert basis.center_values.tobytes() == centers.tobytes()
+    assert basis.multiplicity.tobytes() == multiplicity.astype(basis.multiplicity.dtype).tobytes()
+
+
+def test_multiplicity_counts_kept_members_of_a_cut_branch_point():
+    lengths, dirichlet, K = CUT_STAR
+    graph = star(lengths, [BC.DIRICHLET if d else BC.NEUMANN for d in dirichlet])
+    whole, cut = solve_spectrum(graph, K + 1), solve_spectrum(graph, K)
+    assert whole.eigenvalues[K - 1] == whole.eigenvalues[K] == (3 * PI) ** 2
+    assert list(whole.multiplicity[K - 2:]) == [1, 2, 2]
+    assert list(cut.multiplicity[K - 2:]) == [1, 1]
+    assert cut.center_values[K - 1] == 0.0
+
+
+def test_simple_modes_reject_a_vanishing_edge_factor():
+    with pytest.raises(NumericalError, match="edge factor vanishes at x=0.0"):
+        _simple_modes(np.array([1.0, 0.0]), np.array([1.0, 2.0]), [TrigMode.SIN, TrigMode.COS])
+
+
 # -- explicit subsystems ------------------------------------------------------
 
 def test_equilateral_subsystem_matches_construction():
     basis = explicit_subsystem("equilateral_star", 6, n_edges=3, length=1.0)
     assert np.allclose(basis.eigenvalues, [k**2 * PI**2 / 4 for k in range(1, 7)], rtol=1e-14)
-    g1 = basis.modes[0]
-    assert all(abs(a - math.sqrt(2 / 3)) < 1e-14 for a, _ in g1.per_edge)
-    f1 = basis.modes[1]
-    assert abs(f1.per_edge[0][0] + math.sqrt(4 / 3)) < 1e-14
-    assert abs(f1.per_edge[1][0] - math.sqrt(1 / 3)) < 1e-14
+    g1 = basis.amplitudes[0]
+    assert all(abs(a - math.sqrt(2 / 3)) < 1e-14 for a in g1)
+    f1 = basis.amplitudes[1]
+    assert abs(f1[0] + math.sqrt(4 / 3)) < 1e-14
+    assert abs(f1[1] - math.sqrt(1 / 3)) < 1e-14
 
 
 def test_equilateral_subsystem_orthonormal_n5():
     basis = explicit_subsystem("equilateral_star", 8, n_edges=5, length=0.7)
     K = len(basis)
-    G = np.zeros((K, K))
-    for i in range(K):
-        for j in range(K):
-            mi, mj = basis.modes[i], basis.modes[j]
-            G[i, j] = sum(mi.per_edge[e][0] * mj.per_edge[e][0]
-                          * mode_overlap_integral(mi.omega, mi.per_edge[e][1],
-                                                  mj.omega, mj.per_edge[e][1], L)
-                          for e, L in enumerate(basis.lengths))
+    G = gram(basis)
     assert np.max(np.abs(G - np.eye(K))) < 1e-12
 
 
 def test_two_equal_edges_subsystem():
     basis = explicit_subsystem("two_equal_edges", 4, length=1.0)
     assert np.allclose(basis.eigenvalues, [k**2 * PI**2 for k in range(1, 5)], rtol=1e-14)
-    m1 = basis.modes[0]
-    assert m1.per_edge[0][0] == -m1.per_edge[1][0] == 1.0
+    m1 = basis.amplitudes[0]
+    assert m1[0] == -m1[1] == 1.0
 
 
 def test_loops_family_gap():
@@ -252,16 +300,16 @@ def test_paired_star_subsystem():
     basis = explicit_subsystem("paired_star", 6, lengths=[1.0, SQRT2])
     mus = sorted([m**2 * PI**2 / L**2 for m in range(1, 5) for L in (1.0, SQRT2)])[:6]
     assert np.allclose(basis.eigenvalues, mus, rtol=1e-14)
-    for m in basis.modes:
-        sup = [e for e, (a, _) in enumerate(m.per_edge) if a != 0.0]
+    for m in basis.amplitudes:
+        sup = [e for e, a in enumerate(m) if a != 0.0]
         assert len(sup) == 2 and sup[1] == sup[0] + 1
-        assert m.per_edge[sup[0]][0] == -m.per_edge[sup[1]][0]
+        assert m[sup[0]] == -m[sup[1]]
 
 
 def test_dropped_family_vanishes_on_edge_one():
-    for dm in equilateral_dropped_modes(3, 4, 1.0):
-        assert dm.per_edge[0][0] == 0.0
-        assert abs(sum(a for a, _ in dm.per_edge)) < 1e-12
+    for dm in equilateral_dropped_modes(3, 4, 1.0).amplitudes:
+        assert dm[0] == 0.0
+        assert abs(sum(dm)) < 1e-12
 
 
 # -- hypothesis validation ----------------------------------------------------
