@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import GraphCtrlError, NumericalError, ValidationError
 from .graph import (BoundaryCondition, Edge, LengthSetReport, MetricGraph, SolverSettings,
                     Topology, check_length_set, load_problem, serialize_problem)
-from .spectrum import (SpectralBasis, TrigMode, explicit_subsystem, solve_spectrum,
+from .spectrum import (SpectralBasis, explicit_subsystem, solve_spectrum,
                        validate_spectral_hypotheses)
 from .potentials import (ControlOperator, analyze_coupling, build_matrix,
                          check_vertex_compatibility, matrix_element, mode_overlap_integral)

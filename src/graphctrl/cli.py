@@ -3,7 +3,8 @@
 Every command writes its data files plus a manifest.json recording the
 command, input digests, settings and produced files.  CSV rows are streamed
 from whole columns with floats as %.17g, so every double round-trips; JSON goes
-through json.dump.  Apart from the manifest's wall time, outputs are deterministic.
+through json.dump and is strict: a NaN or infinity exits 3 naming the file.
+Apart from the manifest's wall time, outputs are deterministic.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 64 usage.
 """
@@ -56,9 +57,15 @@ class Runner:
         return self.out_dir / name
 
     def write_json(self, name: str, payload: dict):
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        path = self.path(name)
+        try:
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default,
+                          allow_nan=False)
+                fh.write("\n")
+        except ValueError as exc:     # a NaN or infinity: no partial file is left
+            path.unlink()
+            raise NumericalError(f"{name}: non-finite value ({exc})") from None
 
     def write_csv(self, name: str, header: list[str], columns):
         """A CSV table from equal-length 1-D integer or float arrays, streamed as one
@@ -120,10 +127,11 @@ def cmd_spectrum(args, runner: Runner):
                                               basis.omegas, basis.multiplicity, *basis.amplitudes.T])
     report = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     lengths = check_length_set(graph.lengths)
+    single = len(basis) < 2     # the Weyl ratios and the sqrt gap need k >= 2
     runner.write_json("spectrum_summary.json", {
         "num_modes": len(basis),
-        "weyl": basis.weyl_report,
-        "sqrt_gap": {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
+        "weyl": None if single else basis.weyl_report,
+        "sqrt_gap": None if single else {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
         "simple": report.simplicity if report else None,
         "center_decay_exponent": report.center_decay_exponent if report else None,
         "length_scan": {"independent": lengths.independence_flag,

@@ -527,10 +527,12 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
         f0 = abs(system.lam[nn] - system.lam[m])
         scale = max(1.0, float(np.abs(system.lam).max()))
         elem_tol = 1e-12 * max(1.0, float(np.abs(system.B).max()))
-        colliding = [(l + 1, m2 + 1) for l in range(K) for m2 in range(l + 1, K)
-                     if (l, m2) != (min(m, nn), max(m, nn))
-                     and abs(system.B[l, m2]) > elem_tol
-                     and abs(abs(system.lam[m2] - system.lam[l]) - f0) <= resonance_tol * scale]
+        rows, cols = np.triu_indices(K, 1)      # every pair, row-major
+        gap = np.abs(system.lam[cols] - system.lam[rows])
+        hit = (((rows != min(m, nn)) | (cols != max(m, nn)))
+               & (np.abs(system.B[rows, cols]) > elem_tol)
+               & (np.abs(gap - f0) <= resonance_tol * scale))
+        colliding = list(zip((rows[hit] + 1).tolist(), (cols[hit] + 1).tolist()))
         raise ValidationError(
             f"transition {source}->{target} is frequency-degenerate among coupled pairs; "
             f"colliding pairs: {colliding}")

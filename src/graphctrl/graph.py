@@ -83,10 +83,6 @@ class MetricGraph:
         internal = self.internal_vertices
         return internal[0] if len(internal) == 1 else None
 
-    def external_bc(self, edge: Edge) -> BoundaryCondition:
-        """Boundary condition at the coordinate-0 end of a star/interval edge."""
-        return self.bc[edge.tail]
-
     # -- validation ---------------------------------------------------------
 
     def _validate(self):

@@ -4,9 +4,10 @@ The expanded secular product
 
     G(x) = sum_l w_l sigma_l(x L_l) prod_{j ≠ l} tau_j(x L_j)
 
-(tau = sin, sigma = cos on Dirichlet edges; tau = cos, sigma = -sin on
-Neumann edges; weights 2 for paired equal-length edges) is entire, real and
-bounded on the real axis, and vanishes exactly on the sqrt-spectrum.  At a
+(tau = sin, sigma = cos on Dirichlet edges, where ``is_sin`` holds; tau =
+cos, sigma = -sin on Neumann edges; weights 2 for paired equal-length edges;
+all factors from ``spectrum.edge_factors``) is entire, real and bounded on
+the real axis, and vanishes exactly on the sqrt-spectrum.  At a
 simple zero its derivative reduces to
 
     |G'(sqrt(lambda))| = prod_l tau_l * sum_l w_l L_l / tau_l^2
@@ -26,21 +27,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graph import BoundaryCondition, MetricGraph, Topology
-from .spectrum import (SpectralBasis, TrigMode, _edge_kinds, assemble_secular,
-                       common_vanishing_points, leave_one_out, star_roots, sum_in_order)
+from .graph import MetricGraph, Topology
+from .spectrum import (SpectralBasis, _is_sin, assemble_secular, common_vanishing_points,
+                       edge_factors, leave_one_out, loglog_fit, star_roots, sum_in_order)
 
 
 @dataclass
 class SecularProduct:
     lengths: np.ndarray
-    kinds: list[TrigMode]            # SIN for Dirichlet edges, COS for Neumann
+    is_sin: np.ndarray               # True on Dirichlet edges (tau = sin), False on Neumann
     weights: np.ndarray
     _S: object = field(init=False, repr=False)
     _Sprime: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._S, self._Sprime = assemble_secular(self.lengths, self.kinds, self.weights)
+        self._S, self._Sprime = assemble_secular(self.lengths, self.is_sin, self.weights)
 
     def value(self, x):
         return self._S(x)
@@ -48,23 +49,18 @@ class SecularProduct:
     def derivative(self, x):
         return self._Sprime(x)
 
-    def _tau(self, x):
-        arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), self.lengths)
-        is_sin = np.array([k is TrigMode.SIN for k in self.kinds])
-        return np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
-
     def derivative_at_root(self, x):
         """-(prod tau) * sum w L / tau^2: the derivative when the bracket vanishes.
 
         Valid exactly on the sqrt-spectrum (the complementary term carries
         the vanishing bracket as a factor there).
         """
-        tau = self._tau(x)
+        tau, _ = edge_factors(x, self.lengths, self.is_sin)
         return -sum_in_order(self.weights * self.lengths * leave_one_out(tau[:, None, :]) / tau)
 
     def envelope(self, x):
         """(min_l L_l) * sum_l w_l prod_{j ≠ l} |tau_j|: lower bound for |G'| at roots."""
-        tau = np.abs(self._tau(x))
+        tau = np.abs(edge_factors(x, self.lengths, self.is_sin)[0])
         return float(self.lengths.min()) * sum_in_order(self.weights * leave_one_out(tau[:, None, :]))
 
     @property
@@ -84,24 +80,22 @@ def build_secular_product(graph: MetricGraph, pair_weights: bool = False) -> Sec
     """
     if graph.topology is Topology.INTERVAL:
         e = graph.edges[0]
-        kinds = [TrigMode.SIN if graph.bc[v] is BoundaryCondition.DIRICHLET else TrigMode.COS
-                 for v in (e.tail, e.head)]
         return SecularProduct(lengths=np.array([e.length / 2, e.length / 2]),
-                              kinds=kinds, weights=np.array([1.0, 1.0]))
-    kinds = _edge_kinds(graph)
+                              is_sin=_is_sin(graph, (e.tail, e.head)), weights=np.array([1.0, 1.0]))
+    is_sin = _is_sin(graph, [e.tail for e in graph.edges])
     lengths = graph.lengths
     if not pair_weights:
-        return SecularProduct(lengths=lengths, kinds=kinds, weights=np.ones(lengths.size))
-    merged: list[tuple[float, TrigMode, float]] = []
-    for L, k in zip(lengths, kinds):
+        return SecularProduct(lengths=lengths, is_sin=is_sin, weights=np.ones(lengths.size))
+    merged: list[tuple[float, bool, float]] = []
+    for L, k in zip(lengths, is_sin):
         for i, (L2, k2, w) in enumerate(merged):
-            if k2 is k and abs(L - L2) <= 1e-12 * max(1.0, L):
+            if k2 == k and abs(L - L2) <= 1e-12 * max(1.0, L):
                 merged[i] = (L2, k2, w + 1.0)
                 break
         else:
             merged.append((L, k, 1.0))
     return SecularProduct(lengths=np.array([m[0] for m in merged]),
-                          kinds=[m[1] for m in merged],
+                          is_sin=np.array([m[1] for m in merged]),
                           weights=np.array([m[2] for m in merged]))
 
 
@@ -132,8 +126,7 @@ def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None
         k0 = int(np.argmin(vals)) + 1
         raise ValidationError(f"derivative vanishes at mode {k0}: degenerate zero")
     ks = np.arange(1, K + 1, dtype=float)
-    A = np.vstack([np.log(ks), np.ones(K)]).T
-    slope = float(np.linalg.lstsq(A, np.log(vals), rcond=None)[0][0])
+    slope = loglog_fit(ks, vals)[0]
     dtilde = max(0.0, -slope - 1.0)
     prods = vals * ks ** (1.0 + dtilde)
     worst = int(np.argmin(prods)) + 1
@@ -168,10 +161,8 @@ def half_distance(x):
 def mixed_product_sum(lengths, i1, i2, x):
     """sum over l of prod_{j ≠ l} |tau_j(x L_j)| with cos on i1, sin on i2."""
     lengths = np.asarray(lengths, dtype=float)
-    arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
-    on_cos = np.array([j in i1 for j in range(lengths.size)])
-    tau = np.abs(np.where(on_cos, np.cos(arg), np.sin(arg)))
-    return sum_in_order(leave_one_out(tau[:, None, :]))
+    tau, _ = edge_factors(x, lengths, [j not in i1 for j in range(lengths.size)])
+    return sum_in_order(leave_one_out(np.abs(tau)[:, None, :]))
 
 
 @dataclass
@@ -206,7 +197,8 @@ def diophantine_products(lengths, i1, i2, x_grid,
         raise ValidationError(f"grid must lie above pi/2 * max(1/L_j) = {x_min:.6g}")
 
     a_vals = mixed_product_sum(lengths, i1, i2, x)
-    tilde = np.where([j in i1 for j in range(n)], 2 * lengths, lengths)
+    is_sin = np.array([j not in i1 for j in range(n)])
+    tilde = np.where(is_sin, lengths, 2 * lengths)
 
     # rows[:, i, j] = d(m_i tilde_j / L_i), m_i the point of the half-integer
     # grid, then of the integer grid, nearest to L_i x / pi; the bound is the
@@ -222,8 +214,7 @@ def diophantine_products(lengths, i1, i2, x_grid,
     ratio_inf = float(np.min(a_vals[nz] / bound[nz])) if nz.any() else math.inf
     # a(x) = 0 exactly when >= 2 factors vanish together, which only happens
     # for rationally related lengths; detect those points in closed form
-    kinds = [TrigMode.COS if j in i1 else TrigMode.SIN for j in range(n)]
-    zeros = [float(p) for p, _ in common_vanishing_points(lengths, kinds, float(x.max()))
+    zeros = [float(p) for p, _ in common_vanishing_points(lengths, is_sin, float(x.max()))
              if p > x_min]
 
     y = np.linspace(0.0, 25.0, x.size)
@@ -260,7 +251,7 @@ def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     if K < 1:
         raise ValidationError("K must be >= 1")
     lengths = np.asarray(lengths, dtype=float)
-    entries = star_roots(lengths, [TrigMode.COS] * lengths.size, K, distinct=True)
+    entries = star_roots(lengths, np.zeros(lengths.size, dtype=bool), K, distinct=True)
     roots = np.array([x for x, _, _ in entries[:K]])
     cosvals = np.abs(np.cos(np.outer(roots, lengths)))
     per_root = cosvals.min(axis=1)
@@ -269,8 +260,7 @@ def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     ks = np.arange(1, roots.size + 1, dtype=float)
     ok = running > 0
     if ok.sum() >= 2:
-        A = np.vstack([np.log(ks[ok]), np.ones(int(ok.sum()))]).T
-        slope = float(np.linalg.lstsq(A, np.log(running[ok]), rcond=None)[0][0])
+        slope = loglog_fit(ks[ok], running[ok])[0]
     else:
         slope = -math.inf
     failed = bool(np.any(per_root < 1e-12))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError, require_finite
+from .spectrum import loglog_fit
 
 MAX_MOMENT_SIZE = 512
 CONDITION_LIMIT = 1e10
@@ -157,14 +158,13 @@ def dd_matrix(values: np.ndarray) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     n = v.size
     F = np.zeros((n, n))
-    F[0, 0] = 1.0
-    for k in range(n):
-        for j in range(k + 1):
-            prod = 1.0
-            for l in range(k + 1):
-                if l != j:
-                    prod /= (v[j] - v[l])
-            F[j, k] = prod
+    # F[j, k] = 1 / prod_{l <= k, l != j} (v_j - v_l), divided out in the order of l
+    diag = F.reshape(-1)[::n + 1]      # a view of the diagonal
+    diag[:] = 1.0
+    for l in range(n - 1):
+        diag[l + 1:] /= v[l + 1:] - v[l]
+    for k in range(1, n):
+        F[:k, k] = F[:k, k - 1] / (v[:k] - v[k])
     return F
 
 
@@ -373,8 +373,7 @@ def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceB
     labs = np.array([r[1] for r in rows], dtype=float)
     ratios = np.array([r[2] for r in rows])
     if labs.size >= 2 and np.all(ratios > 0):
-        A = np.vstack([np.log(labs), np.ones(labs.size)]).T
-        slope = float(np.linalg.lstsq(A, np.log(ratios), rcond=None)[0][0])
+        slope = loglog_fit(labs, ratios)[0]
     else:
         slope = math.nan
     return TraceBoundReport(per_cluster=rows, sup_ratio=float(max(r[2] for r in rows)),

@@ -4,10 +4,11 @@ The control operator acts edgewise as psi^j -> P_j(x) psi^j with real
 polynomial potentials P_j.  Matrix elements against trigonometric
 eigenfunctions reduce to integrals x^p * trig * trig which are evaluated in
 closed form (product-to-sum plus the x^p cos recurrence) by one array
-kernel.  The frequencies, amplitudes and per-edge trig kinds are read from
-the array basis, so each edge is one kernel call over all requested mode
-pairs; the same per-edge sum gives the cross block between two bases on the
-same edges (``coupling_block``).
+kernel.  The frequencies, amplitudes and per-edge kinds ``is_sin`` (sin on a
+Dirichlet end, cos on a Neumann end) are read from the array basis, so each
+edge is one kernel call over all requested mode pairs; the same per-edge sum
+gives the cross block between two bases on the same edges
+(``coupling_block``).
 
 The module also hosts the two numerical checkers used before a control run:
 the decay/resonance analysis of the coupling column <phi_k, B phi_1>, and
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import BoundaryCondition, MetricGraph
-from .spectrum import SpectralBasis, TrigMode
+from .spectrum import SpectralBasis, loglog_fit
 
 MAX_DEGREE = 12
 
@@ -120,8 +121,8 @@ def _overlap(coeffs, a, b, L, sin_a, sin_b):
     return acc
 
 
-def mode_overlap_integral(omega1, mode1: TrigMode, omega2, mode2: TrigMode, L, p: int = 0):
-    """x^p-weighted overlap of two edge trig factors on (0, L)."""
+def mode_overlap_integral(omega1, sin1: bool, omega2, sin2: bool, L, p: int = 0):
+    """x^p-weighted overlap on (0, L) of two edge factors: sin where sin1 (sin2) holds, else cos."""
     if p < 0 or p > MAX_DEGREE:
         raise ValidationError(f"polynomial degree {p} outside supported range 0..{MAX_DEGREE}")
     if L <= 0:
@@ -129,7 +130,7 @@ def mode_overlap_integral(omega1, mode1: TrigMode, omega2, mode2: TrigMode, L, p
     unit = np.zeros(p + 1)
     unit[p] = 1.0
     return float(_overlap(unit, np.array([float(omega1)]), np.array([float(omega2)]), L,
-                          mode1 is TrigMode.SIN, mode2 is TrigMode.SIN)[0])
+                          bool(sin1), bool(sin2))[0])
 
 
 @dataclass
@@ -186,7 +187,7 @@ def _edge_sum(op: ControlOperator, left: SpectralBasis, rows, right: SpectralBas
         if not np.any(coeffs):
             continue
         acc = _overlap(coeffs, left.omegas[rows], right.omegas[cols], L,
-                       left.kinds[e] is TrigMode.SIN, right.kinds[e] is TrigMode.SIN)
+                       left.is_sin[e], right.is_sin[e])
         aj, ak = left.amplitudes[rows, e], right.amplitudes[cols, e]
         total += np.where((aj != 0.0) & (ak != 0.0), aj * ak * acc, 0.0)
     return total
@@ -300,11 +301,8 @@ def _loglog_fit(ks, vals):
     ok = vals > 0
     if ok.sum() < 2:
         return (math.nan, math.nan, math.nan)
-    A = np.vstack([np.log(ks[ok]), np.ones(ok.sum())]).T
-    sol, *_ = np.linalg.lstsq(A, np.log(vals[ok]), rcond=None)
-    pred = A @ sol
-    rms = float(np.sqrt(np.mean((np.log(vals[ok]) - pred) ** 2)))
-    return (float(sol[0]), float(math.exp(sol[1])), rms)
+    slope, intercept, rms = loglog_fit(ks[ok], vals[ok])
+    return (slope, math.exp(intercept), rms)
 
 
 def _envelope_fit(ks, vals, n_blocks=6):

@@ -7,9 +7,10 @@ a scalar secular function
 
     S(x) = sum_l w_l * sigma_l(x L_l) * prod_{j ≠ l} tau_j(x L_j)
 
-with tau = sin, sigma = cos on Dirichlet edges and tau = cos, sigma = -sin
-on Neumann edges.  S is entire (pole-free) and its positive zeros, counted
-with their order, enumerate the spectrum.
+with tau = sin, sigma = cos on Dirichlet edges (where the boolean edge kind
+``is_sin`` holds) and tau = cos, sigma = -sin on Neumann edges; every caller
+gets both from ``edge_factors``.  S is entire (pole-free) and its positive
+zeros, counted with their order, enumerate the spectrum.
 
 Star roots are bracketed by the closed-form zeros of the edge factors tau_l.
 Away from them S = prod_l tau_l * M with
@@ -27,15 +28,14 @@ ratios are rational.  The count below any x is therefore known in closed
 form, and all brackets are refined at once by vectorized bisection on M.
 
 A basis is held as arrays (``SpectralBasis``): the eigenvalues, a K x E
-amplitude matrix, one trig kind per edge and the center values.  The
-amplitudes of all simple roots come from one array evaluation; a branch
-point fills its r-1 rows, and ``multiplicity`` counts the members of each
-eigenspace among the modes kept.
+amplitude matrix, ``is_sin`` and the center values.  The amplitudes of all
+simple roots come from one array evaluation; a branch point fills its r-1
+rows, and ``multiplicity`` counts the members of each eigenspace among the
+modes kept.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -48,24 +48,20 @@ _BISECT_REL = 1e-13
 _CLUSTER_REL = 1e-9
 
 
-class TrigMode(enum.Enum):
-    SIN = "sin"
-    COS = "cos"
-
-
 @dataclass
 class SpectralBasis:
     """The first K eigenfunctions as arrays.
 
-    Mode k is amplitudes[k, l] * kinds[l](omegas[k] x) on edge l, where x
-    runs from the external vertex of the edge.  The trig kind belongs to
-    the edge (sin on Dirichlet ends, cos on Neumann ends), never to the mode.
+    Mode k is amplitudes[k, l] * sin(omegas[k] x) on edge l where
+    is_sin[l], and amplitudes[k, l] * cos(omegas[k] x) elsewhere; x runs from
+    the external vertex of the edge.  The trig kind belongs to the edge (sin
+    on Dirichlet ends, cos on Neumann ends), never to the mode.
     """
 
     eigenvalues: np.ndarray          # (K,) ascending
     omegas: np.ndarray               # (K,) square roots of the eigenvalues
     amplitudes: np.ndarray           # (K, E)
-    kinds: list[TrigMode]            # one per edge
+    is_sin: np.ndarray               # (E,) bool: True on Dirichlet-ended edges
     center_values: np.ndarray        # (K,) eigenfunction value at the center
     multiplicity: np.ndarray         # (K,) int: members of the mode's eigenspace among the K kept
     lengths: np.ndarray
@@ -79,7 +75,7 @@ class SpectralBasis:
         return len(self.eigenvalues)
 
 
-def _basis(omegas, amplitudes, kinds, lengths, edge_ids, center_values=None, multiplicity=None,
+def _basis(omegas, amplitudes, is_sin, lengths, edge_ids, center_values=None, multiplicity=None,
            **labels) -> SpectralBasis:
     """A basis from its frequency and amplitude arrays; the center values and
     multiplicities default to 0 and 1, the reports are computed here."""
@@ -87,7 +83,8 @@ def _basis(omegas, amplitudes, kinds, lengths, edge_ids, center_values=None, mul
     lams = omegas * omegas
     K = omegas.size
     return SpectralBasis(eigenvalues=lams, omegas=omegas,
-                         amplitudes=np.asarray(amplitudes, dtype=float), kinds=list(kinds),
+                         amplitudes=np.asarray(amplitudes, dtype=float),
+                         is_sin=np.asarray(is_sin, dtype=bool),
                          center_values=np.zeros(K) if center_values is None else center_values,
                          multiplicity=np.ones(K, dtype=int) if multiplicity is None else multiplicity,
                          lengths=np.asarray(lengths, dtype=float), edge_ids=list(edge_ids),
@@ -97,12 +94,20 @@ def _basis(omegas, amplitudes, kinds, lengths, edge_ids, center_values=None, mul
 # ---------------------------------------------------------------------------
 # secular function assembly
 
-def _edge_kinds(graph: MetricGraph) -> list[TrigMode]:
-    kinds = []
-    for e in graph.edges:
-        cond = graph.external_bc(e)
-        kinds.append(TrigMode.SIN if cond is BoundaryCondition.DIRICHLET else TrigMode.COS)
-    return kinds
+def _is_sin(graph: MetricGraph, ends) -> np.ndarray:
+    """The edge kinds of edges whose coordinate-0 vertices are ``ends``: True where Dirichlet."""
+    return np.array([graph.bc[v] is BoundaryCondition.DIRICHLET for v in ends])
+
+
+def edge_factors(x, lengths, is_sin):
+    """The edge factors (tau, sigma) at x L_l, one row per point of x.
+
+    tau = sin, sigma = cos where is_sin, and tau = cos, sigma = -sin
+    elsewhere, so tau' = L sigma and sigma' = -L tau on both kinds of edge.
+    """
+    arg = np.asarray(x, dtype=float).reshape(-1, 1) * lengths    # np.outer, without its overhead
+    s, c = np.sin(arg), np.cos(arg)
+    return np.where(is_sin, s, c), np.where(is_sin, c, -s)
 
 
 def leave_one_out(rows):
@@ -136,32 +141,34 @@ def sum_in_order(terms):
     return total
 
 
-def assemble_secular(lengths, kinds, weights=None):
+def loglog_fit(ks, vals):
+    """(slope, intercept, rms residual) of the least-squares line log(vals) ~ log(ks)."""
+    A = np.vstack([np.log(ks), np.ones(np.size(ks))]).T
+    y = np.log(vals)
+    sol = np.linalg.lstsq(A, y, rcond=None)[0]
+    return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean((y - A @ sol) ** 2)))
+
+
+def assemble_secular(lengths, is_sin, weights=None):
     """Return vectorized callables (S, S') for the pole-free secular function."""
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
     if weights is None:
         weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
-    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    is_sin = np.asarray(is_sin, dtype=bool)
     own = np.eye(n, dtype=bool)
     # the terms of S' in the order they are added: for each l the sigma_l'
     # term, then the tau_m' terms in increasing m
     order = (np.arange(n)[:, None], np.argsort(~own, axis=1, kind="stable"))
 
-    def parts(x):
-        """tau and sigma at x L_l; tau' = L sigma and sigma' = -L tau on both kinds of edge."""
-        arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
-        s, c = np.sin(arg), np.cos(arg)
-        return np.where(is_sin, s, c), np.where(is_sin, c, -s)
-
     def S(x):
-        tau, sigma = parts(x)
+        tau, sigma = edge_factors(x, lengths, is_sin)
         total = sum_in_order(weights * sigma * leave_one_out(tau[:, None, :]))
         return total[0] if np.isscalar(x) else total
 
     def Sprime(x):
-        tau, sigma = parts(x)
+        tau, sigma = edge_factors(x, lengths, is_sin)
         # Q[:, l, m] = prod_{j ≠ l, m} tau_j, and prod_{j ≠ l} tau_j where m = l
         Q = leave_one_out(np.where(own, 1.0, tau[:, None, :])[:, :, None, :])
         terms = (weights * sigma)[:, :, None] * (lengths * sigma)[:, None, :] * Q
@@ -175,7 +182,7 @@ def assemble_secular(lengths, kinds, weights=None):
 # ---------------------------------------------------------------------------
 # roots from interlacing brackets
 
-def _edge_zero_clusters(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
+def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     """Distinct zeros of the edge factors tau_l on (0, x_max], in increasing order.
 
     The closed-form zeros (sin: n pi / L, cos: (n - 1/2) pi / L) of all edges
@@ -185,8 +192,8 @@ def _edge_zero_clusters(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
     sorted indices of those edges.
     """
     xs, edges = [], []
-    for j, (L, k) in enumerate(zip(lengths, kinds)):
-        shift = 0.0 if k is TrigMode.SIN else 0.5
+    for j, (L, s) in enumerate(zip(lengths, is_sin)):
+        shift = 0.0 if s else 0.5
         n = np.arange(1, int(x_max * L / math.pi + shift) + 1)
         xs.append(((n - shift) * math.pi) / L)
         edges.append(np.full(n.size, j))
@@ -206,22 +213,21 @@ def _edge_zero_clusters(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
     return x[first], x[last], mean, shared
 
 
-def common_vanishing_points(lengths, kinds, x_max, cluster_rel=_CLUSTER_REL):
+def common_vanishing_points(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     """Points where >= 2 edge factors vanish simultaneously.
 
     Returns a list of (x, [edge indices]) sorted by x.  Only rationally
     related lengths produce such points; they are detected by clustering the
     closed-form zeros of the individual factors.
     """
-    _, _, x, shared = _edge_zero_clusters(lengths, kinds, x_max, cluster_rel)
+    _, _, x, shared = _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel)
     return [(float(x[i]), support) for i, support in shared.items()]
 
 
 def _secular_ratio(x, lengths, is_sin):
     """M(x) = sum_l sigma_l(x L_l) / tau_l(x L_l), i.e. S(x) / prod_l tau_l(x L_l)."""
-    arg = np.outer(x, lengths)
-    s, c = np.sin(arg), np.cos(arg)
-    return np.where(is_sin, c / s, -s / c).sum(axis=1)
+    tau, sigma = edge_factors(x, lengths, is_sin)
+    return (sigma / tau).sum(axis=1)
 
 
 def _bisect_brackets(lo, hi, lengths, is_sin):
@@ -241,7 +247,7 @@ def _bisect_brackets(lo, hi, lengths, is_sin):
         b[active[~right]] = mid[~right]
 
 
-def star_roots(lengths, kinds, count, distinct=False):
+def star_roots(lengths, is_sin, count, distinct=False):
     """The lowest positive square-root eigenvalues of a star, in increasing order.
 
     Returns (x, multiplicity, support) entries covering at least ``count``
@@ -254,11 +260,11 @@ def star_roots(lengths, kinds, count, distinct=False):
     is not included.
     """
     lengths = np.asarray(lengths, dtype=float)
-    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    is_sin = np.asarray(is_sin, dtype=bool)
     lead = int(is_sin.any())
     x_max = (count + 2) * math.pi / float(lengths.sum()) + 1.0
     while True:
-        lo, hi, x, shared = _edge_zero_clusters(lengths, kinds, x_max)
+        lo, hi, x, shared = _edge_zero_clusters(lengths, is_sin, x_max)
         mult = np.zeros(x.size, dtype=int)
         for i, support in shared.items():
             mult[i] = 1 if distinct else len(support) - 1
@@ -286,7 +292,7 @@ def _trig_norm_integral(omega, L, is_sin):
     return np.where(is_sin, L / 2 - osc, L / 2 + osc)
 
 
-def _simple_modes(x, lengths, kinds):
+def _simple_modes(x, lengths, is_sin):
     """Amplitude rows and center values of the center-nonvanishing modes at sqrt(lambda) = x.
 
     Continuity pins a_j * tau_j(x L_j) to a common center value c; the
@@ -296,20 +302,19 @@ def _simple_modes(x, lengths, kinds):
     The norm is summed edge by edge and tau is squared by pow, as a loop
     over the edges of one root would.
     """
-    x = np.asarray(x, dtype=float)[:, None]
-    is_sin = np.array([k is TrigMode.SIN for k in kinds])
-    arg = x * lengths
-    tau = np.where(is_sin, np.sin(arg), np.cos(arg))
+    x = np.asarray(x, dtype=float)
+    tau, _ = edge_factors(x, lengths, is_sin)
     vanishing = np.flatnonzero((tau == 0.0).any(axis=1))
     if vanishing.size:
-        x0 = float(x[vanishing[0], 0])
+        x0 = float(x[vanishing[0]])
         raise NumericalError(f"edge factor vanishes at x={x0}; not a simple mode")
-    norm_sq = sum_in_order(_trig_norm_integral(x, lengths, is_sin) / np.float_power(tau, 2.0))
+    norm_sq = sum_in_order(_trig_norm_integral(x[:, None], lengths, is_sin)
+                           / np.float_power(tau, 2.0))
     c = 1.0 / np.sqrt(norm_sq)
     return c[:, None] / tau, c
 
 
-def _branch_modes(x0, lengths, kinds, support):
+def _branch_modes(x0, lengths, is_sin, support):
     """Orthonormal basis (r-1 rows) of the center-vanishing eigenspace.
 
     The eigenfunctions are supported on the edges in ``support`` whose own
@@ -317,10 +322,10 @@ def _branch_modes(x0, lengths, kinds, support):
     amplitude space, orthonormalized against the L2 weights.
     """
     r = len(support)
-    L = lengths[support]
-    is_sin = np.array([kinds[j] is TrigMode.SIN for j in support])
-    d = np.where(is_sin, np.cos(x0 * L), -np.sin(x0 * L))
-    w = _trig_norm_integral(x0, L, is_sin)
+    L, kind = lengths[support], is_sin[support]
+    _, sigma = edge_factors(x0, L, kind)
+    d = sigma[0]
+    w = _trig_norm_integral(x0, L, kind)
     out = np.zeros((r - 1, len(lengths)))
     for i in range(1, r):
         v = np.zeros(r)
@@ -372,9 +377,9 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
         return _interval_spectrum(graph, num_modes)
 
     lengths = graph.lengths
-    kinds = _edge_kinds(graph)
-    constant = all(k is TrigMode.COS for k in kinds)
-    entries = star_roots(lengths, kinds, num_modes - constant)
+    is_sin = _is_sin(graph, [e.tail for e in graph.edges])
+    constant = not is_sin.any()
+    entries = star_roots(lengths, is_sin, num_modes - constant)
     x = np.array([e[0] for e in entries])
     size = np.array([e[1] for e in entries], dtype=int)   # 1 per simple root, r - 1 per branch point
     simple = np.array([e[2] is None for e in entries], dtype=bool)
@@ -382,15 +387,15 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     amps = np.zeros((constant + int(size.sum()), lengths.size))
     center = np.zeros(len(amps))
     rows = start[simple]
-    amps[rows], center[rows] = _simple_modes(x[simple], lengths, kinds)
+    amps[rows], center[rows] = _simple_modes(x[simple], lengths, is_sin)
     for i in np.flatnonzero(~simple):
-        amps[start[i]:start[i] + size[i]] = _branch_modes(x[i], lengths, kinds, entries[i][2])
+        amps[start[i]:start[i] + size[i]] = _branch_modes(x[i], lengths, is_sin, entries[i][2])
     omegas = np.repeat(x, size)
     multiplicity = np.repeat(np.minimum(size, num_modes - start), size)
     if constant:
         amps[0] = center[0] = 1.0 / math.sqrt(float(lengths.sum()))
         omegas, multiplicity = np.r_[0.0, omegas], np.r_[1, multiplicity]
-    return _basis(omegas[:num_modes], amps[:num_modes], kinds, lengths, graph.edge_ids,
+    return _basis(omegas[:num_modes], amps[:num_modes], is_sin, lengths, graph.edge_ids,
                   center[:num_modes], multiplicity[:num_modes])
 
 
@@ -398,17 +403,16 @@ def _interval_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     e = graph.edges[0]
     L = e.length
     tail, head = graph.bc[e.tail], graph.bc[e.head]
-    is_sin = tail is BoundaryCondition.DIRICHLET
+    is_sin = _is_sin(graph, [e.tail])
     constant = tail is BoundaryCondition.NEUMANN and head is BoundaryCondition.NEUMANN
     n = np.arange(1, num_modes + 1 - constant)
     omegas = (n - 0.5 if tail != head else n) * math.pi / L
     amps = 1.0 / np.sqrt(_trig_norm_integral(omegas, L, is_sin))
-    center = amps * (np.sin(omegas * L) if is_sin else np.cos(omegas * L))
+    center = amps * edge_factors(omegas, [L], is_sin)[0][:, 0]
     if constant:
         amp = 1.0 / math.sqrt(L)
         omegas, amps, center = np.r_[0.0, omegas], np.r_[amp, amps], np.r_[amp, center]
-    return _basis(omegas, amps[:, None], [TrigMode.SIN if is_sin else TrigMode.COS],
-                  graph.lengths, graph.edge_ids, center)
+    return _basis(omegas, amps[:, None], is_sin, graph.lengths, graph.edge_ids, center)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +456,9 @@ def _equilateral_subsystem(num_modes, n_edges, L) -> SpectralBasis:
     degenerate = np.r_[-math.sqrt(2.0 * (n_edges - 1) / (n_edges * L)),
                        np.full(n_edges - 1, math.sqrt(2.0 / (n_edges * (n_edges - 1) * L)))]
     amps = np.where((k % 2 == 1)[:, None], math.sqrt(2.0 / (n_edges * L)), degenerate)
-    return _basis(omegas, amps, [TrigMode.SIN] * n_edges, np.full(n_edges, L),
-                  [f"e{j+1}" for j in range(n_edges)], amps[:, 0] * np.sin(omegas * L),
+    tau, _ = edge_factors(omegas, [L], True)
+    return _basis(omegas, amps, np.ones(n_edges, dtype=bool), np.full(n_edges, L),
+                  [f"e{j+1}" for j in range(n_edges)], amps[:, 0] * tau[:, 0],
                   int_labels=k.tolist(), family="equilateral_star")
 
 
@@ -473,14 +478,14 @@ def equilateral_dropped_modes(num_levels, n_edges, L) -> SpectralBasis:
     per_level = len(vecs)
     omegas = np.repeat(np.arange(1, num_levels + 1) * math.pi / L, per_level)
     return _basis(omegas, np.tile(np.array(vecs) * math.sqrt(2.0 / L), (num_levels, 1)),
-                  [TrigMode.SIN] * n_edges, np.full(n_edges, L), [f"e{j+1}" for j in range(n_edges)],
-                  multiplicity=np.full(omegas.size, per_level))
+                  np.ones(n_edges, dtype=bool), np.full(n_edges, L),
+                  [f"e{j+1}" for j in range(n_edges)], multiplicity=np.full(omegas.size, per_level))
 
 
 def _two_equal_subsystem(num_modes, L) -> SpectralBasis:
     amp = 1.0 / math.sqrt(L)
     k = np.arange(1, num_modes + 1)
-    return _basis(k * math.pi / L, np.tile([amp, -amp], (num_modes, 1)), [TrigMode.SIN] * 2,
+    return _basis(k * math.pi / L, np.tile([amp, -amp], (num_modes, 1)), np.ones(2, dtype=bool),
                   [L, L], ["e1", "e2"], int_labels=k.tolist(), family="two_equal_edges")
 
 
@@ -508,7 +513,7 @@ def _scaled_family(num_modes, lengths, loop: bool) -> SpectralBasis:
         amps = np.zeros((num_modes, 2 * lengths.size))
         amps[rows, 2 * j] = 1.0 / np.sqrt(lengths[j])
         amps[rows, 2 * j + 1] = -amps[rows, 2 * j]
-    return _basis(om, amps, [TrigMode.SIN] * amps.shape[1],
+    return _basis(om, amps, np.ones(amps.shape[1], dtype=bool),
                   lengths if loop else np.repeat(lengths, 2),
                   [f"e{i+1}" for i in range(amps.shape[1])],
                   int_labels=m.tolist() if lengths.size == 1 else None,
@@ -538,9 +543,7 @@ def validate_spectral_hypotheses(basis: SpectralBasis, min_modes: int = 20) -> S
     ks = np.arange(1, len(basis) + 1)
     sel = centers > 0
     if sel.sum() >= 2:
-        A = np.vstack([np.log(ks[sel]), np.ones(sel.sum())]).T
-        slope, _ = np.linalg.lstsq(A, np.log(centers[sel]), rcond=None)[0]
-        p_fit = -float(slope)
+        p_fit = -loglog_fit(ks[sel], centers[sel])[0]
         min_prod = float(np.min(centers[sel] * ks[sel] ** p_fit))
     else:
         p_fit, min_prod = math.nan, 0.0

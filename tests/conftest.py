@@ -12,7 +12,7 @@ from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
 from graphctrl.moment import exp_inner
-from graphctrl.spectrum import TrigMode, _edge_kinds, star_roots
+from graphctrl.spectrum import star_roots
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -142,12 +142,12 @@ def matrix_element_scalar(op, basis, j, k):
     """<phi_j, B phi_k> summed one edge, one degree and one integral at a time."""
     lo, hi = (j, k) if j <= k else (k, j)
     total = 0.0
-    for e, (eid, L, mode) in enumerate(zip(basis.edge_ids, basis.lengths, basis.kinds)):
+    for e, (eid, L, sin) in enumerate(zip(basis.edge_ids, basis.lengths, basis.is_sin)):
         aj, ak = float(basis.amplitudes[lo - 1, e]), float(basis.amplitudes[hi - 1, e])
         if aj == 0.0 or ak == 0.0:
             continue
         a, b = float(basis.omegas[lo - 1]), float(basis.omegas[hi - 1])
-        kind = "sinsin" if mode.value == "sin" else "coscos"
+        kind = "sinsin" if sin else "coscos"
         acc = 0.0
         for p, c in enumerate(op.coeffs(eid)):
             if c != 0.0:
@@ -161,21 +161,21 @@ def matrix_element_scalar(op, basis, j, k):
 # ran before its basis became arrays, kept as the reference: the array basis
 # must agree with these bit for bit.
 
-def _trig_norm_integral_reference(omega, L, mode):
-    """Integral over (0, L) of sin^2(omega x) resp. cos^2(omega x)."""
+def _trig_norm_integral_reference(omega, L, sin):
+    """Integral over (0, L) of sin^2(omega x) if sin, else cos^2(omega x)."""
     if omega == 0.0:
-        return 0.0 if mode is TrigMode.SIN else L
+        return 0.0 if sin else L
     osc = math.sin(2 * L * omega) / (4 * omega)
-    return L / 2 - osc if mode is TrigMode.SIN else L / 2 + osc
+    return L / 2 - osc if sin else L / 2 + osc
 
 
-def simple_mode_reference(x0, lengths, kinds):
+def simple_mode_reference(x0, lengths, is_sin):
     """Amplitudes and center value of the center-nonvanishing mode at sqrt(lambda) = x0."""
     taus = []
-    for L, k in zip(lengths, kinds):
-        taus.append(math.sin(x0 * L) if k is TrigMode.SIN else math.cos(x0 * L))
+    for L, k in zip(lengths, is_sin):
+        taus.append(math.sin(x0 * L) if k else math.cos(x0 * L))
     norm_sq = 0.0
-    for (L, k), t in zip(zip(lengths, kinds), taus):
+    for (L, k), t in zip(zip(lengths, is_sin), taus):
         if t == 0.0:
             raise NumericalError(f"edge factor vanishes at x={x0}; not a simple mode")
         norm_sq += _trig_norm_integral_reference(x0, L, k) / t**2
@@ -183,14 +183,14 @@ def simple_mode_reference(x0, lengths, kinds):
     return [c / t for t in taus], c
 
 
-def branch_modes_reference(x0, lengths, kinds, support):
+def branch_modes_reference(x0, lengths, is_sin, support):
     """Orthonormal amplitude vectors of the center-vanishing eigenspace at x0."""
     r = len(support)
     d = []
     for j in support:
-        L, k = lengths[j], kinds[j]
-        d.append(math.cos(x0 * L) if k is TrigMode.SIN else -math.sin(x0 * L))
-    w = np.array([_trig_norm_integral_reference(x0, lengths[j], kinds[j]) for j in support])
+        L, k = lengths[j], is_sin[j]
+        d.append(math.cos(x0 * L) if k else -math.sin(x0 * L))
+    w = np.array([_trig_norm_integral_reference(x0, lengths[j], is_sin[j]) for j in support])
     d = np.array(d)
     vecs = []
     for i in range(1, r):
@@ -216,20 +216,20 @@ def star_basis_reference(graph, num_modes):
     multiplicity is the number of kept modes sharing the mode's group.
     """
     lengths = graph.lengths
-    kinds = _edge_kinds(graph)
+    is_sin = [graph.bc[e.tail] is BC.DIRICHLET for e in graph.edges]
     modes = []
-    if all(k is TrigMode.COS for k in kinds):
+    if not any(is_sin):
         amp = 1.0 / math.sqrt(float(lengths.sum()))
         modes.append((0.0, [amp] * len(lengths), amp, None))
     group_id = 0
-    for x0, _, support in star_roots(lengths, kinds, num_modes - len(modes)):
+    for x0, _, support in star_roots(lengths, is_sin, num_modes - len(modes)):
         lam = x0 * x0
         if support is None:
-            amps, c = simple_mode_reference(x0, lengths, kinds)
+            amps, c = simple_mode_reference(x0, lengths, is_sin)
             modes.append((lam, amps, c, None))
         else:
             group_id += 1
-            for amps in branch_modes_reference(x0, lengths, kinds, support):
+            for amps in branch_modes_reference(x0, lengths, is_sin, support):
                 modes.append((lam, [float(a) for a in amps], 0.0, group_id))
     modes = modes[:num_modes]
     counts = Counter(m[3] for m in modes)
@@ -295,14 +295,14 @@ def assert_fills_slots(omegas, slots, point_rel=1e-9):
 # for the leave-one-out products in graphctrl.spectrum and graphctrl.lowerbounds:
 # those must agree with these bit for bit.
 
-def assemble_secular_reference(lengths, kinds, weights=None):
+def assemble_secular_reference(lengths, is_sin, weights=None):
     """(S, S') of sum_l w_l sigma_l(x L_l) prod_{j != l} tau_j(x L_j), term by term."""
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
     if weights is None:
         weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
-    is_sin = np.array([k is TrigMode.SIN for k in kinds])
+    is_sin = np.asarray(is_sin, dtype=bool)
 
     def parts(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -339,15 +339,19 @@ def assemble_secular_reference(lengths, kinds, weights=None):
     return S, Sprime
 
 
-def _edge_factors_reference(lengths, kinds, x):
+def _edge_factors_reference(lengths, is_sin, x):
+    """(tau, sigma) at x L_l, chosen edge by edge: (sin, cos) on sin edges, else (cos, -sin)."""
     arg = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), lengths)
-    is_sin = np.array([k is TrigMode.SIN for k in kinds])
-    return np.where(is_sin[None, :], np.sin(arg), np.cos(arg))
+    s, c = np.sin(arg), np.cos(arg)
+    tau, sigma = np.empty_like(arg), np.empty_like(arg)
+    for j, sin in enumerate(is_sin):
+        tau[:, j], sigma[:, j] = (s[:, j], c[:, j]) if sin else (c[:, j], -s[:, j])
+    return tau, sigma
 
 
-def derivative_at_root_reference(lengths, kinds, weights, x):
+def derivative_at_root_reference(lengths, is_sin, weights, x):
     """-sum_l w_l L_l prod_{j != l} tau_j / tau_l."""
-    tau = _edge_factors_reference(lengths, kinds, x)
+    tau, _ = _edge_factors_reference(lengths, is_sin, x)
     total = np.zeros(tau.shape[0])
     for l in range(len(lengths)):
         others = [j for j in range(len(lengths)) if j != l]
@@ -355,9 +359,9 @@ def derivative_at_root_reference(lengths, kinds, weights, x):
     return -total
 
 
-def envelope_reference(lengths, kinds, weights, x):
+def envelope_reference(lengths, is_sin, weights, x):
     """(min_l L_l) sum_l w_l prod_{j != l} |tau_j|."""
-    tau = np.abs(_edge_factors_reference(lengths, kinds, x))
+    tau = np.abs(_edge_factors_reference(lengths, is_sin, x)[0])
     total = np.zeros(tau.shape[0])
     for l in range(len(lengths)):
         others = [j for j in range(len(lengths)) if j != l]
@@ -442,6 +446,21 @@ def moment_control_reference(alpha, coefficients, t):
         else:
             out = out + c * np.sin(freq * t)
     return out
+
+
+def dd_matrix_reference(values):
+    """Divided-difference matrix, one scalar product of 1 / (v_j - v_l) per entry."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    F = np.zeros((n, n))
+    for k in range(n):
+        for j in range(k + 1):
+            prod = 1.0
+            for l in range(k + 1):
+                if l != j:
+                    prod /= (v[j] - v[l])
+            F[j, k] = prod
+    return F
 
 
 def greedy_clusters_reference(freqs, delta):

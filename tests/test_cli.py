@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fmt_reference, trajectory_rows_reference, write_csv_reference,
-                      write_json_reference)
+from conftest import (fmt_reference, jsonable_reference, trajectory_rows_reference,
+                      write_csv_reference, write_json_reference)
 from graphctrl import dynamics, potentials, spectrum
 from graphctrl.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, Runner,
                            dispatch)
+from graphctrl.errors import NumericalError
 from graphctrl.graph import load_problem
 
 SQRT2 = math.sqrt(2.0)
@@ -454,7 +455,20 @@ _JSON_PAYLOADS = st.dictionaries(st.text(max_size=4), st.recursive(
           "residuals": [1 + 2j, np.complex128(-0.0 - 1j), complex(math.nan, math.inf)],
           "grid": np.array([[1.5, math.nan], [-0.0, 5e-324]]), "mixed": np.array([1j, 2]),
           "scalars": (np.float64(-0.0), np.float32(0.1), np.int32(-3))})
+@example({"flag": np.bool_(True), "n": np.int64(7), "pairs": [(np.int64(1), 2)],
+          "residuals": [1 + 2j, np.complex128(-0.0 - 1j)],
+          "grid": np.array([[1.5, 1e308], [-0.0, 5e-324]]), "mixed": np.array([1j, 2]),
+          "scalars": (np.float64(-0.0), np.float32(0.1), np.int32(-3))})
 def test_json_hook_matches_reference_copy(payload):
+    # the data files are strict JSON: a payload holding NaN or an infinity is refused
+    try:
+        json.dumps(jsonable_reference(payload), allow_nan=False)
+    except ValueError:
+        with tempfile.TemporaryDirectory() as d:
+            with pytest.raises(NumericalError, match="^new: non-finite value"):
+                Runner("test", Path(d), [], {}).write_json("new", payload)
+            assert not (Path(d) / "new").exists()
+        return
     new, old = bytes_by_both_writers(lambda r, name: r.write_json(name, payload),
                                      lambda path: write_json_reference(path, payload))
     assert new == old

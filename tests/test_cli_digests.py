@@ -3,17 +3,18 @@
 Each run below goes through ``dispatch`` in this process.  Its exit code,
 its stderr and the digest of every file it writes except ``manifest.json``
 (which holds the wall time and the input paths) are compared with
-``data/cli_digests.json``.  A change that moves numbers on purpose rewrites
+``data/cli_digests.json``, and every JSON file a run writes must be strict
+JSON (no NaN or Infinity).  A change that moves numbers on purpose rewrites
 that file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-and names the runs whose digests moved.
+which prints the runs whose digests moved, were added or were removed
+against the committed file; the change names them.
 """
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,10 @@ def _runs():
             "moment-solve", "--freqs", "{freqs}", "--target", "{target}", "--T", "4.0",
             "--mode", mode]
     runs["spectrum commensurate --modes 20"] = ["spectrum", "--problem", "{commensurate}"]
+    # one mode: no k >= 2 for the Weyl ratios or the sqrt gap
+    runs["spectrum star2_dirichlet --modes 1"] = [
+        "spectrum", "--problem", str(ROOT / "sample_problems" / "star2_dirichlet.json"),
+        "--modes", "1"]
     return runs
 
 
@@ -120,6 +125,21 @@ def test_cli_data_files_match_pinned_digests(name, inputs, pinned, tmp_path, cap
     assert _record(name, inputs, tmp_path / "out", lambda: capsys.readouterr().err) == pinned[name]
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_json_files_are_strict(name, inputs, pinned, tmp_path, capsys):
+    out = tmp_path / "out"
+    _record(name, inputs, out, lambda: capsys.readouterr().err)
+    written = sorted(out.glob("*.json"))
+    assert {p.name for p in written} - {"manifest.json"} == \
+        {f for f in pinned[name]["files"] if f.endswith(".json")}
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 if __name__ == "__main__":
     import io
     import tempfile
@@ -133,7 +153,11 @@ if __name__ == "__main__":
             err = io.StringIO()
             with redirect_stderr(err):
                 digests[name] = _record(name, ins, work / f"run{i}", err.getvalue)
-            print(f"{name}: exit {digests[name]['exit']}, {len(digests[name]['files'])} files",
-                  file=sys.stderr)
+    committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for name in sorted(set(committed) | set(digests)):
+        status = ("added" if name not in committed else "removed" if name not in digests
+                  else "moved" if committed[name] != digests[name] else None)
+        if status:
+            print(f"{status}: {name}")
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -718,6 +718,18 @@ def test_transfer_rejects_degenerate_listing_colliders():
         resonant_transfer(GalerkinSystem(lam=lam, B=B), 1, 2, 0.01)
 
 
+def test_transfer_lists_two_colliders_in_row_major_order():
+    # the transition 1 -> 3 has frequency 1, as have the coupled (1, 4) and
+    # (2, 3), listed by row (by column (2, 3) would come first); (2, 4) shares
+    # the frequency uncoupled and (1, 5) is coupled at another: neither is listed
+    B = np.zeros((5, 5))
+    for j, k in ((0, 2), (0, 3), (1, 2), (0, 4)):
+        B[j, k] = B[k, j] = 1.0
+    system = GalerkinSystem(lam=np.array([0.0, 0.0, 1.0, 1.0, 5.0]), B=B)
+    with pytest.raises(ValidationError, match=r"colliding pairs: \[\(1, 4\), \(2, 3\)\]$"):
+        resonant_transfer(system, 1, 3, 0.01)
+
+
 def test_transfer_rejects_uncoupled():
     sys3 = GalerkinSystem(lam=np.array([0.0, 1.0, 2.7]),
                           B=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))

@@ -10,7 +10,7 @@ from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.lowerbounds import (SecularProduct, build_secular_product, check_cos_lower_bound,
                                    diophantine_products, fit_derivative_bound, frac_distance,
                                    half_distance, mixed_product_sum, nearest_integer)
-from graphctrl.spectrum import TrigMode, assemble_secular, solve_spectrum
+from graphctrl.spectrum import assemble_secular, solve_spectrum
 
 from conftest import (assemble_secular_reference, derivative_at_root_reference,
                       envelope_reference, interval, mixed_product_sum_reference,
@@ -113,9 +113,8 @@ def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
     edges, integer distances in the diophantine products) and near their
     closed-form zeros."""
     lengths = np.array(data.draw(st.lists(st.sampled_from(LENGTH_CHOICES), min_size=n, max_size=n)))
-    is_sin = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    is_sin = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     weights = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
-    kinds = [TrigMode.SIN if s else TrigMode.COS for s in is_sin]
     rng = np.random.default_rng(seed)
     zeros = np.concatenate([(np.arange(1, 6) - (0.0 if s else 0.5)) * PI / L
                             for L, s in zip(lengths, is_sin)])
@@ -123,15 +122,15 @@ def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
                            zeros, np.nextafter(zeros, np.inf), -zeros])
     x = np.concatenate([[0.0, -0.0], away])
 
-    S, Sprime = assemble_secular(lengths, kinds, weights)
-    S_ref, Sprime_ref = assemble_secular_reference(lengths, kinds, weights)
+    S, Sprime = assemble_secular(lengths, is_sin, weights)
+    S_ref, Sprime_ref = assemble_secular_reference(lengths, is_sin, weights)
     assert_same_bits(S(x), S_ref(x))
     assert_same_bits(Sprime(x), Sprime_ref(x))
-    sp = SecularProduct(lengths=lengths, kinds=kinds, weights=weights)
-    assert_same_bits(sp.envelope(x), envelope_reference(lengths, kinds, weights, x))
+    sp = SecularProduct(lengths=lengths, is_sin=is_sin, weights=weights)
+    assert_same_bits(sp.envelope(x), envelope_reference(lengths, is_sin, weights, x))
     # derivative_at_root divides by tau_l, so it is compared away from x = 0
     assert_same_bits(sp.derivative_at_root(away),
-                     derivative_at_root_reference(lengths, kinds, weights, away))
+                     derivative_at_root_reference(lengths, is_sin, weights, away))
     i1 = [j for j in range(n) if not is_sin[j]]
     i2 = [j for j in range(n) if is_sin[j]]
     assert_same_bits(mixed_product_sum(lengths, i1, i2, x), mixed_product_sum_reference(lengths, i1, x))

@@ -16,7 +16,7 @@ from graphctrl.moment import (_congruence, _dd_blocks, _dictionary_blocks, _gram
                               verify_biorthogonality)
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import (greedy_clusters_reference, greedy_sizes_reference,
+from conftest import (dd_matrix_reference, greedy_clusters_reference, greedy_sizes_reference,
                       moment_control_reference, star)
 
 PI = math.pi
@@ -115,6 +115,19 @@ def test_dd_matrix_pair_example():
     F = dd_matrix(np.array([0.0, 0.4]))
     assert np.allclose(F, [[1.0, -2.5], [0.0, 2.5]])
     assert np.sum(F * F) == pytest.approx(13.5)
+
+
+@settings(max_examples=120)
+@given(n=st.integers(1, 9), clustered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dd_matrix_matches_scalar_loops_bitwise(n, clustered, seed):
+    # clustered: nodes 1e-7 ... 1e-3 apart around one centre (entries up to ~1e56);
+    # spread: unsorted nodes over (-20, 20)
+    rng = np.random.default_rng(seed)
+    if clustered:
+        v = rng.uniform(-5.0, 5.0) + np.cumsum(10.0 ** rng.uniform(-7, -3, n))
+    else:
+        v = rng.uniform(-20.0, 20.0, n)
+    assert dd_matrix(v).tobytes() == dd_matrix_reference(v).tobytes()
 
 
 def test_dd_blocks_upper_triangular_invertible():

@@ -13,13 +13,13 @@ from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matri
                                   exchange_matrix_element, find_resonant_quadruples,
                                   matrix_element, mode_overlap_integral,
                                   quartic_shift_potential, squared_shift_potential, trig_moments)
-from graphctrl.spectrum import TrigMode, explicit_subsystem, solve_spectrum
+from graphctrl.spectrum import explicit_subsystem, solve_spectrum
 
 from conftest import (degree6_neumann_cos_integral, find_resonant_quadruples_reference, interval,
                       matrix_element_scalar, star, trig_moments_scalar, trig_poly_integral_scalar)
 
 PI = math.pi
-SIN, COS = TrigMode.SIN, TrigMode.COS
+SIN, COS = True, False        # the is_sin flag of an edge factor
 # the factor kinds (first factor carries the first frequency), by the scalar reference's names
 KINDS = {"sinsin": (SIN, SIN), "sincos": (SIN, COS), "coscos": (COS, COS)}
 
@@ -115,7 +115,7 @@ def test_trig_moments_match_scalar_bitwise(L, wide, narrow, kind):
             assert bits(mode_overlap_integral(w1, KINDS[kind][0], w2, KINDS[kind][1], L, p)) == \
                 bits(trig_poly_integral_scalar(p, w1, L, kind, w2))
             # cos * sin is the sin * cos integral with the frequencies swapped
-            assert bits(mode_overlap_integral(w1, TrigMode.COS, w2, TrigMode.SIN, L, p)) == \
+            assert bits(mode_overlap_integral(w1, COS, w2, SIN, L, p)) == \
                 bits(trig_poly_integral_scalar(p, w2, L, "sincos", w1))
 
 

@@ -9,12 +9,12 @@ from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.lowerbounds import build_secular_product, check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
-from graphctrl.spectrum import (TrigMode, _simple_modes, explicit_subsystem,
+from graphctrl.spectrum import (_simple_modes, edge_factors, explicit_subsystem,
                                 equilateral_dropped_modes, solve_spectrum,
                                 validate_spectral_hypotheses)
 
-from conftest import (assert_fills_slots, interlacing_slots, interval, star,
-                      star_basis_reference)
+from conftest import (_edge_factors_reference, assert_fills_slots, interlacing_slots, interval,
+                      star, star_basis_reference)
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -39,8 +39,8 @@ def gram(basis):
     for i in range(K):
         for j in range(K):
             G[i, j] = sum(basis.amplitudes[i, e] * basis.amplitudes[j, e]
-                          * mode_overlap_integral(basis.omegas[i], kind, basis.omegas[j], kind, L)
-                          for e, (L, kind) in enumerate(zip(basis.lengths, basis.kinds)))
+                          * mode_overlap_integral(basis.omegas[i], sin, basis.omegas[j], sin, L)
+                          for e, (L, sin) in enumerate(zip(basis.lengths, basis.is_sin)))
     return G
 
 
@@ -54,6 +54,51 @@ def test_two_star_first_root_bisection_oracle(star2_irrational):
     assert abs(root - PI / (1 + SQRT2)) < 1e-12
     basis = solve_spectrum(star2_irrational, 1)
     assert abs(basis.omegas[0] - root) < 1e-12
+
+
+@settings(max_examples=80)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_edge_factors_match_reference_bitwise(data, seed):
+    """tau and sigma equal the edge-by-edge reference bit for bit, also at the
+    closed-form zeros of tau (n pi / L on sin edges, (n - 1/2) pi / L on cos
+    edges), next to them and at +-0."""
+    n = data.draw(st.integers(1, 8))
+    lengths = np.array(data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    is_sin = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rng = np.random.default_rng(seed)
+    zeros = np.concatenate([(np.arange(1, 6) - (0.0 if s else 0.5)) * PI / L
+                            for L, s in zip(lengths, is_sin)])
+    x = np.concatenate([[0.0, -0.0], rng.uniform(-60.0, 60.0, 200), zeros, -zeros,
+                        np.nextafter(zeros, np.inf), np.nextafter(zeros, 0.0)])
+    for point in (x, x[7]):         # a scalar point gives one row
+        ref = _edge_factors_reference(lengths, is_sin, point)
+        for g, r in zip(edge_factors(point, lengths, is_sin), ref):
+            assert g.shape == (np.size(point), n) and g.tobytes() == r.tobytes()
+
+
+D, N = BC.DIRICHLET, BC.NEUMANN
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: solve_spectrum(star([1.0, SQRT2, 1.7, 0.6], [D, N, D, N]), 12),
+     [True, False, True, False]),
+    (lambda: solve_spectrum(star([1.0, SQRT2, 1.7], [N, N, N]), 12), [False, False, False]),
+    (lambda: solve_spectrum(interval(1.0, D, D), 5), [True]),
+    (lambda: solve_spectrum(interval(1.0, D, N), 5), [True]),
+    (lambda: solve_spectrum(interval(1.0, N, D), 5), [False]),
+    (lambda: solve_spectrum(interval(1.0, N, N), 5), [False]),
+    (lambda: explicit_subsystem("equilateral_star", 6, n_edges=4, length=1.0), [True] * 4),
+    (lambda: explicit_subsystem("two_equal_edges", 6, length=1.0), [True] * 2),
+    (lambda: explicit_subsystem("paired_star", 6, lengths=[1.0, SQRT2]), [True] * 4),
+    (lambda: explicit_subsystem("loops", 6, lengths=[1.0, SQRT2, 2.0]), [True] * 3),
+    (lambda: equilateral_dropped_modes(3, 5, 1.0), [True] * 5),
+], ids=["star_DNDN", "star_NNN", "interval_DD", "interval_DN", "interval_ND", "interval_NN",
+        "equilateral_star", "two_equal_edges", "paired_star", "loops", "dropped_modes"])
+def test_every_basis_marks_its_dirichlet_edges_as_sin(make, expected):
+    basis = make()
+    assert basis.is_sin.dtype == bool
+    assert basis.is_sin.tolist() == expected
+    assert basis.amplitudes.shape[1] == len(expected)
 
 
 # -- interval spectra ---------------------------------------------------------
@@ -125,10 +170,9 @@ def test_orthonormality_gram_neumann_star(star5_neumann):
 
 def test_vertex_conditions_hold(star5_neumann):
     basis = solve_spectrum(star5_neumann, 20)
-    is_sin = np.array([kind is TrigMode.SIN for kind in basis.kinds])
     for w, amps in zip(basis.omegas[1:], basis.amplitudes[1:]):
         arg = w * basis.lengths
-        vals = list(amps * np.where(is_sin, np.sin(arg), np.cos(arg)))
+        vals = list(amps * np.where(basis.is_sin, np.sin(arg), np.cos(arg)))
         assert max(vals) - min(vals) < 1e-8 * max(1.0, abs(max(vals)))
         # Kirchhoff: for cos-modes the outgoing-derivative sum is omega * sum a sin(omega L)
         ksum = sum(a * math.sin(w * L) for a, L in zip(amps, basis.lengths))
@@ -259,7 +303,7 @@ def test_multiplicity_counts_kept_members_of_a_cut_branch_point():
 
 def test_simple_modes_reject_a_vanishing_edge_factor():
     with pytest.raises(NumericalError, match="edge factor vanishes at x=0.0"):
-        _simple_modes(np.array([1.0, 0.0]), np.array([1.0, 2.0]), [TrigMode.SIN, TrigMode.COS])
+        _simple_modes(np.array([1.0, 0.0]), np.array([1.0, 2.0]), np.array([True, False]))
 
 
 # -- explicit subsystems ------------------------------------------------------
