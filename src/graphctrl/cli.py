@@ -120,6 +120,12 @@ def _solve_from_problem(args):
     return graph, control, spectrum.solve_spectrum(graph, modes)
 
 
+def _sqrt_gap(basis):
+    """The sqrt-gap report as JSON; null below two modes."""
+    gap = basis.gap_report
+    return None if gap is None else {"M": gap[0], "delta": gap[1]}
+
+
 def cmd_spectrum(args, runner: Runner):
     graph, _, basis = _solve_from_problem(args)
     header = ["k", "lambda", "omega", "multiplicity"] + [f"amp_{eid}" for eid in basis.edge_ids]
@@ -127,11 +133,10 @@ def cmd_spectrum(args, runner: Runner):
                                               basis.omegas, basis.multiplicity, *basis.amplitudes.T])
     report = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     lengths = check_length_set(graph.lengths)
-    single = len(basis) < 2     # the Weyl ratios and the sqrt gap need k >= 2
     runner.write_json("spectrum_summary.json", {
         "num_modes": len(basis),
-        "weyl": None if single else basis.weyl_report,
-        "sqrt_gap": None if single else {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
+        "weyl": basis.weyl_report,
+        "sqrt_gap": _sqrt_gap(basis),
         "simple": report.simplicity if report else None,
         "center_decay_exponent": report.center_decay_exponent if report else None,
         "length_scan": {"independent": lengths.independence_flag,
@@ -273,7 +278,7 @@ def cmd_report(args, runner: Runner):
     out: dict = {"spectrum": {
         "eigenvalues": basis.eigenvalues,
         "weyl": basis.weyl_report,
-        "sqrt_gap": {"M": basis.gap_report[0], "delta": basis.gap_report[1]},
+        "sqrt_gap": _sqrt_gap(basis),
     }}
     hyp = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     if hyp:

@@ -385,6 +385,8 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
         raise ValidationError("need at least 4 modes")
     if not (math.isfinite(tol_res) and tol_res >= 0):
         raise ValidationError(f"resonance tolerance must be finite and >= 0, got {tol_res!r}")
+    if floor is not None and not (math.isfinite(floor) and floor >= 0):
+        raise ValidationError(f"zero-element floor must be finite and >= 0, got {floor!r}")
     if isinstance(B, np.ndarray):
         col = np.asarray(B)[:K, 0].copy()
         diag = np.asarray(B).diagonal()[:K].copy()

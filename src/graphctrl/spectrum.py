@@ -25,7 +25,8 @@ the center.  A zero shared by r >= 2 edge factors is a branch point: it
 carries r-1 eigenfunctions supported on those edges that vanish at the
 center (a zero of S of order r-1).  Branch points exist only when length
 ratios are rational.  The count below any x is therefore known in closed
-form, and all brackets are refined at once by vectorized bisection on M.
+form, and all brackets are refined at once by safeguarded Newton steps on M,
+whose derivative M'(x) = -sum_l L_l / tau_l(x L_l)^2 is exact.
 
 A basis is held as arrays (``SpectralBasis``): the eigenvalues, a K x E
 amplitude matrix, ``is_sin`` and the center values.  The amplitudes of all
@@ -44,8 +45,9 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .graph import BoundaryCondition, MetricGraph, Topology
 
-_BISECT_REL = 1e-13
 _CLUSTER_REL = 1e-9
+_NEWTON_STEP_REL = 1e-15     # a bracket is done once its Newton step is this small relative to x
+_NEWTON_PASSES = 64          # bisecting alone would meet the step tolerance within this many passes
 
 
 @dataclass
@@ -66,8 +68,9 @@ class SpectralBasis:
     multiplicity: np.ndarray         # (K,) int: members of the mode's eigenspace among the K kept
     lengths: np.ndarray
     edge_ids: list[str]
-    gap_report: tuple[int, float]    # (M, delta) for the sqrt-eigenvalue gap
-    weyl_report: tuple[float, float]  # (c1, c2) = min/max over k>=2 of lambda_k / k^2
+    # both reports are None below two modes
+    gap_report: tuple[int, float] | None     # (M, delta) for the sqrt-eigenvalue gap
+    weyl_report: tuple[float, float] | None  # (c1, c2) = min/max over k>=2 of lambda_k / k^2
     int_labels: list[int] | None = None   # integer labels when mu_k = scale * label^2
     family: str | None = None
 
@@ -224,27 +227,37 @@ def common_vanishing_points(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     return [(float(x[i]), support) for i, support in shared.items()]
 
 
-def _secular_ratio(x, lengths, is_sin):
-    """M(x) = sum_l sigma_l(x L_l) / tau_l(x L_l), i.e. S(x) / prod_l tau_l(x L_l)."""
-    tau, sigma = edge_factors(x, lengths, is_sin)
-    return (sigma / tau).sum(axis=1)
-
-
-def _bisect_brackets(lo, hi, lengths, is_sin):
+def _newton_brackets(lo, hi, lengths, is_sin):
     """The root of M in each bracket (lo, hi), all refined together.
 
-    M falls strictly from +inf to -inf across each bracket, so only interior
-    points are evaluated and the sign of M tells which half holds the root.
+    M falls strictly from +inf to -inf across each bracket, and
+    M' = -sum_l L_l / tau_l^2 follows from tau' = L sigma, sigma' = -L tau.
+    Each pass evaluates M and M' once at every open bracket's iterate,
+    shrinks the bracket by the sign of M, and moves to the Newton point when
+    it lies strictly inside the bracket, to the midpoint otherwise.  A
+    bracket is done when M is exactly 0 or its Newton step is at most
+    _NEWTON_STEP_REL x; one still open after _NEWTON_PASSES passes raises.
     """
     a, b = lo.copy(), hi.copy()
-    while True:
-        active = np.flatnonzero(b - a > _BISECT_REL * np.maximum(1.0, b))
+    x = 0.5 * (a + b)
+    active = np.arange(x.size)
+    for _ in range(_NEWTON_PASSES):
+        xa = x[active]
+        tau, sigma = edge_factors(xa, lengths, is_sin)
+        m = (sigma / tau).sum(axis=1)
+        step = m / (lengths / (tau * tau)).sum(axis=1)       # -M / M'
+        a[active[m > 0]] = xa[m > 0]
+        b[active[m < 0]] = xa[m < 0]
+        new = xa + step
+        inside = (new > a[active]) & (new < b[active])
+        done = (m == 0) | (np.abs(step) <= _NEWTON_STEP_REL * xa)
+        x[active] = np.where(inside, new, np.where(done, xa, 0.5 * (a[active] + b[active])))
+        active = active[~done]
         if not active.size:
-            return 0.5 * (a + b)
-        mid = 0.5 * (a[active] + b[active])
-        right = _secular_ratio(mid, lengths, is_sin) > 0
-        a[active[right]] = mid[right]
-        b[active[~right]] = mid[~right]
+            return x
+    i = int(active[0])
+    raise NumericalError(f"root refinement did not converge within {_NEWTON_PASSES} passes "
+                         f"in the bracket ({float(lo[i])!r}, {float(hi[i])!r})")
 
 
 def star_roots(lengths, is_sin, count, distinct=False):
@@ -257,7 +270,9 @@ def star_roots(lengths, is_sin, count, distinct=False):
     (support None) whose eigenfunction does not vanish at the center.  A zero
     shared by the r edges in ``support`` is a branch point carrying r - 1
     center-vanishing eigenvalues.  The constant mode of an all-Neumann star
-    is not included.
+    is not included.  The simple roots of all brackets are refined together
+    by ``_newton_brackets``; a bracket that does not converge within
+    _NEWTON_PASSES passes raises NumericalError.
     """
     lengths = np.asarray(lengths, dtype=float)
     is_sin = np.asarray(is_sin, dtype=bool)
@@ -277,7 +292,7 @@ def star_roots(lengths, is_sin, count, distinct=False):
     left = np.concatenate((np.zeros(lead), hi[:-1]))
     right = lo[1 - lead:]
     need = np.concatenate((np.zeros(lead, dtype=int), (below + mult)[:-1])) < count
-    entries = [(float(r), 1, None) for r in _bisect_brackets(left[need], right[need], lengths, is_sin)]
+    entries = [(float(r), 1, None) for r in _newton_brackets(left[need], right[need], lengths, is_sin)]
     entries += [(float(x[i]), int(mult[i]), support) for i, support in shared.items()
                 if i < x.size - 1 and below[i] < count]
     return sorted(entries, key=lambda t: t[0])
@@ -314,40 +329,49 @@ def _simple_modes(x, lengths, is_sin):
     return c[:, None] / tau, c
 
 
-def _branch_modes(x0, lengths, is_sin, support):
-    """Orthonormal basis (r-1 rows) of the center-vanishing eigenspace.
+def _branch_modes(x, lengths, is_sin, support):
+    """Orthonormal bases of the center-vanishing eigenspaces at the branch points x.
 
-    The eigenfunctions are supported on the edges in ``support`` whose own
-    factor vanishes at x0; the Kirchhoff condition leaves an (r-1)-dim
-    amplitude space, orthonormalized against the L2 weights.
+    Every point of x is a shared zero of the factors of the edges in
+    ``support``; its r-1 eigenfunctions live on those edges, and the
+    Kirchhoff condition leaves an (r-1)-dim amplitude space, orthonormalized
+    against the L2 weights by Gram-Schmidt.  All points run together;
+    ``np.vecdot`` gives each point the inner products ``np.dot`` would.
+    Returns an array of shape (len(x), r-1, len(lengths)).
     """
     r = len(support)
     L, kind = lengths[support], is_sin[support]
-    _, sigma = edge_factors(x0, L, kind)
-    d = sigma[0]
-    w = _trig_norm_integral(x0, L, kind)
-    out = np.zeros((r - 1, len(lengths)))
+    _, d = edge_factors(x, L, kind)
+    w = _trig_norm_integral(x[:, None], L, kind)
+    vecs = []
     for i in range(1, r):
-        v = np.zeros(r)
-        v[i] = 1.0
-        v[0] = -d[i] / d[0]
-        for prev in out[:i - 1, support]:
-            v -= prev * np.dot(prev * w, v)
-        v /= math.sqrt(np.dot(v * w, v))
-        out[i - 1, support] = v
+        v = np.zeros_like(d)
+        v[:, i] = 1.0
+        v[:, 0] = -d[:, i] / d[:, 0]
+        for prev in vecs:
+            v -= prev * np.vecdot(prev * w, v)[:, None]
+        v /= np.sqrt(np.vecdot(v * w, v))[:, None]
+        vecs.append(v)
+    out = np.zeros((d.shape[0], r - 1, len(lengths)))
+    out[:, :, support] = np.stack(vecs, axis=1)
     return out
 
 
 def _weyl_report(lams):
-    ks = np.arange(1, len(lams) + 1)
-    sel = ks >= 2
-    vals = np.asarray(lams)[sel] / ks[sel] ** 2
-    return (float(vals.min()), float(vals.max())) if vals.size else (math.nan, math.nan)
+    """(min, max) over k >= 2 of lambda_k / k^2; None below two modes."""
+    if len(lams) < 2:
+        return None
+    vals = np.asarray(lams)[1:] / np.arange(2, len(lams) + 1) ** 2
+    return (float(vals.min()), float(vals.max()))
 
 
 def _gap_report(omegas, m_max=10, floor_rel=1e-9):
+    """The smallest M <= m_max with a gap omega_{k+M} - omega_k >= M delta, delta > 0,
+    as (M, delta); (m_max, 0.0) when there is none, None below two modes."""
     omegas = np.asarray(omegas)
-    scale = max(1.0, float(omegas.max(initial=1.0)))
+    if omegas.size < 2:
+        return None
+    scale = max(1.0, float(omegas.max()))
     for M in range(1, m_max + 1):
         if len(omegas) <= M:
             break
@@ -363,13 +387,14 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
 
     For a star the roots come from ``star_roots``: one bracket between
     consecutive distinct zeros of the edge factors (and below the first zero
-    when an edge is Dirichlet), all refined at once by bisection on M, plus
-    the closed-form branch points of rationally related lengths with their
-    multiplicity.  The count is exact, so the window holding ``num_modes``
-    eigenvalues is found in closed form before any root is refined.  The
-    all-Neumann constant mode is included explicitly.  When ``num_modes``
-    cuts through a branch point, the multiplicity of its kept modes counts
-    only those kept.
+    when an edge is Dirichlet), all refined at once by safeguarded Newton
+    steps on M, plus the closed-form branch points of rationally related
+    lengths with their multiplicity; the branch points that share one
+    support get their eigenfunctions from one array pass.  The count is
+    exact, so the window holding ``num_modes`` eigenvalues is found in
+    closed form before any root is refined.  The all-Neumann constant mode
+    is included explicitly.  When ``num_modes`` cuts through a branch point,
+    the multiplicity of its kept modes counts only those kept.
     """
     if num_modes < 1:
         raise ValidationError("num_modes must be >= 1")
@@ -388,8 +413,12 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     center = np.zeros(len(amps))
     rows = start[simple]
     amps[rows], center[rows] = _simple_modes(x[simple], lengths, is_sin)
+    branches = {}                                         # support -> indices of its branch points
     for i in np.flatnonzero(~simple):
-        amps[start[i]:start[i] + size[i]] = _branch_modes(x[i], lengths, is_sin, entries[i][2])
+        branches.setdefault(tuple(entries[i][2]), []).append(i)
+    for support, idx in branches.items():
+        rows = start[idx][:, None] + np.arange(len(support) - 1)
+        amps[rows] = _branch_modes(x[idx], lengths, is_sin, list(support))
     omegas = np.repeat(x, size)
     multiplicity = np.repeat(np.minimum(size, num_modes - start), size)
     if constant:

@@ -12,7 +12,7 @@ from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
 from graphctrl.moment import exp_inner
-from graphctrl.spectrum import star_roots
+from graphctrl.spectrum import edge_factors, star_roots
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -207,6 +207,25 @@ def branch_modes_reference(x0, lengths, is_sin, support):
         amps[support] = v
         out.append(amps)
     return out
+
+
+def bisect_brackets_reference(lo, hi, lengths, is_sin):
+    """The root of M = sum_l sigma_l / tau_l in each bracket (lo, hi), by bisection.
+
+    The refinement graphctrl.spectrum used before its Newton steps: halve
+    every bracket by the sign of M at the midpoint until it is narrower than
+    1e-13 max(1, hi), and return the midpoints.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while True:
+        active = np.flatnonzero(b - a > 1e-13 * np.maximum(1.0, b))
+        if not active.size:
+            return 0.5 * (a + b)
+        mid = 0.5 * (a[active] + b[active])
+        tau, sigma = edge_factors(mid, lengths, is_sin)
+        right = (sigma / tau).sum(axis=1) > 0
+        a[active[right]] = mid[right]
+        b[active[~right]] = mid[~right]
 
 
 def star_basis_reference(graph, num_modes):

@@ -10,11 +10,22 @@ that file with
     PYTHONPATH=src python tests/test_cli_digests.py
 
 which prints the runs whose digests moved, were added or were removed
-against the committed file; the change names them.
+against the committed file; the change names them.  To show by how much
+the numbers moved, write every run's data files on both commits and compare:
+
+    PYTHONPATH=src python tests/test_cli_digests.py --dump DIR
+    PYTHONPATH=src python tests/test_cli_digests.py --compare OLD_DIR NEW_DIR
+
+--compare prints, for each data file that differs, the count and the
+largest relative change of its float values, and fails if any key, list
+length, string, integer, CSV header, exit code or stderr differs.
 """
 
 import hashlib
+import io
 import json
+import re
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -140,19 +151,108 @@ def test_cli_json_files_are_strict(name, inputs, pinned, tmp_path, capsys):
         json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
-if __name__ == "__main__":
-    import io
-    import tempfile
-    from contextlib import redirect_stderr
+def _run_all(work: Path, runs_dir: Path) -> dict:
+    """Digests of every run; each run's data files, with its exit code and
+    stderr as ``_record.json``, are left in runs_dir/<run name>."""
+    ins = _inputs(work / "inputs")
+    digests = {}
+    for name in sorted(RUNS):
+        out = runs_dir / name.replace(" ", "_")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            digests[name] = _record(name, ins, out, err.getvalue)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
+        (out / "_record.json").write_text(json.dumps(
+            {"exit": digests[name]["exit"], "stderr": err.getvalue()}))
+    return digests
 
+
+def _float_changes(old, new, where=""):
+    """(relative change, location) of every float of two parsed JSON values;
+    raises ValueError at the first key, length, type, string or integer that differs."""
+    if isinstance(old, float) and isinstance(new, float):
+        return [(0.0 if old == new else abs(new - old) / max(abs(old), abs(new)), where)]
+    if type(old) is not type(new):
+        raise ValueError(f"{where}: {old!r} became {new!r}")
+    if isinstance(old, dict):
+        if sorted(old) != sorted(new):
+            raise ValueError(f"{where}: keys {sorted(old)} became {sorted(new)}")
+        return [c for k in old for c in _float_changes(old[k], new[k], f"{where}.{k}")]
+    if isinstance(old, list):
+        if len(old) != len(new):
+            raise ValueError(f"{where}: length {len(old)} became {len(new)}")
+        return [c for i, (a, b) in enumerate(zip(old, new))
+                for c in _float_changes(a, b, f"{where}[{i}]")]
+    if old != new:
+        raise ValueError(f"{where}: {old!r} became {new!r}")
+    return []
+
+
+def _csv_tables(old_text, new_text):
+    """Two CSV files as {"header", "columns"}: a column whose cells are all
+    integers in both files holds ints (%.17g prints 3.0 as 3), any other floats."""
+    tables = [[line.split(",") for line in text.splitlines()] for text in (old_text, new_text)]
+    rows = [row for table in tables for row in table[1:]]
+    width = max(map(len, rows), default=0)
+    is_int = [all(re.fullmatch(r"-?\d+", row[j]) for row in rows if j < len(row))
+              for j in range(width)]
+    return [{"header": table[0],
+             "columns": {name: [int(row[j]) if is_int[j] else float(row[j]) for row in table[1:]]
+                         for j, name in enumerate(table[0])}} for table in tables]
+
+
+def _compare(old_dir: Path, new_dir: Path) -> bool:
+    """Print what moved between two --dump directories; False if anything
+    other than float values differs."""
+    ok, moved = True, 0
+    runs = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    for run in runs:
+        files = sorted({p.name for d in (old_dir, new_dir) if (d / run).is_dir()
+                        for p in (d / run).iterdir()})
+        changed = []
+        for name in files:
+            old, new = old_dir / run / name, new_dir / run / name
+            if not (old.exists() and new.exists()):
+                print(f"differs: {run} {name}: only in {old_dir if old.exists() else new_dir}")
+                ok = False
+                continue
+            if old.read_bytes() == new.read_bytes():
+                continue
+            texts = old.read_text(), new.read_text()
+            try:
+                pair = _csv_tables(*texts) if name.endswith(".csv") else map(json.loads, texts)
+                rel = _float_changes(*pair, name)
+            except ValueError as exc:
+                print(f"differs: {run} {exc}")
+                ok = False
+                continue
+            top, at = max(rel)
+            changed.append(f"{name} {sum(r > 0 for r, _ in rel)}/{len(rel)} floats moved, "
+                           f"max rel {top:.2g} at {at}")
+        if changed:
+            moved += 1
+            print(f"moved: {run}: " + "; ".join(changed))
+    print(f"{moved} of {len(runs)} runs moved")
+    return ok
+
+
+if __name__ == "__main__":
+    import argparse
+    import sys
+    import tempfile
+
+    ap = argparse.ArgumentParser(description="Rewrite, dump or compare the pinned CLI data files.")
+    ap.add_argument("--dump", type=Path, help="write every run's data files to this directory")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two --dump directories")
+    args = ap.parse_args()
+    if args.compare:
+        sys.exit(0 if _compare(*args.compare) else 1)
     with tempfile.TemporaryDirectory() as d:
-        work = Path(d)
-        ins = _inputs(work / "inputs")
-        digests = {}
-        for i, name in enumerate(sorted(RUNS)):
-            err = io.StringIO()
-            with redirect_stderr(err):
-                digests[name] = _record(name, ins, work / f"run{i}", err.getvalue)
+        digests = _run_all(Path(d), args.dump or Path(d) / "runs")
+    if args.dump:
+        sys.exit(0)
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for name in sorted(set(committed) | set(digests)):
         status = ("added" if name not in committed else "removed" if name not in digests

@@ -1,20 +1,24 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphctrl import spectrum
+from graphctrl.cli import EXIT_NUMERICAL, dispatch
 from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.lowerbounds import build_secular_product, check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
-from graphctrl.spectrum import (_simple_modes, edge_factors, explicit_subsystem,
-                                equilateral_dropped_modes, solve_spectrum,
-                                validate_spectral_hypotheses)
+from graphctrl.spectrum import (_branch_modes, _simple_modes, common_vanishing_points,
+                                edge_factors, explicit_subsystem, equilateral_dropped_modes,
+                                solve_spectrum, star_roots, validate_spectral_hypotheses)
 
-from conftest import (_edge_factors_reference, assert_fills_slots, interlacing_slots, interval,
-                      star, star_basis_reference)
+from conftest import (_edge_factors_reference, assert_fills_slots, bisect_brackets_reference,
+                      branch_modes_reference, interlacing_slots, interval, star,
+                      star_basis_reference)
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -250,7 +254,83 @@ def test_generic_mixed_star_roots_against_mpmath():
             ref = mpmath.findroot(secular, mpmath.mpf(basis.omegas[k - 1]))
             a, b = slots[k - 1]
             assert a < ref < b
-            assert abs(basis.omegas[k - 1] - float(ref)) <= 1e-12 * float(ref)
+            assert abs(basis.omegas[k - 1] - float(ref)) <= 1e-15 * float(ref)
+
+    # every root is within one relative ulp, 2^-52 x, of a 50-digit Newton step on M
+    with mpmath.workdps(50):
+        for w in basis.omegas:
+            x = mpmath.mpf(float(w))
+            tau = [mpmath.sin(x * L) if d else mpmath.cos(x * L) for L, d in zip(lengths, dirichlet)]
+            sigma = [mpmath.cos(x * L) if d else -mpmath.sin(x * L) for L, d in zip(lengths, dirichlet)]
+            step = (mpmath.fsum(s / t for s, t in zip(sigma, tau))
+                    / mpmath.fsum(mpmath.mpf(L) / t**2 for L, t in zip(lengths, tau)))
+            assert abs(step) <= 2.0**-52 * x
+
+
+# -- Newton refinement of the brackets ----------------------------------------
+
+@st.composite
+def bracket_stars(draw):
+    """2-6 edges with mixed ends: generic lengths, multiples h m of one scale
+    (branch points) or nearly equal lengths (relative spread 1e-7 to 1e-4);
+    a root count K and the distinct flag."""
+    n = draw(st.integers(2, 6))
+    dirichlet = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    family = draw(st.sampled_from(["generic", "commensurate", "near_equal"]))
+    if family == "generic":
+        lengths = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    elif family == "commensurate":
+        h = draw(st.floats(0.15, 0.5))
+        lengths = [h * m for m in draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))]
+    else:
+        base, spread = draw(st.floats(0.3, 2.0)), 10.0 ** draw(st.floats(-7.0, -4.0))
+        steps = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+        lengths = [base * (1.0 + spread * u) for u in steps]
+    return np.array(lengths), np.array(dirichlet), draw(st.integers(1, 300)), draw(st.booleans())
+
+
+@settings(max_examples=120)
+@given(bracket_stars())
+def test_newton_roots_match_bisection_reference(case):
+    """The Newton roots lie strictly inside their brackets and agree with the
+    bisection reference on the same brackets to its 1e-13 max(1, x)."""
+    lengths, is_sin, K, distinct = case
+    seen = []
+
+    def capture(lo, hi, lengths, is_sin):
+        roots = newton(lo, hi, lengths, is_sin)
+        seen.append((lo, hi, roots))
+        return roots
+
+    newton = spectrum._newton_brackets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_newton_brackets", capture)
+        entries = star_roots(lengths, is_sin, K, distinct=distinct)
+    (lo, hi, roots), = seen
+    ref = bisect_brackets_reference(lo, hi, lengths, is_sin)
+    assert roots.shape == ref.shape == lo.shape
+    assert [e[0] for e in entries if e[2] is None] == roots.tolist()
+    assert np.all((lo < roots) & (roots < hi))
+    assert np.all(np.abs(roots - ref) <= 1e-13 * np.maximum(1.0, roots))
+
+
+def test_newton_converges_in_few_passes(monkeypatch, star2_irrational, star5_neumann):
+    # the bisection it replaced took about 44 passes at these sizes
+    monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 8)
+    lengths, dirichlet, K = CUT_STAR
+    for graph, modes in ((star2_irrational, 1000), (star5_neumann, 200),
+                         (star(lengths, [BC.DIRICHLET if d else BC.NEUMANN for d in dirichlet]), K)):
+        assert len(solve_spectrum(graph, modes)) == modes
+
+
+def test_newton_pass_cap_raises(monkeypatch, star2_irrational, tmp_path, capsys):
+    monkeypatch.setattr(spectrum, "_NEWTON_PASSES", 1)
+    with pytest.raises(NumericalError, match=r"did not converge within 1 passes in the bracket \(0\.0, "):
+        solve_spectrum(star2_irrational, 10)
+    problem = Path(__file__).resolve().parents[1] / "sample_problems" / "star2_dirichlet.json"
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum", "--problem", str(problem)]) \
+        == EXIT_NUMERICAL
+    assert "did not converge" in capsys.readouterr().err
 
 
 # -- the array basis against the mode-by-mode assembly -------------------------
@@ -299,6 +379,40 @@ def test_multiplicity_counts_kept_members_of_a_cut_branch_point():
     assert list(whole.multiplicity[K - 2:]) == [1, 2, 2]
     assert list(cut.multiplicity[K - 2:]) == [1, 1]
     assert cut.center_values[K - 1] == 0.0
+
+
+@settings(max_examples=100)
+@given(n=st.integers(2, 6), h=st.floats(0.2, 0.8), data=st.data())
+def test_batched_branch_modes_match_per_point_bitwise(n, h, data):
+    """All branch points of one support in one call give the rows of
+    branch_modes_reference and of one call per point, bit for bit.  The first
+    two edges are equal, so some support exists; the others are multiples."""
+    ms = data.draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))
+    dirichlet = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    lengths = np.array([h * m for m in [ms[0]] + ms])
+    is_sin = np.array([dirichlet[0]] + dirichlet)
+    groups = {}
+    for x, support in common_vanishing_points(lengths, is_sin, 40.0 / h):
+        groups.setdefault(tuple(support), []).append(x)
+    assert groups
+    for support, xs in groups.items():
+        batch = _branch_modes(np.array(xs), lengths, is_sin, list(support))
+        assert batch.shape == (len(xs), len(support) - 1, n)
+        for x, rows in zip(xs, batch):
+            ref = np.array(branch_modes_reference(x, lengths, is_sin, list(support)))
+            alone = _branch_modes(np.array([x]), lengths, is_sin, list(support))[0]
+            assert rows.tobytes() == ref.tobytes() == alone.tobytes()
+
+
+def test_reports_are_none_below_two_modes(star2_irrational, star5_neumann):
+    # no k >= 2: no Weyl ratio and no sqrt gap, rather than (nan, nan) and the
+    # "no gap" (10, 0.0)
+    for basis in (solve_spectrum(star2_irrational, 1), solve_spectrum(star5_neumann, 1),
+                  solve_spectrum(interval(1.0), 1),
+                  explicit_subsystem("loops", 1, lengths=[1.0])):
+        assert basis.weyl_report is None and basis.gap_report is None
+    two = solve_spectrum(star2_irrational, 2)
+    assert two.weyl_report is not None and two.gap_report[0] == 1
 
 
 def test_simple_modes_reject_a_vanishing_edge_factor():
