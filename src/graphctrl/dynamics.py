@@ -17,11 +17,11 @@ u(t) e^{i alpha t}, as one array over alpha.  Also here: the first-order
 (linearized) response -i B[k, 0] times those moments at alpha_k = lambda_k -
 lambda_1, used to validate moment controls; the bracket-closure dimension
 count behind the finite-dimensional controllability criterion; and resonant
-population-transfer synthesis.  The closure brackets each pair generator
-with the whole frontier as one block (two rows and two columns move; no
-matrix product) and tests the block's rank gain with one projection onto the
-current span, in n^2 real su(n) coordinates, before the per-bracket
-Gram-Schmidt test.
+population-transfer synthesis.  The closure is counted in closed form from
+the graph of admissible pairs: su(c) on each connected component of c >= 2
+modes, with the bracket depth set by the largest distance between two
+connected modes; both come from boolean reachability products, so no
+bracket matrix is built.
 """
 
 from __future__ import annotations
@@ -364,132 +364,69 @@ def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
     degenerate = np.zeros(f.size, dtype=bool)
     degenerate[order[:-1]] |= close
     degenerate[order[1:]] |= close
-    return [(int(a) + 1, int(b) + 1) for a, b in zip(j[~degenerate], k[~degenerate])]
+    return list(zip((j[~degenerate] + 1).tolist(), (k[~degenerate] + 1).tolist()))
 
 
-def _bracket_block(F, sel, j, k, phase):
-    """[g, X] for the matrices X = F[sel] of the stack F, g = phase E_jk - conj(phase) E_kj.
+def _bool_product(X, Y):
+    """(X Y)[i, j] is True when X[i, m] and Y[m, j] for some m."""
+    return (X.astype(float) @ Y.astype(float)) > 0
 
-    g has two nonzero entries, so the bracket is two rows and two columns of
-    X moved and scaled: no matrix product.
+
+def _pair_graph(n, pairs):
+    """Component labels of the pair graph on n modes and the largest distance
+    D between two connected modes (0 without pairs).
+
+    R(d), True at (i, j) when modes i and j are at most d pairs apart, obeys
+    R(a + b) = R(a) R(b) as a boolean product.  R(1) is squared until it stops
+    changing, which gives the reachability matrix R(D) after about log2 D
+    products; D is then found by binary lifting over the powers R(2^i).  A
+    mode's label is the lowest mode of its component.
     """
-    C = np.zeros((len(sel),) + F.shape[1:], dtype=F.dtype)
-    C[:, j, :] = phase * F[sel, k, :]
-    C[:, k, :] = -np.conj(phase) * F[sel, j, :]
-    C[:, :, k] -= phase * F[sel, :, j]
-    C[:, :, j] += np.conj(phase) * F[sel, :, k]
-    return C
-
-
-class _SpanBasis:
-    """Orthonormal basis of the real span of the skew-Hermitian n x n matrices accepted so far.
-
-    A matrix enters as a real row of length n^2: sqrt(2) Re and sqrt(2) Im of
-    its strict upper triangle, then Im of its diagonal.  Euclidean norms and
-    inner products of the rows equal the Frobenius ones of the matrices, in
-    half the length of their real and imaginary parts.
-    """
-
-    def __init__(self, n):
-        iu, ju = np.triu_indices(n, 1)
-        self._upper, self._diag = iu * n + ju, np.arange(n) * (n + 1)
-        self.rows = np.empty((n * n - 1, n * n))     # all brackets lie in su(n)
-        self.rank = 0
-
-    @property
-    def full(self) -> bool:
-        return self.rank == len(self.rows)
-
-    def _coordinates(self, X):
-        flat = X.reshape(len(X), self.rows.shape[1])
-        off = math.sqrt(2.0) * flat[:, self._upper]
-        return np.concatenate([off.real, off.imag, flat[:, self._diag].imag], axis=1)
-
-    def _try_add(self, v) -> bool:
-        nv = np.linalg.norm(v)
-        if nv < 1e-12:
-            return False
-        Q = self.rows[:self.rank]
-        for _ in range(2):     # classical Gram-Schmidt, repeated for orthogonality
-            v = v - Q.T @ (Q @ v)
-        r = np.linalg.norm(v)
-        if r > 1e-10 * nv:
-            self.rows[self.rank] = v / r
-            self.rank += 1
-            return True
-        return False
-
-    def extend(self, X) -> np.ndarray:
-        """Indices of the matrices in the stack X that enlarge the span, taken in order.
-
-        One block product rejects those already in the span of the current
-        basis (residual <= 1e-10 |v|), which the sequential test would reject
-        too; the rest pass the two-pass Gram-Schmidt test one at a time, until
-        the span is full.
-        """
-        V = self._coordinates(X)
-        norms = np.linalg.norm(V, axis=1)
-        keep = np.flatnonzero(norms >= 1e-12)
-        if self.rank:
-            Q = self.rows[:self.rank]
-            W = V[keep]
-            W -= (W @ Q.T) @ Q
-            resid = np.linalg.norm(W, axis=1)
-            keep = keep[resid > 1e-10 * norms[keep]]
-        accepted = []
-        for i in keep:
-            if self.full:
-                break
-            if self._try_add(V[i]):
-                accepted.append(i)
-        return np.array(accepted, dtype=int)
-
-
-# the span holds up to n^2 - 1 rows of n^2 floats: 104 MB at n = 60
-LIE_CLOSURE_MAX_DIM = 12
+    R = np.eye(n, dtype=bool)
+    j, k = np.array(list(zip(*pairs)), dtype=int).reshape(2, -1) - 1
+    R[j, k] = R[k, j] = True
+    powers = [R]                                   # powers[i] = R(2^i)
+    while not np.array_equal(square := _bool_product(powers[-1], powers[-1]), powers[-1]):
+        powers.append(square)
+    reach = powers[-1]
+    if not pairs:
+        return reach.argmax(axis=1), 0
+    near, d = np.eye(n, dtype=bool), 0             # R(d) with d the largest found short of R(D)
+    for i in reversed(range(len(powers) - 1)):
+        farther = _bool_product(near, powers[i])
+        if not np.array_equal(farther, reach):
+            near, d = farther, d + 2 ** i
+    return reach.argmax(axis=1), d + 1
 
 
 def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
                 int_labels=None) -> LieClosureReport:
     """Dimension of the real Lie algebra generated by the admissible rotations.
 
-    Generators are the skew-Hermitian pair matrices at phases 0 and pi/2 for
-    every admissible pair; brackets are iterated breadth-first while the real
-    span grows, and the search stops once the span is all of su(n).  A level
-    brackets one generator (pair j, k) at a time with the stacked frontier,
-    skipping the frontier matrices with no entry in row or column j or k,
-    whose bracket with it is zero, and tests the block's rank gain at once
-    (_SpanBasis.extend): the accepted brackets and their order are those of
-    a Gram-Schmidt test of each bracket on its own.
+    The generators are the skew-Hermitian pair matrices at phases 0 and pi/2
+    of every admissible pair.  On a connected component of the pair graph
+    with c >= 2 modes they generate su(c), and generators of different
+    components commute, so the algebra is the direct sum: its dimension is
+    the sum of c^2 - 1 over those components, and it is su(n) exactly when
+    the pair graph is connected (Altafini, J. Math. Phys. 43, 2002; Boscain,
+    Caponigro, Chambrion & Sigalotti, Comm. Math. Phys. 311, 2012).
+
+    bracket_depth counts the levels of the breadth-first bracket search
+    (level 0 the generators, level d their brackets with the span gained at
+    level d - 1).  Modes D pairs apart are first joined at level D - 1 and
+    the diagonal at level 1, so the last gain is at level max(1, D - 1),
+    with D the largest distance between two connected modes; a closure
+    short of su(n) takes one more level, which gains nothing.
     """
     n = system.dim
-    if n > LIE_CLOSURE_MAX_DIM:
-        cap = LIE_CLOSURE_MAX_DIM
-        raise ValidationError(f"bracket closure is capped at {cap} modes, {n} requested: "
-                              f"rerun with --modes {cap} or fewer")
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
-    gens = [(j - 1, k - 1, np.exp(1j * theta)) for (j, k) in pairs for theta in (0.0, math.pi / 2)]
-
-    span = _SpanBasis(n)
-    frontier = np.zeros((len(gens), n, n), dtype=complex)
-    for i, (j, k, phase) in enumerate(gens):
-        frontier[i, j, k], frontier[i, k, j] = phase, -np.conj(phase)
-    frontier = frontier[span.extend(frontier)]
-    depth = 0
-    while len(frontier) and not span.full:
-        depth += 1
-        # a skew-Hermitian matrix has an entry in row i exactly when it has one in column i
-        touched = (frontier != 0).any(axis=2)
-        new = []
-        for j, k, phase in gens:
-            C = _bracket_block(frontier, np.flatnonzero(touched[:, j] | touched[:, k]), j, k, phase)
-            new.append(C[span.extend(C)])    # fancy indexing copies: no views into C
-            if span.full:
-                break
-        frontier = np.concatenate(new)
-    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=span.rank,
-                            target_dimension=n * n - 1, generated=span.full,
-                            bracket_depth=depth)
+    labels, D = _pair_graph(n, pairs)
+    sizes = np.bincount(labels)
+    reached = int((sizes[sizes >= 2] ** 2 - 1).sum())
+    generated = reached == n * n - 1
+    return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=reached,
+                            target_dimension=n * n - 1, generated=generated,
+                            bracket_depth=max(1, D - 1) + (not generated) if pairs else 0)
 
 
 # ---------------------------------------------------------------------------

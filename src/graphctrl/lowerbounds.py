@@ -251,8 +251,7 @@ def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     if K < 1:
         raise ValidationError("K must be >= 1")
     lengths = np.asarray(lengths, dtype=float)
-    entries = star_roots(lengths, np.zeros(lengths.size, dtype=bool), K, distinct=True)
-    roots = np.array([x for x, _, _ in entries[:K]])
+    roots = star_roots(lengths, np.zeros(lengths.size, dtype=bool), K, distinct=True)[0][:K]
     cosvals = np.abs(np.cos(np.outer(roots, lengths)))
     per_root = cosvals.min(axis=1)
     scaled = per_root * roots ** (1 + eps)

@@ -191,8 +191,8 @@ def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     The closed-form zeros (sin: n pi / L, cos: (n - 1/2) pi / L) of all edges
     are merged where consecutive ones agree to ``cluster_rel``.  Returns the
     first, last and mean member of each cluster as arrays lo, hi, x, and a
-    dict mapping the index of each cluster where >= 2 edges vanish to the
-    sorted indices of those edges.
+    (clusters, edges) boolean array marking the edges that vanish in each
+    cluster.
     """
     xs, edges = [], []
     for j, (L, s) in enumerate(zip(lengths, is_sin)):
@@ -202,18 +202,16 @@ def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
         edges.append(np.full(n.size, j))
     x, e = np.concatenate(xs), np.concatenate(edges)
     if not x.size:
-        return x, x, x, {}
+        return x, x, x, np.zeros((0, len(lengths)), dtype=bool)
     order = np.lexsort((e, x))
     x, e = x[order], e[order]
-    first = np.flatnonzero(np.concatenate(([True], np.diff(x) > cluster_rel * np.maximum(1.0, x[:-1]))))
+    starts = np.concatenate(([True], np.diff(x) > cluster_rel * np.maximum(1.0, x[:-1])))
+    first = np.flatnonzero(starts)
     last = np.append(first[1:], x.size) - 1
-    shared = {}
-    for i in np.flatnonzero(last > first):
-        support = sorted(set(e[first[i]:last[i] + 1].tolist()))
-        if len(support) >= 2:
-            shared[int(i)] = support
+    vanishing = np.zeros((first.size, len(lengths)), dtype=bool)
+    vanishing[np.cumsum(starts) - 1, e] = True
     mean = np.add.reduceat(x, first) / (last - first + 1)
-    return x[first], x[last], mean, shared
+    return x[first], x[last], mean, vanishing
 
 
 def common_vanishing_points(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
@@ -223,8 +221,9 @@ def common_vanishing_points(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     related lengths produce such points; they are detected by clustering the
     closed-form zeros of the individual factors.
     """
-    _, _, x, shared = _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel)
-    return [(float(x[i]), support) for i, support in shared.items()]
+    _, _, x, vanishing = _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel)
+    return [(float(x[i]), np.flatnonzero(vanishing[i]).tolist())
+            for i in np.flatnonzero(vanishing.sum(axis=1) >= 2)]
 
 
 def _newton_brackets(lo, hi, lengths, is_sin):
@@ -263,26 +262,26 @@ def _newton_brackets(lo, hi, lengths, is_sin):
 def star_roots(lengths, is_sin, count, distinct=False):
     """The lowest positive square-root eigenvalues of a star, in increasing order.
 
-    Returns (x, multiplicity, support) entries covering at least ``count``
-    eigenvalues; with ``distinct`` every entry counts once.  Between
-    consecutive distinct zeros of the edge factors, and below the first one
-    when some edge is Dirichlet, M has exactly one root: a simple eigenvalue
-    (support None) whose eigenfunction does not vanish at the center.  A zero
-    shared by the r edges in ``support`` is a branch point carrying r - 1
-    center-vanishing eigenvalues.  The constant mode of an all-Neumann star
-    is not included.  The simple roots of all brackets are refined together
-    by ``_newton_brackets``; a bracket that does not converge within
-    _NEWTON_PASSES passes raises NumericalError.
+    Returns arrays x, multiplicity and support with one entry per distinct
+    root, covering at least ``count`` eigenvalues; with ``distinct`` every
+    entry counts once.  Between consecutive distinct zeros of the edge
+    factors, and below the first one when some edge is Dirichlet, M has
+    exactly one root: a simple eigenvalue (a support row with no edge)
+    whose eigenfunction does not vanish at the center.  A zero shared by
+    the r edges marked in its (len(lengths),) support row is a branch point
+    carrying r - 1 center-vanishing eigenvalues.  The constant mode of an
+    all-Neumann star is not included.  The simple roots of all brackets are
+    refined together by ``_newton_brackets``; a bracket that does not
+    converge within _NEWTON_PASSES passes raises NumericalError.
     """
     lengths = np.asarray(lengths, dtype=float)
     is_sin = np.asarray(is_sin, dtype=bool)
     lead = int(is_sin.any())
     x_max = (count + 2) * math.pi / float(lengths.sum()) + 1.0
     while True:
-        lo, hi, x, shared = _edge_zero_clusters(lengths, is_sin, x_max)
-        mult = np.zeros(x.size, dtype=int)
-        for i, support in shared.items():
-            mult[i] = 1 if distinct else len(support) - 1
+        lo, hi, x, vanishing = _edge_zero_clusters(lengths, is_sin, x_max)
+        r = vanishing.sum(axis=1)
+        mult = np.where(r >= 2, 1 if distinct else r - 1, 0)
         # eigenvalues below cluster i; the last cluster may extend past x_max,
         # so only those below it are complete
         below = lead + np.arange(x.size) + np.cumsum(mult) - mult
@@ -292,10 +291,13 @@ def star_roots(lengths, is_sin, count, distinct=False):
     left = np.concatenate((np.zeros(lead), hi[:-1]))
     right = lo[1 - lead:]
     need = np.concatenate((np.zeros(lead, dtype=int), (below + mult)[:-1])) < count
-    entries = [(float(r), 1, None) for r in _newton_brackets(left[need], right[need], lengths, is_sin)]
-    entries += [(float(x[i]), int(mult[i]), support) for i, support in shared.items()
-                if i < x.size - 1 and below[i] < count]
-    return sorted(entries, key=lambda t: t[0])
+    simple = _newton_brackets(left[need], right[need], lengths, is_sin)
+    branch = np.flatnonzero((mult[:-1] > 0) & (below[:-1] < count))
+    roots = np.concatenate((simple, x[branch]))
+    multiplicity = np.concatenate((np.ones(simple.size, dtype=int), mult[branch]))
+    support = np.concatenate((np.zeros((simple.size, lengths.size), dtype=bool), vanishing[branch]))
+    order = np.argsort(roots, kind="stable")     # no simple root sits on a branch point
+    return roots[order], multiplicity[order], support[order]
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +406,8 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     lengths = graph.lengths
     is_sin = _is_sin(graph, [e.tail for e in graph.edges])
     constant = not is_sin.any()
-    entries = star_roots(lengths, is_sin, num_modes - constant)
-    x = np.array([e[0] for e in entries])
-    size = np.array([e[1] for e in entries], dtype=int)   # 1 per simple root, r - 1 per branch point
-    simple = np.array([e[2] is None for e in entries], dtype=bool)
+    x, size, support = star_roots(lengths, is_sin, num_modes - constant)   # size: 1 or r - 1
+    simple = ~support.any(axis=1)
     start = np.cumsum(size) - size + constant             # first row of each entry
     amps = np.zeros((constant + int(size.sum()), lengths.size))
     center = np.zeros(len(amps))
@@ -415,10 +415,11 @@ def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
     amps[rows], center[rows] = _simple_modes(x[simple], lengths, is_sin)
     branches = {}                                         # support -> indices of its branch points
     for i in np.flatnonzero(~simple):
-        branches.setdefault(tuple(entries[i][2]), []).append(i)
-    for support, idx in branches.items():
-        rows = start[idx][:, None] + np.arange(len(support) - 1)
-        amps[rows] = _branch_modes(x[idx], lengths, is_sin, list(support))
+        branches.setdefault(support[i].tobytes(), []).append(i)
+    for idx in branches.values():
+        edges = np.flatnonzero(support[idx[0]])
+        rows = start[idx][:, None] + np.arange(edges.size - 1)
+        amps[rows] = _branch_modes(x[idx], lengths, is_sin, edges)
     omegas = np.repeat(x, size)
     multiplicity = np.repeat(np.minimum(size, num_modes - start), size)
     if constant:

@@ -241,14 +241,15 @@ def star_basis_reference(graph, num_modes):
         amp = 1.0 / math.sqrt(float(lengths.sum()))
         modes.append((0.0, [amp] * len(lengths), amp, None))
     group_id = 0
-    for x0, _, support in star_roots(lengths, is_sin, num_modes - len(modes)):
+    x, _, support = star_roots(lengths, is_sin, num_modes - len(modes))
+    for x0, edges in zip(x.tolist(), support):
         lam = x0 * x0
-        if support is None:
+        if not edges.any():
             amps, c = simple_mode_reference(x0, lengths, is_sin)
             modes.append((lam, amps, c, None))
         else:
             group_id += 1
-            for amps in branch_modes_reference(x0, lengths, is_sin, support):
+            for amps in branch_modes_reference(x0, lengths, is_sin, np.flatnonzero(edges).tolist()):
                 modes.append((lam, [float(a) for a in amps], 0.0, group_id))
     modes = modes[:num_modes]
     counts = Counter(m[3] for m in modes)
@@ -571,7 +572,8 @@ def find_resonant_quadruples_reference(mu, tol_abs, int_labels=None):
 
 def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):
     """One dense commutator and one Gram-Schmidt test per bracket, in breadth-first
-    order, kept as the reference for the block rank test in graphctrl.dynamics."""
+    order: the numeric closure, kept as the oracle for the closed-form
+    component count and bracket depth of graphctrl.dynamics.lie_closure."""
     n = system.dim
     pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
     gens = []
@@ -615,6 +617,22 @@ def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):
     return LieClosureReport(n1=n, admissible_pairs=pairs, reached_dimension=rank,
                             target_dimension=target, generated=(rank == target),
                             bracket_depth=depth)
+
+
+def closure_by_components(n, pairs):
+    """Sum of c^2 - 1 over the connected components (c >= 2 nodes) of the pair
+    graph, found by union-find rather than by reachability products."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for j, k in pairs:
+        parent[find(j - 1)] = find(k - 1)
+    sizes = np.bincount([find(i) for i in range(n)], minlength=n)
+    return int(sum(c * c - 1 for c in sizes if c >= 2))
 
 
 # -- CLI data files --------------------------------------------------------------

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fmt_reference, jsonable_reference, trajectory_rows_reference,
-                      write_csv_reference, write_json_reference)
+from conftest import (closure_by_components, fmt_reference, jsonable_reference,
+                      trajectory_rows_reference, write_csv_reference, write_json_reference)
 from graphctrl import dynamics, potentials, spectrum
 from graphctrl.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, Runner,
                            dispatch)
@@ -197,6 +197,18 @@ def test_liealg_command(problem, tmp_path):
     doc = json.loads((out / "lie_closure.json").read_text())
     assert doc["target_dimension"] == 15
     assert doc["reached_dimension"] <= 15
+
+
+@pytest.mark.parametrize("sample", ["interval_dirichlet", "star2_dirichlet", "star5_neumann"])
+def test_liealg_at_each_sample_num_modes(sample, tmp_path):
+    """No truncation cap: the closure at the problem's own num_modes (up to 126)."""
+    out = tmp_path / "out"
+    path = SAMPLES / f"{sample}.json"
+    assert dispatch(["--out-dir", str(out), "liealg", "--problem", str(path)]) == EXIT_OK
+    doc = json.loads((out / "lie_closure.json").read_text())
+    assert doc["dimension"] == load_problem(path)[2].num_modes
+    pairs = [tuple(p) for p in doc["admissible_pairs"]]
+    assert doc["reached_dimension"] == closure_by_components(doc["dimension"], pairs)
 
 
 def test_report_command(problem, tmp_path):
@@ -583,13 +595,4 @@ def test_simulate_unreadable_control_file_exit_code(problem, tmp_path, capsys, c
     assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem), "--modes", "6",
                      "--control", str(control)]) == EXIT_VALIDATION
     assert f"control file {control}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-
-
-def test_liealg_cap_message_names_modes(problem, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert dispatch(["--out-dir", str(out), "liealg", "--problem", str(problem),
-                     "--modes", "13"]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "13 requested" in err and "rerun with --modes 12 or fewer" in err
     assert not (out / "manifest.json").exists()

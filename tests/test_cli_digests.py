@@ -10,7 +10,9 @@ that file with
     PYTHONPATH=src python tests/test_cli_digests.py
 
 which prints the runs whose digests moved, were added or were removed
-against the committed file; the change names them.  To show by how much
+against the committed file, with the old and new exit code of a moved run
+whose exit code changed (``moved: NAME (exit 2 -> 0)``); the change names
+them.  To show by how much
 the numbers moved, write every run's data files on both commits and compare:
 
     PYTHONPATH=src python tests/test_cli_digests.py --dump DIR
@@ -255,9 +257,12 @@ if __name__ == "__main__":
         sys.exit(0)
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for name in sorted(set(committed) | set(digests)):
-        status = ("added" if name not in committed else "removed" if name not in digests
-                  else "moved" if committed[name] != digests[name] else None)
-        if status:
-            print(f"{status}: {name}")
+        if name not in committed:
+            print(f"added: {name}")
+        elif name not in digests:
+            print(f"removed: {name}")
+        elif committed[name] != digests[name]:
+            old, new = committed[name]["exit"], digests[name]["exit"]
+            print(f"moved: {name}" + (f" (exit {old} -> {new})" if old != new else ""))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphctrl import dynamics
-from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _SpanBasis,
-                                _free_step, _kick_steps, _period_map, _polar_unitary,
+from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _free_step, _kick_steps, _period_map, _polar_unitary,
                                 _split_evolve, _step_matrices,
                                 admissible_pairs, first_order_prediction, lie_closure,
                                 linearized_response, propagate, propagate_reversed,
@@ -22,8 +21,9 @@ from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matri
                                   coupling_block, squared_shift_potential)
 from graphctrl.spectrum import equilateral_dropped_modes, explicit_subsystem, solve_spectrum
 
-from conftest import (admissible_pairs_reference, interval, lie_closure_reference,
-                      sampled_moment_integral_reference, star, trig_moment_integral_reference)
+from conftest import (admissible_pairs_reference, closure_by_components, interval,
+                      lie_closure_reference, sampled_moment_integral_reference, star,
+                      trig_moment_integral_reference)
 
 PI = math.pi
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_problems"
@@ -582,21 +582,6 @@ def test_admissible_pairs_match_direct_comparison():
                 == admissible_pairs_reference(system.lam, system.B, tol, int_labels=labels))
 
 
-def closure_by_components(n, pairs):
-    """Sum of c^2 - 1 over the connected components (c >= 2 nodes) of the pair graph."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for j, k in pairs:
-        parent[find(j - 1)] = find(k - 1)
-    sizes = np.bincount([find(i) for i in range(n)], minlength=n)
-    return int(sum(c * c - 1 for c in sizes if c >= 2))
-
-
 def test_lie_closure_n12_star():
     basis = solve_spectrum(star([1.0, math.sqrt(2.0)]), 12)
     op = ControlOperator(per_edge={"e1": np.array([1.0, -2.0, 1.0])})
@@ -631,52 +616,30 @@ def test_block_closure_matches_reference_loop(n, n_blocks, density, labelled, se
     assert rep.reached_dimension == closure_by_components(n, rep.admissible_pairs)
 
 
-def test_block_span_test_matches_sequential_gram_schmidt():
-    """Matrices off the span by 1e-4 ... 1e-13 relative straddle the 1e-10 rank
-    threshold: the block test accepts the same matrices, in the same order, as
-    the one-at-a-time Gram-Schmidt test."""
-    rng = np.random.default_rng(7)
-    n = 4
-
-    def skew(shape):
-        A = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
-        return A - np.swapaxes(A, -1, -2).conj()
-
-    for _ in range(20):
-        base = skew((3,))
-        eps = rng.permutation(np.repeat([1e-4, 1e-8, 1e-9, 1e-11, 1e-13, 0.0], 2))
-        near = (np.einsum("ab,bjk->ajk", rng.normal(size=(12, 3)), base)
-                + eps[:, None, None] * skew((12,)))
-        block, seq = _SpanBasis(n), _SpanBasis(n)
-        coords = block._coordinates(near)     # an isometry for the Frobenius norm
-        assert np.allclose(np.linalg.norm(coords, axis=1), np.linalg.norm(near, axis=(1, 2)),
-                           rtol=1e-14, atol=0)
-        assert block.extend(base).tolist() == [0, 1, 2]
-        seq.extend(base)
-        accepted = block.extend(near)
-        assert accepted.tolist() == [i for i, v in enumerate(coords) if seq._try_add(v)]
-        assert np.array_equal(block.rows[:block.rank], seq.rows[:seq.rank])
-        assert accepted.tolist() == np.flatnonzero(eps >= 1e-9).tolist()
+def chain(n, rng):
+    """n modes at generic eigenvalues, each coupled to the next only."""
+    B = np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
+    return np.sort(rng.uniform(0.0, 100.0, n)), B + B.T
 
 
-def test_span_receives_only_skew_hermitian_blocks(monkeypatch):
-    """_SpanBasis reads only the strict upper triangle and the imaginary
-    diagonal, so a generator or bracket that is not skew-Hermitian would be
-    projected without complaint: every block it is given has X + X^H = 0 exactly."""
-    extend = _SpanBasis.extend
-    defects = []
+def test_lie_closure_long_chain_past_the_old_cap():
+    """Modes 1 and 40 are 39 pairs apart, so the last bracket level is 38."""
+    lam, B = chain(40, np.random.default_rng(40))
+    rep = lie_closure(GalerkinSystem(lam=lam, B=B))
+    assert rep.admissible_pairs == [(k, k + 1) for k in range(1, 40)]
+    assert rep.generated and rep.reached_dimension == 40 * 40 - 1
+    assert rep.bracket_depth == 38
 
-    def checked(self, X):
-        defects.append(float(np.abs(X + np.conj(np.swapaxes(X, 1, 2))).max(initial=0.0)))
-        return extend(self, X)
 
-    monkeypatch.setattr(_SpanBasis, "extend", checked)
-    rng = np.random.default_rng(4)
-    B = rng.normal(size=(6, 6))
-    for system in (two_level(), chain4(),
-                   GalerkinSystem(lam=np.sort(rng.uniform(0.0, 50.0, 6)), B=B + B.T)):
-        assert lie_closure(system).generated
-    assert len(defects) > 3 and max(defects) == 0.0
+def test_lie_closure_two_disjoint_chains():
+    """su(20) + su(20): the last gain at level 18, then one level that gains nothing."""
+    rng = np.random.default_rng(20)
+    lam, B = chain(40, rng)
+    B[19, 20] = B[20, 19] = 0.0
+    rep = lie_closure(GalerkinSystem(lam=lam, B=B))
+    assert rep.reached_dimension == 2 * (20 * 20 - 1) == 798
+    assert not rep.generated
+    assert rep.bracket_depth == 19
 
 
 @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])

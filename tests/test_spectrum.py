@@ -305,11 +305,11 @@ def test_newton_roots_match_bisection_reference(case):
     newton = spectrum._newton_brackets
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectrum, "_newton_brackets", capture)
-        entries = star_roots(lengths, is_sin, K, distinct=distinct)
+        x, _, support = star_roots(lengths, is_sin, K, distinct=distinct)
     (lo, hi, roots), = seen
     ref = bisect_brackets_reference(lo, hi, lengths, is_sin)
     assert roots.shape == ref.shape == lo.shape
-    assert [e[0] for e in entries if e[2] is None] == roots.tolist()
+    assert x[~support.any(axis=1)].tolist() == roots.tolist()
     assert np.all((lo < roots) & (roots < hi))
     assert np.all(np.abs(roots - ref) <= 1e-13 * np.maximum(1.0, roots))
 
