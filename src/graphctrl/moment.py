@@ -15,17 +15,21 @@ matrix.
 The moment solver produces a real control u on (0, T) with prescribed
 windowed Fourier coefficients at the shifted frequencies alpha_k = lambda_k -
 lambda_1.  The control lives on the real dictionary {1, cos alpha_k t,
-sin alpha_k t}, so realness is built in, and both solve modes work on that
-dictionary's real Gram.  The divided-difference mode clusters the alpha's and
-recombines each cluster's cos columns, and again its sin columns, into
-divided differences; the cluster holding alpha_0 = 0 recombines {1, cos} over
-all its alphas and its sin columns over its nonzero ones, since sin 0 t = 0.
-The solution's control is a TrigControl over that dictionary.
+sin alpha_k t}, so realness is built in.  The moment problem does not depend
+on where the window of length T sits, so both solve modes work on the centred
+window (-T/2, T/2), where cos is even and sin is odd: the dictionary's real
+Gram splits into the Gram of {1, cos alpha_k s} (the Re equations) and that
+of {sin alpha_k s} (the Im equations), and the coefficients and residuals are
+rotated back by the phases alpha_k T/2.  The divided-difference mode clusters
+the alpha's and recombines each cluster's cos columns, and again its sin
+columns, into divided differences; the cluster holding alpha_0 = 0
+recombines {1, cos} over all its alphas and its sin columns over its nonzero
+ones, since sin 0 s = 0.  The solution's control is a TrigControl over the
+dictionary on (0, T).
 
 TrigControl, the trigonometric control that the dynamics propagate, lives
 here beside exp_inner: its moments, the integrals of u(t) e^{i alpha t}, are
-one exp_inner call at alpha + (0, f, -f) over its terms, the same closed
-form as the moment matrix.
+one exp_inner call at alpha + (0, f, -f) over its terms.
 """
 
 from __future__ import annotations
@@ -204,16 +208,31 @@ def _block_diagonal(partition: ClusterPartition, blocks) -> np.ndarray:
 def exp_inner(omega, T: float):
     """Integral over (0, T) of e^{i omega t}, elementwise over an array of omega.
 
-    Equals (sin(omega T) + i (1 - cos(omega T))) / omega, and T at omega = 0.
-    A scalar omega gives a complex scalar.
+    Equals sin(omega T) / omega + i sin(omega T/2) S(omega), and T at omega = 0,
+    with S = centred_inner: the imaginary part (1 - cos(omega T)) / omega
+    without its cancellation at small omega T.  A scalar omega gives a
+    complex scalar.
     """
     w = np.asarray(omega, dtype=float)
     zero = w == 0.0
     safe = np.where(zero, 1.0, w)
+    half = np.sin(w * (0.5 * T))        # 0 at omega = 0, so the imaginary part is 0 there
     out = np.empty(w.shape, dtype=complex)
     out.real = np.where(zero, T, np.sin(safe * T) / safe)
-    out.imag = np.where(zero, 0.0, (1.0 - np.cos(safe * T)) / safe)
+    out.imag = half * (2.0 * half / safe)
     return complex(out) if out.ndim == 0 else out
+
+
+def centred_inner(omega, T: float):
+    """Integral over (-T/2, T/2) of e^{i omega s}, elementwise over an array of omega.
+
+    The integral is real: S(omega) = 2 sin(omega T/2) / omega, and T at
+    omega = 0.  S is even bit for bit, since np.sin is odd.
+    """
+    w = np.asarray(omega, dtype=float)
+    zero = w == 0.0
+    safe = np.where(zero, 1.0, w)
+    return np.where(zero, T, 2.0 * np.sin(safe * (0.5 * T)) / safe)
 
 
 @dataclass
@@ -404,11 +423,19 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
     """Real control u on (0, T) with integral of u e^{i (lambda_k - lambda_1) t} = x_k.
 
     The control is represented over the real dictionary {1} U {cos, sin} at
-    the shifted frequencies alpha, whose moment matrix is the dictionary's
-    real Gram.  Mode "direct" solves that Gram; mode "dd_preconditioned"
-    solves it in the divided-difference coordinates of the clusters of alpha
-    (_solve_dd), whose Gram stays well conditioned when frequencies cluster.
-    The coefficients are real either way, so Im u vanishes identically.
+    the shifted frequencies alpha.  The equations are solved on the centred
+    window s = t - T/2 (_centred_system), for v(s) = u(s + T/2) and targets
+    y_k = e^{-i alpha_k T/2} x_k; there the real Gram splits into the Gram of
+    {1, cos alpha_j s}, for the Re equations, and that of {sin alpha_j s},
+    for the Im equations at k >= 1.  Mode "direct" solves the two Grams;
+    its gram_condition, the largest lambda_max over the smallest lambda_min
+    of the two, is that of the real Gram on (0, T), since each frequency's
+    (cos, sin) pair moves by a rotation.  Mode "dd_preconditioned" solves
+    them in the divided-difference coordinates of the clusters of alpha
+    (_solve_dd), which stay well conditioned when frequencies cluster.
+    v's coefficients are rotated back to u's by the phases alpha_j T/2
+    (_uncentred) and the residuals by e^{i alpha_k T/2}.  The coefficients
+    are real either way, so Im u vanishes identically.
     Non-finite input raises ValidationError before any other check.
     Breakdown raises NumericalError: a Gram condition above CONDITION_LIMIT,
     or a residual above RESIDUAL_LIMIT * max(1, max |x|).
@@ -432,15 +459,17 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         raise ValidationError(f"unknown mode {mode!r}")
     alpha = lam - lam[0]
 
-    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
-    A, b = _real_rows(moments), _real_rows(x)
+    cos_gram, sin_gram, y, c, s = _centred_system(alpha, x, T)
     if mode == "direct":
-        coeffs, cond = _solve_direct(A, b)
+        (a, b), cond = _solve_direct(cos_gram, sin_gram, y)
     else:
-        coeffs, cond = _solve_dd(alpha, A, b, T, delta, M)
+        (a, b), cond = _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M)
     # the gate runs before the control is built: a non-finite coefficient is a numerical
     # failure (exit 3), which TrigControl would report as invalid input
-    residuals = moments @ coeffs - x
+    residuals = -y
+    residuals.real += cos_gram @ a
+    residuals.imag[1:] += sin_gram @ b
+    residuals *= c + 1j * s
     worst = float(np.max(np.abs(residuals)))
     limit = RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(x))))
     if not worst <= limit:
@@ -448,6 +477,7 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
             f"moment residual {worst:.3g} above {limit:.3g} "
             f"({mode} solve, Gram condition {cond:.3g}): the solve lost "
             f"accuracy, most likely to nearly equal frequencies")
+    coeffs = _uncentred(a, b, c, s)
     terms = list(zip(np.repeat(alpha[1:], 2).tolist(), ("cos", "sin") * (K - 1),
                      coeffs[1:].tolist()))
     return MomentSolution(control=TrigControl(horizon=T, const=float(coeffs[0]), terms=terms),
@@ -455,13 +485,15 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
                           imag_moment_defect=0.0, mode=mode)
 
 
-def _gram_condition(S: np.ndarray) -> float:
-    """lambda_max / lambda_min of a Hermitian Gram, inf unless positive definite.
+def _gram_condition(*grams) -> float:
+    """Largest lambda_max over smallest lambda_min of Hermitian Grams, inf unless all are
+    positive definite.  Empty Grams are skipped.
 
     Raises NumericalError above CONDITION_LIMIT.
     """
-    eigs = np.linalg.eigvalsh(S)
-    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
+    eigs = [np.linalg.eigvalsh(G) for G in grams if G.size]
+    lo, hi = min(e[0] for e in eigs), max(e[-1] for e in eigs)
+    cond = float(hi / lo) if lo > 0 else math.inf
     if cond > CONDITION_LIMIT:
         raise NumericalError(
             f"moment system condition {cond:.3g} above {CONDITION_LIMIT:.0e}; "
@@ -474,89 +506,93 @@ def _signed(alpha):
     return np.concatenate([-alpha[:0:-1], alpha])
 
 
-def _moment_matrix(inner):
-    """Moments of the real dictionary against e^{i alpha_k t}: row k, one column per entry.
+def _centred_system(alpha, x, T):
+    """The moment equations on (-T/2, T/2): the cos and sin Grams, the targets
+    y = e^{-i alpha T/2} x, and c, s = cos, sin of the phases alpha T/2.
 
-    inner[k, q] is the integral of e^{i (alpha_k + s_q) t} over the signed
-    family s = _signed(alpha) (2K - 1 columns, alpha_0 = 0 in the middle).
-    Columns: the constant, then cos and sin at each alpha[1:], from
-    e^{i (alpha_k +- a) t}; alpha_k + (-a) is alpha_k - a in floating point.
+    One centred_inner call over the signed family s = _signed(alpha)
+    (2K - 1 columns, alpha_0 = 0 in the middle): S(alpha_k + alpha_j) and
+    S(alpha_k - alpha_j) are its columns K - 1 + j and K - 1 - j, and
+    alpha_k + (-alpha_j) is alpha_k - alpha_j in floating point.  cos cos
+    integrates to (S(+) + S(-)) / 2 (the constant is cos 0 s), sin sin to
+    (S(-) - S(+)) / 2 over j, k >= 1, and cos sin to 0.  S is even bit for
+    bit, so both Grams are exactly symmetric.
     """
-    K = inner.shape[0]
-    plus, minus = inner[:, K:], inner[:, K - 2::-1]
-    moments = np.empty((K, 2 * K - 1), dtype=complex)
-    moments[:, 0] = inner[:, K - 1]
-    moments[:, 1::2] = 0.5 * (plus + minus)
-    moments[:, 2::2] = (plus - minus) / 2j
-    return moments
+    S = centred_inner(alpha[:, None] + _signed(alpha), T)
+    K = S.shape[0]
+    plus, minus = S[:, K - 1:], S[:, K - 1::-1]
+    phase = 0.5 * T * alpha
+    c, s = np.cos(phase), np.sin(phase)
+    y = (x.real * c + x.imag * s) + 1j * (x.imag * c - x.real * s)
+    return 0.5 * (plus + minus), 0.5 * (minus[1:, 1:] - plus[1:, 1:]), y, c, s
 
 
-def _real_rows(z):
-    """The real moment equations from complex rows: Re of row 0, then Re and Im of each other.
-
-    Applied to the moment matrix this is the (symmetric) Gram of the real
-    dictionary {1, cos alpha_k t, sin alpha_k t}.
-    """
-    out = np.empty((2 * len(z) - 1,) + z.shape[1:])
-    out[0] = z[0].real
-    out[1::2] = z[1:].real
-    out[2::2] = z[1:].imag
-    return out
+def _uncentred(a, b, c, s):
+    """Coefficients over {1, cos alpha_k t, sin alpha_k t} of u(t) = v(t - T/2), from v's
+    coefficients a (const and cos) and b (sin), rotated by the phases alpha_k T/2."""
+    coeffs = np.empty(2 * a.size - 1)
+    coeffs[0] = a[0]
+    coeffs[1::2] = a[1:] * c[1:] - b * s[1:]
+    coeffs[2::2] = a[1:] * s[1:] + b * c[1:]
+    return coeffs
 
 
-def _solve_direct(A, b):
-    cond = _gram_condition(A)
+def _solve_direct(cos_gram, sin_gram, y):
+    cond = _gram_condition(cos_gram, sin_gram)
     try:
-        return np.linalg.solve(A, b), cond
+        return (np.linalg.solve(cos_gram, y.real), np.linalg.solve(sin_gram, y.imag[1:])), cond
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"moment system singular: {exc}")
 
 
-def _solve_dd(alpha, A, b, T, delta, M):
-    """The real Gram A solved in divided-difference coordinates.
+def _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M):
+    """The two centred Grams solved in divided-difference coordinates.
 
-    With coefficients c = W y for a real block-diagonal W, A c = b becomes
-    (W^T A W) y = W^T b, solved with Jacobi (unit-diagonal) scaling; its
-    condition number is the frame-bound ratio of the scaled family.  W comes
-    from the clusters of alpha (_dictionary_blocks) and is applied block by
-    block, never formed.
+    With coefficients a = W z for a real block-diagonal W, G a = b becomes
+    (W^T G W) z = W^T b, solved with Jacobi (unit-diagonal) scaling, one per
+    Gram; the condition number is the frame-bound ratio of the two scaled
+    families together.  W comes from the clusters of alpha (_half_blocks)
+    and is applied block by block, never formed.
     """
-    positions, blocks = _dictionary_blocks(build_partition(alpha, delta, M), T)
-    H = _congruence(positions, blocks, A)
-    diag = H.diagonal()
-    if not np.all(diag > 0):
-        raise NumericalError("divided-difference Gram has a non-positive diagonal; increase T")
-    s = 1.0 / np.sqrt(diag)
-    Hs = s[:, None] * H * s
-    cond = _gram_condition(Hs)
-    try:
-        z = np.linalg.solve(Hs, s * _apply_blocks(positions, blocks, b, transpose=True))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"divided-difference moment system singular: {exc}")
-    return _apply_blocks(positions, blocks, s * z), cond
+    halves = _half_blocks(build_partition(alpha, delta, M), T)
+    scaled = []
+    for G, (positions, blocks) in zip((cos_gram, sin_gram), halves):
+        H = _congruence(positions, blocks, G)
+        diag = H.diagonal()
+        if not np.all(diag > 0):
+            raise NumericalError("divided-difference Gram has a non-positive diagonal; increase T")
+        scale = 1.0 / np.sqrt(diag)
+        scaled.append((scale[:, None] * H * scale, scale))
+    cond = _gram_condition(*(Hs for Hs, _ in scaled))
+    out = []
+    for (Hs, scale), (positions, blocks), b in zip(scaled, halves, (y.real, y.imag[1:])):
+        try:
+            z = np.linalg.solve(Hs, scale * _apply_blocks(positions, blocks, b, transpose=True))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"divided-difference moment system singular: {exc}")
+        out.append(_apply_blocks(positions, blocks, scale * z))
+    return out, cond
 
 
-def _dictionary_blocks(partition: ClusterPartition, T: float):
-    """The divided-difference blocks of a partition of alpha, placed on the real dictionary.
+def _half_blocks(partition: ClusterPartition, T: float):
+    """The divided-difference blocks of a partition of alpha on the cos and on the sin Gram.
 
-    Dictionary index 0 is the constant (cos 0 t), 2k - 1 is cos alpha_k t and
-    2k is sin alpha_k t.  Each cluster's block acts on its cos columns and
-    again on its sin columns.  The cluster holding alpha_0 = 0 has no sin 0 t:
-    its sin columns take the block over its nonzero alphas.
+    Index k of the cos Gram is cos alpha_k s (the constant at k = 0), and it
+    takes the clusters as they are.  Index k - 1 of the sin Gram is
+    sin alpha_k s, so it takes them shifted down by one; sin 0 s does not
+    exist, and the cluster holding alpha_0 = 0 takes the block over its
+    nonzero alphas.  Returns ((positions, blocks), (positions, blocks)).
     """
-    positions, out = [], []
-    for (s, e), F in zip(partition.clusters, _dd_blocks(partition, T)):
-        k = np.arange(s, e)
-        positions.append(np.maximum(2 * k - 1, 0))
-        out.append(F)
+    blocks = _dd_blocks(partition, T)
+    positions, sin_blocks = [], []
+    for (s, e), F in zip(partition.clusters, blocks):
         if s == 0:
-            k = k[1:]
-            if k.size == 0:
+            if e == 1:
                 continue
-            F = dd_matrix(partition.frequencies[1:e])
-        positions.append(2 * k)
-        out.append(F)
-    return positions, out
+            s, F = 1, dd_matrix(partition.frequencies[1:e])
+        positions.append(range(s - 1, e - 1))
+        sin_blocks.append(F)
+    return (partition.positions, blocks), (positions, sin_blocks)
 
 
 def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, float]:

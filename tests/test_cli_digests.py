@@ -19,8 +19,10 @@ the numbers moved, write every run's data files on both commits and compare:
     PYTHONPATH=src python tests/test_cli_digests.py --compare OLD_DIR NEW_DIR
 
 --compare prints, for each data file that differs, the count and the
-largest relative change of its float values, and fails if any key, list
-length, string, integer, CSV header, exit code or stderr differs.
+largest relative and largest absolute change of its float values (a float
+near zero that moves by rounding reads as a large relative change), and
+fails if any key, list length, string, integer, CSV header, exit code or
+stderr differs.
 """
 
 import hashlib
@@ -171,10 +173,11 @@ def _run_all(work: Path, runs_dir: Path) -> dict:
 
 
 def _float_changes(old, new, where=""):
-    """(relative change, location) of every float of two parsed JSON values;
-    raises ValueError at the first key, length, type, string or integer that differs."""
+    """(relative change, absolute change, location) of every float of two parsed JSON
+    values; raises ValueError at the first key, length, type, string or integer that differs."""
     if isinstance(old, float) and isinstance(new, float):
-        return [(0.0 if old == new else abs(new - old) / max(abs(old), abs(new)), where)]
+        change = abs(new - old)
+        return [(0.0 if old == new else change / max(abs(old), abs(new)), change, where)]
     if type(old) is not type(new):
         raise ValueError(f"{where}: {old!r} became {new!r}")
     if isinstance(old, dict):
@@ -229,9 +232,10 @@ def _compare(old_dir: Path, new_dir: Path) -> bool:
                 print(f"differs: {run} {exc}")
                 ok = False
                 continue
-            top, at = max(rel)
-            changed.append(f"{name} {sum(r > 0 for r, _ in rel)}/{len(rel)} floats moved, "
-                           f"max rel {top:.2g} at {at}")
+            top, _, at = max(rel)
+            top_abs, at_abs = max((a, w) for _, a, w in rel)
+            changed.append(f"{name} {sum(r > 0 for r, _, _ in rel)}/{len(rel)} floats moved, "
+                           f"max rel {top:.2g} at {at}, max abs {top_abs:.2g} at {at_abs}")
         if changed:
             moved += 1
             print(f"moved: {run}: " + "; ".join(changed))

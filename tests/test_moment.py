@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from scipy.integrate import simpson
 
 from graphctrl import moment
 from graphctrl.errors import NumericalError, ValidationError
-from graphctrl.moment import (_congruence, _dd_blocks, _dictionary_blocks, _gram_condition,
-                              _greedy_clusters, _moment_matrix, _real_rows, _signed,
-                              build_dd_system, build_partition, check_trace_bounds, dd_matrix,
-                              estimate_gap_parameters, exp_inner, exponential_gram, solve_moment,
-                              verify_biorthogonality)
+from graphctrl.moment import (_centred_system, _congruence, _dd_blocks, _gram_condition,
+                              _greedy_clusters, _half_blocks, _signed, _uncentred,
+                              build_dd_system, build_partition, centred_inner, check_trace_bounds,
+                              dd_matrix, estimate_gap_parameters, exp_inner, exponential_gram,
+                              solve_moment, verify_biorthogonality)
 from graphctrl.spectrum import solve_spectrum
 
 from conftest import (dd_matrix_reference, greedy_clusters_reference, greedy_sizes_reference,
@@ -181,9 +182,32 @@ def test_exp_inner_arrays_match_scalar_closed_form():
     ref = [complex(1.7) if w == 0.0 else (cmath.exp(1j * w * 1.7) - 1.0) / (1j * w)
            for w in omega.tolist()]
     assert got.shape == omega.shape and got.dtype == complex
-    assert np.array_equal(got, np.array(ref))
+    # the real part is sin(omega T) / omega bit for bit
+    assert np.array_equal(got.real, np.array(ref).real)
     assert isinstance(exp_inner(0.25, 1.7), complex)
     assert exp_inner(0.0, 1.7) == 1.7
+
+
+def test_exp_inner_and_centred_inner_match_mpmath():
+    # at T = 2 the arguments omega T and omega T / 2 are exact, so both parts of
+    # the closed forms are good to a few ulp everywhere: (1 - cos(omega T)) / omega
+    # lost all its digits at omega = 1e-10
+    T = 2.0
+    omega = np.logspace(-12, 3, 301)
+    omega = np.concatenate([-omega[::-1], omega])
+    got, kernel = exp_inner(omega, T), centred_inner(omega, T)
+    ulp = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for w, g, k in zip(omega.tolist(), got.tolist(), kernel.tolist()):
+            ref = (mpmath.expj(mpmath.mpf(w) * T) - 1) / (1j * mpmath.mpf(w))
+            assert abs(g.real - ref.real) <= 4 * ulp * abs(ref.real), w
+            assert abs(g.imag - ref.imag) <= 4 * ulp * abs(ref.imag), w
+            centred = 2 * mpmath.sin(mpmath.mpf(w) * T / 2) / mpmath.mpf(w)
+            assert abs(k - centred) <= 4 * ulp * abs(centred), w
+    assert centred_inner(0.0, T) == T
+    # S is even bit for bit, the imaginary part of exp_inner odd
+    assert np.array_equal(kernel, kernel[::-1])
+    assert np.array_equal(got.imag, -got.imag[::-1])
 
 
 def test_frame_lower_bound_stability():
@@ -343,6 +367,29 @@ def test_biorthogonal_two_cluster_system():
 
 # -- Gram algebra of the two solve modes -----------------------------------------
 
+def real_rows(z):
+    """The real moment equations from complex rows: Re of row 0, then Re and Im of each other."""
+    out = np.empty((2 * len(z) - 1,) + z.shape[1:])
+    out[0] = z[0].real
+    out[1::2] = z[1:].real
+    out[2::2] = z[1:].imag
+    return out
+
+
+def interleaved_gram(alpha, T):
+    """The real Gram of {1, cos alpha_k t, sin alpha_k t} on (0, T), (2K - 1)^2, with the
+    constant, then cos and sin of each alpha[1:], interleaved: the real rows of the
+    dictionary's moments against e^{i alpha_k t}."""
+    K = alpha.size
+    inner = exp_inner(alpha[:, None] + _signed(alpha), T)
+    plus, minus = inner[:, K:], inner[:, K - 2::-1]
+    moments = np.empty((K, 2 * K - 1), dtype=complex)
+    moments[:, 0] = inner[:, K - 1]
+    moments[:, 1::2] = 0.5 * (plus + minus)
+    moments[:, 2::2] = (plus - minus) / 2j
+    return real_rows(moments)
+
+
 @pytest.mark.parametrize("lam, T", [
     ((np.arange(1, 65) * PI) ** 2, 1.0),
     (eps_pair_family(1e-3), 4.0),
@@ -350,15 +397,43 @@ def test_biorthogonal_two_cluster_system():
 ])
 def test_direct_moment_matrix_is_symmetric_gram(lam, T):
     alpha = lam - lam[0]
-    moments = _moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T))
-    A = _real_rows(moments)
-    assert np.array_equal(A, A.T)
-    assert np.linalg.eigvalsh(A)[0] > 0
-    # direct mode solves exactly this matrix with numpy's solve
     x = random_targets(8, len(lam))
+    cos_gram, sin_gram, y, c, s = _centred_system(alpha, x, T)
+    assert cos_gram.shape == (lam.size, lam.size) and sin_gram.shape == (lam.size - 1,) * 2
+    for G in (cos_gram, sin_gram):
+        assert np.array_equal(G, G.T)
+        assert np.linalg.eigvalsh(G)[0] > 0
+    # direct mode solves exactly these two Grams with numpy's solve
     sol = solve_moment(lam, x, T)
-    assert sol.coefficients.tobytes() == np.linalg.solve(A, _real_rows(x)).tobytes()
-    assert np.array_equal(sol.residuals, moments @ sol.coefficients - x)
+    a, b = np.linalg.solve(cos_gram, y.real), np.linalg.solve(sin_gram, y.imag[1:])
+    assert sol.coefficients.tobytes() == _uncentred(a, b, c, s).tobytes()
+    # the residuals of the two systems, rotated back by e^{i alpha_k T/2}
+    centred = np.concatenate([[0.0], sin_gram @ b]) * 1j + cos_gram @ a - y
+    assert np.array_equal(sol.residuals, centred * (c + 1j * s))
+    # the centred Grams are the interleaved Gram rotated by an orthogonal map
+    A = interleaved_gram(alpha, T)
+    eigs = np.linalg.eigvalsh(A)
+    assert sol.gram_condition == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
+    ref = np.linalg.solve(A, real_rows(x))
+    rel = np.linalg.norm(sol.coefficients - ref) / np.linalg.norm(ref)
+    assert rel <= 10 * sol.gram_condition * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_moment_one_and_two_frequencies(mode):
+    # K = 1 has an empty sin Gram: the condition comes from the constant alone
+    sol = solve_moment([3.0], [1.5], 7.0, mode=mode)
+    assert sol.coefficients.tolist() == [1.5 / 7.0] and sol.control.terms == []
+    assert sol.gram_condition == 1.0 and sol.max_residual == 0.0
+    lam, x = np.array([1.0, 4.0]), np.array([1.0, 0.5 + 0.25j])
+    sol = solve_moment(lam, x, 7.0, mode=mode)
+    A = interleaved_gram(lam - lam[0], 7.0)
+    ref = np.linalg.solve(A, real_rows(x))
+    assert np.max(np.abs(sol.coefficients - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert sol.max_residual <= 1e-14
+    if mode == "direct":
+        eigs = np.linalg.eigvalsh(A)
+        assert sol.gram_condition == pytest.approx(eigs[-1] / eigs[0], rel=1e-12)
 
 
 def dense_dd_reference(system):
@@ -422,33 +497,69 @@ def test_eps_pair_family_divided_differences_precondition(eps):
 
 @pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
 def test_residual_gate_raises_instead_of_returning(mode):
-    # at eps = 1e-5 both Gram conditions pass the limit (8e8 and 22) but
+    # at eps = 1e-5 both Gram conditions pass the limit (8e8 and 2.3) but
     # neither solve meets 1e-8: that is a numerical failure, not a result
     lam = eps_pair_family(1e-5)
     with pytest.raises(NumericalError, match="moment residual"):
         solve_moment(lam, random_targets(3, lam.size), 4.0, mode=mode)
 
 
-# -- the divided-difference mode on the real dictionary --------------------------
+@pytest.fixture(scope="module")
+def eps_pair_moments():
+    """The eps = 1e-4 pair family (T = 4) and its dictionary moment matrix in 40-digit mpmath:
+    row k holds the integrals over (0, T) of 1, cos alpha_j t and sin alpha_j t
+    against e^{i alpha_k t}, at the floating-point alphas."""
+    lam, T = eps_pair_family(1e-4), 4
+    alpha = lam - lam[0]
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(v) for v in alpha.tolist()]
 
-def dense_dictionary_weights(alpha, part):
-    """W on the dictionary {1, cos alpha_k t, sin alpha_k t}, built entry by entry.
+        def inner(w):
+            return mpmath.mpf(T) if w == 0 else (mpmath.expj(w * T) - 1) / (1j * w)
+        rows = []
+        for ak in a:
+            row = [inner(ak)]
+            for aj in a[1:]:
+                plus, minus = inner(ak + aj), inner(ak - aj)
+                row += [(plus + minus) / 2, (plus - minus) / 2j]
+            rows.append(row)
+    return lam, float(T), rows
 
-    A cluster's divided differences act on its cos columns (the constant is
-    cos 0 t) and on its sin columns; sin 0 t does not exist, so the sin
-    columns of the cluster holding alpha_0 = 0 take its nonzero alphas only.
+
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_eps_pair_true_residual_meets_gate(mode, eps_pair_moments):
+    # the residual gate on moments computed in 40-digit arithmetic: the cancelling
+    # form (1 - cos) / omega left about 9e-8 here
+    lam, T, rows = eps_pair_moments
+    for seed in range(1, 7):
+        x = random_targets(seed, lam.size)
+        sol = solve_moment(lam, x, T, mode=mode)
+        with mpmath.workdps(40):
+            coeffs = [mpmath.mpf(c) for c in sol.coefficients.tolist()]
+            worst = max(abs(mpmath.fdot(row, coeffs) - mpmath.mpc(complex(xk)))
+                        for row, xk in zip(rows, x.tolist()))
+        assert float(worst) <= moment.RESIDUAL_LIMIT * max(1.0, np.max(np.abs(x))), seed
+
+
+# -- the divided-difference mode on the two centred Grams ------------------------
+
+def dense_half_weights(alpha, part):
+    """W on the cos Gram and on the sin Gram, built entry by entry.
+
+    A cluster's divided differences act on its cos indices k (the constant is
+    cos 0 s) and on its sin indices k - 1; sin 0 s does not exist, so the sin
+    block of the cluster holding alpha_0 = 0 takes its nonzero alphas only.
     """
-    n = 2 * alpha.size - 1
-    cos = [0] + list(range(1, n, 2))
-    sin = [None] + list(range(2, n, 2))
-    W = np.zeros((n, n))
+    K = alpha.size
+    W_cos, W_sin = np.zeros((K, K)), np.zeros((K - 1, K - 1))
     for s, e in part.clusters:
         ks = list(range(s, e))
+        W_cos[np.ix_(ks, ks)] = dd_matrix(alpha[ks])
         nonzero = [k for k in ks if k > 0]
-        for index, nodes in (([cos[k] for k in ks], ks), ([sin[k] for k in nonzero], nonzero)):
-            if nodes:
-                W[np.ix_(index, index)] = dd_matrix(alpha[nodes])
-    return W
+        if nonzero:
+            index = [k - 1 for k in nonzero]
+            W_sin[np.ix_(index, index)] = dd_matrix(alpha[nonzero])
+    return W_cos, W_sin
 
 
 @pytest.mark.parametrize("alpha, delta, M, T, zero_size", [
@@ -460,13 +571,13 @@ def dense_dictionary_weights(alpha, part):
 def test_dictionary_blocks_match_dense_weights(alpha, delta, M, T, zero_size):
     part = build_partition(alpha, delta, M)
     assert part.sizes[0] == zero_size
-    A = _real_rows(_moment_matrix(exp_inner(alpha[:, None] + _signed(alpha), T)))
-    W = dense_dictionary_weights(alpha, part)
-    dense = W.T @ A @ W
-    positions, blocks = _dictionary_blocks(part, T)
-    assert sorted(np.concatenate(positions).tolist()) == list(range(A.shape[0]))
-    got = _congruence(positions, blocks, A)
-    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    grams = _centred_system(alpha, np.zeros(alpha.size, dtype=complex), T)[:2]
+    halves = _half_blocks(part, T)
+    for G, W, (positions, blocks) in zip(grams, dense_half_weights(alpha, part), halves):
+        assert sorted(i for p in positions for i in p) == list(range(G.shape[0]))
+        dense = W.T @ G @ W
+        got = _congruence(positions, blocks, G)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def two_star_frequencies(K):
@@ -494,18 +605,21 @@ def test_dd_mode_is_real_and_agrees_with_direct(family):
 
 
 def test_dd_mode_builds_no_signed_family_matrix(monkeypatch):
-    # the only exponential integrals are the K x (2K - 1) moments of the real dictionary
-    shapes = []
+    # the only integrals are one K x (2K - 1) grid of the centred kernel
+    calls = []
 
-    def recording(omega, T):
-        shapes.append(np.shape(omega))
-        return exp_inner(omega, T)
+    def recording(name, fn):
+        def wrapper(omega, T):
+            calls.append((name, np.shape(omega)))
+            return fn(omega, T)
+        return wrapper
 
-    monkeypatch.setattr(moment, "exp_inner", recording)
+    monkeypatch.setattr(moment, "centred_inner", recording("centred_inner", centred_inner))
+    monkeypatch.setattr(moment, "exp_inner", recording("exp_inner", exp_inner))
     K = 32
     solve_moment((np.arange(1, K + 1) * PI) ** 2, random_targets(2, K), 1.0,
                  mode="dd_preconditioned")
-    assert shapes == [(K, 2 * K - 1)]
+    assert calls == [("centred_inner", (K, 2 * K - 1))]
 
 
 @pytest.mark.parametrize("lam, x, message", [
