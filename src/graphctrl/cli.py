@@ -283,7 +283,11 @@ def cmd_report(args, runner: Runner):
     hyp = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
     if hyp:
         out["spectrum"]["simple"] = hyp.simplicity
-    coupling = potentials.analyze_coupling(control, basis, len(basis))
+    demo = bool(hyp and hyp.simplicity)
+    # the transfer demo needs all of B; its first column and diagonal are the coupling
+    # analysis' elements, computed on the same ordered pairs
+    B = potentials.build_matrix(control, basis) if demo else None
+    coupling = potentials.analyze_coupling(control if B is None else B, basis, len(basis))
     vertex = potentials.check_vertex_compatibility(control, graph)
     out["coupling"] = {
         "decay_exponent": coupling.decay_fit[0],
@@ -296,12 +300,11 @@ def cmd_report(args, runner: Runner):
         "vanishing_order": vertex.vanishing_order,
         "certified_d_max": vertex.certified_d_max,
     }
-    if hyp and hyp.simplicity:
+    if demo:
         sp = lowerbounds.build_secular_product(graph)
         fit = lowerbounds.fit_derivative_bound(sp, basis)
         out["derivative_bound"] = {"dtilde": fit.dtilde, "constant": fit.constant,
                                    "raw_slope": fit.raw_slope}
-        B = potentials.build_matrix(control, basis)
         system = dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B)
         try:
             res = dynamics.resonant_transfer(system, 1, 2, args.eps)

@@ -304,9 +304,17 @@ class TrigControl:
 
 
 def exponential_gram(freqs: np.ndarray, T: float) -> np.ndarray:
-    """Hermitian Gram <e_p, e_q> = integral of e^{i (nu_q - nu_p) t}."""
-    E = exp_inner(freqs[None, :] - freqs[:, None], T)
-    return np.triu(E) + np.triu(E, 1).conj().T
+    """Hermitian Gram <e_p, e_q> = integral of e^{i (nu_q - nu_p) t}.
+
+    exp_inner runs on the upper triangle p <= q only, and the lower triangle
+    is its conjugate mirror.
+    """
+    E = np.empty((freqs.size, freqs.size), dtype=complex)
+    upper = ~np.tri(freqs.size, k=-1, dtype=bool)
+    inner = exp_inner((freqs - freqs[:, None])[upper], T)
+    E.T[upper] = inner.conj()
+    E[upper] = inner            # last, so the diagonal keeps exp_inner's own bits
+    return E
 
 
 def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
@@ -501,30 +509,30 @@ def _gram_condition(*grams) -> float:
     return cond
 
 
-def _signed(alpha):
-    """The signed family -alpha_{K-1} < ... < -alpha_1 < alpha_0 = 0 < ... < alpha_{K-1}."""
-    return np.concatenate([-alpha[:0:-1], alpha])
-
-
 def _centred_system(alpha, x, T):
     """The moment equations on (-T/2, T/2): the cos and sin Grams, the targets
     y = e^{-i alpha T/2} x, and c, s = cos, sin of the phases alpha T/2.
 
-    One centred_inner call over the signed family s = _signed(alpha)
-    (2K - 1 columns, alpha_0 = 0 in the middle): S(alpha_k + alpha_j) and
-    S(alpha_k - alpha_j) are its columns K - 1 + j and K - 1 - j, and
-    alpha_k + (-alpha_j) is alpha_k - alpha_j in floating point.  cos cos
-    integrates to (S(+) + S(-)) / 2 (the constant is cos 0 s), sin sin to
-    (S(-) - S(+)) / 2 over j, k >= 1, and cos sin to 0.  S is even bit for
-    bit, so both Grams are exactly symmetric.
+    cos cos integrates to (S(+) + S(-)) / 2 (the constant is cos 0 s) and
+    sin sin to (S(-) - S(+)) / 2 over j, k >= 1, with S(+) = S(alpha_k +
+    alpha_j), S(-) = S(alpha_k - alpha_j) and S = centred_inner; cos sin
+    integrates to 0.  One centred_inner call evaluates S(+) and S(-) on
+    j >= k only.  alpha_k + alpha_j = alpha_j + alpha_k and alpha_j -
+    alpha_k = -(alpha_k - alpha_j) in floating point, and S is even bit for
+    bit, so the mirrored Grams are exactly those of the whole grid, and
+    exactly symmetric.
     """
-    S = centred_inner(alpha[:, None] + _signed(alpha), T)
-    K = S.shape[0]
-    plus, minus = S[:, K - 1:], S[:, K - 1::-1]
+    K = alpha.size
+    cos_gram, sin_gram = np.empty((K, K)), np.empty((K, K))
+    upper = ~np.tri(K, k=-1, dtype=bool)          # j >= k in row k, column j
+    ak = alpha[:, None]
+    plus, minus = centred_inner(np.stack([(ak + alpha)[upper], (ak - alpha)[upper]]), T)
+    cos_gram[upper] = cos_gram.T[upper] = 0.5 * (plus + minus)
+    sin_gram[upper] = sin_gram.T[upper] = 0.5 * (minus - plus)
     phase = 0.5 * T * alpha
     c, s = np.cos(phase), np.sin(phase)
     y = (x.real * c + x.imag * s) + 1j * (x.imag * c - x.real * s)
-    return 0.5 * (plus + minus), 0.5 * (minus[1:, 1:] - plus[1:, 1:]), y, c, s
+    return cos_gram, sin_gram[1:, 1:], y, c, s
 
 
 def _uncentred(a, b, c, s):
@@ -610,14 +618,19 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram matrix numerically singular: {exc}")
-    dev1 = float(np.max(np.abs(G @ Ginv - np.eye(n))))
+    residual = G @ Ginv
+    residual.flat[::n + 1] -= 1.0                              # G Ginv - I, in place
+    dev1 = float(np.max(np.abs(residual)))
+    del residual
 
     # w_k = sum_m F[k, m] u_m biorthogonal to e_j: test on the raw Gram
     part, blocks = system.partition, system.blocks
     E = exponential_gram(part.frequencies, system.horizon)
     # <u_m, e_j>: u_m = sum_q Ginv[q, m] xi_q, xi in e-coords via W
     U_e = _apply_blocks(part.positions, blocks, Ginv)          # e-coordinates of the u family
-    inner_ue = U_e.conj().T @ E                                # <u_m, e_j>
+    inner_ue = np.conjugate(U_e, out=U_e).T @ E                # <u_m, e_j>
+    del U_e, E
     inner_we = _apply_blocks(part.positions, blocks, inner_ue)  # rows: w_k against e_j
-    dev2 = float(np.max(np.abs(inner_we - np.eye(n))))
+    inner_we.flat[::n + 1] -= 1.0
+    dev2 = float(np.max(np.abs(inner_we)))
     return dev1, dev2

@@ -30,23 +30,53 @@ from .spectrum import SpectralBasis, loglog_fit
 MAX_DEGREE = 12
 
 
-def _series(power, live, q, L, odd):
-    """Taylor sum over m of (-1)^m w^n L^(q+n+1) / (n! (q+n+1)), n = 2m + odd.
+def _series(w, first, L, sums):
+    """Taylor sums of the moments of degrees first..deg and both parities, in one pass over m.
 
-    ``power(n)`` holds w^n and ``live`` selects the elements summed.  Each
-    element stops after its first term below 1e-20 of its partial sum, or
-    after 121 terms.
+    Writes sums[odd, q, i], for q >= first[i] (deg = sums.shape[1] - 1), the
+    sum over m of (-1)^m w_i^n L^(q+n+1) / (n! (q+n+1)), n = 2m + odd, added
+    left to right.  Each sum stops after its first term below 1e-20 of its
+    partial sum, or after 121 terms.  A cell (i, q) carries both parities;
+    cells whose sums have both stopped leave the loop in batches, once a
+    quarter of the cells have, and an element's powers stop with its last
+    cell.  w^n is Python's float power (libm pow): numpy's vectorized pow can
+    differ in the last bit.
     """
-    acc = np.zeros(np.count_nonzero(live))
-    going = np.ones(acc.size, dtype=bool)
-    m = 0
-    while going.any():
-        n = 2 * m + odd
-        term = (-1) ** m * power(n)[live] * L ** (q + n + 1) / (math.factorial(n) * (q + n + 1))
-        acc = np.where(going, acc + term, acc)
-        m += 1
-        going &= (np.abs(term) >= 1e-20 * np.maximum(np.abs(acc), 1e-300)) & (m <= 120)
-    return acc
+    deg = sums.shape[1] - 1
+    counts = deg + 1 - first
+    el = np.repeat(np.arange(w.size), counts)            # each cell's element and degree
+    q = first[el] + np.arange(el.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    acc = np.zeros((2, el.size))
+    going = np.ones((2, el.size), dtype=bool)
+    power = np.empty((2, w.size))
+    members, ws = np.arange(w.size), w.tolist()          # the elements with a cell in the loop
+    for m in range(121):
+        n = 2 * m
+        power[:, members] = [[x ** n for x in ws], [x ** (n + 1) for x in ws]]
+        Ln = [(-1) ** m * L ** e for e in range(n + 1, deg + n + 3)]
+        div = [[float(math.factorial(n + odd) * (k + n + odd + 1)) for k in range(deg + 1)]
+               for odd in (0, 1)]
+        term = np.take(power, el, axis=1)
+        term *= np.take([Ln[:-1], Ln[1:]], q, axis=1)
+        term /= np.take(div, q, axis=1)
+        np.add(acc, term, out=acc, where=going)
+        tol = np.abs(acc)
+        np.maximum(tol, 1e-300, out=tol)
+        tol *= 1e-20
+        going &= np.abs(term, out=term) >= tol
+        live = going[0] | going[1]
+        alive = np.count_nonzero(live)
+        if 4 * alive <= 3 * live.size:
+            done = ~live
+            sums[:, q[done], el[done]] = acc[:, done]
+            if not alive:
+                return
+            acc, going, el, q = acc[:, live], going[:, live], el[live], q[live]
+            kept = np.zeros(w.size, dtype=bool)
+            kept[el] = True
+            members = np.flatnonzero(kept)
+            ws = w[members].tolist()
+    sums[:, q, el] = acc
 
 
 def trig_moments(omega, L, deg):
@@ -58,8 +88,9 @@ def trig_moments(omega, L, deg):
     series by about e^T, so an element takes the series where that factor
     exceeds e^min(T, 40), and for every q where T < 0.5 (small phases also
     hit the 1 - cos cancellation of the recurrence base; at omega = 0 the
-    series is exact).  Only the current q is held: the working set does not
-    grow with deg.
+    series is exact).  The series values of every q come from one pass
+    (_series) before the first yield and are held as 2 (deg + 1) values per
+    series element; the recurrence holds only the current q.
     """
     w = np.asarray(omega, dtype=float)
     T = np.abs(w) * L
@@ -75,15 +106,8 @@ def trig_moments(omega, L, deg):
             first[mid[(factor > bound) & (first[mid] > deg)]] = k
     series = np.flatnonzero(first <= deg)
     first = first[series]
-    ws = w[series].tolist()
-    powers = []
-
-    def power(n):
-        # Python's float power (libm pow): numpy's vectorized pow can differ in the last bit
-        while len(powers) <= n:
-            k = len(powers)
-            powers.append(np.array([x ** k for x in ws]))
-        return powers[n]
+    sums = np.zeros((2, deg + 1, series.size))
+    _series(w[series], first, L, sums)
 
     wr = np.where(T < 0.5, 1.0, w)           # those elements never use the recurrence
     s, c = np.sin(wr * L), np.cos(wr * L)
@@ -95,16 +119,15 @@ def trig_moments(omega, L, deg):
             ic, is_ = Lq * s / wr - (q / wr) * is_, -Lq * c / wr + (q / wr) * ic
         live = first <= q
         if live.any():      # an element on the series stays there, so its recurrence is dropped
-            ic[series[live]] = _series(power, live, q, L, 0)
-            is_[series[live]] = _series(power, live, q, L, 1)
+            ic[series[live]], is_[series[live]] = sums[:, q, live]
         yield ic, is_
 
 
-def _overlap(coeffs, a, b, L, sin_a, sin_b):
+def _overlap(coeffs, a, b, L, sin_a: bool, sin_b: bool):
     """Elementwise sum over q of c_q * (integral over (0, L) of x^q f(a x) g(b x)).
 
-    f and g are sin where sin_a and sin_b hold, cos elsewhere.  Product to
-    sum with d = a - b, s = a + b: sin sin = (C(d) - C(s))/2, cos cos =
+    f is sin if sin_a, else cos, and g likewise by sin_b.  Product to sum
+    with d = a - b, s = a + b: sin sin = (C(d) - C(s))/2, cos cos =
     (C(d) + C(s))/2, sin cos = (S(s) + S(d))/2, cos sin = (S(s) - S(d))/2.
     The coefficient sum runs inside the moment recurrence.
     """
@@ -113,11 +136,14 @@ def _overlap(coeffs, a, b, L, sin_a, sin_b):
     if nonzero.size == 0:
         return acc
     deg = int(nonzero[-1])
-    same, sign = np.equal(sin_a, sin_b), np.where(sin_a, 1.0, -1.0)
     for c, (cd, sd), (cs, ss) in zip(coeffs, trig_moments(a - b, L, deg),
                                      trig_moments(a + b, L, deg)):
         if c != 0.0:
-            acc += c * (0.5 * np.where(same, cd - sign * cs, ss + sign * sd))
+            if sin_a == sin_b:
+                val = cd - cs if sin_a else cd + cs
+            else:
+                val = ss + sd if sin_a else ss - sd
+            acc += c * (0.5 * val)
     return acc
 
 

@@ -11,7 +11,7 @@ from graphctrl.dynamics import LieClosureReport, admissible_pairs
 from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
-from graphctrl.moment import exp_inner
+from graphctrl.moment import centred_inner, exp_inner
 from graphctrl.spectrum import edge_factors, star_roots
 
 
@@ -103,6 +103,66 @@ def trig_moments_taylor_scalar(p, omega, L):
         if abs(term) < 1e-20 * max(abs(is_), 1e-300) or m > 120:
             break
     return ic, is_
+
+
+def _series_reference(power, live, q, L, odd):
+    """Taylor sum over m of (-1)^m w^n L^(q+n+1) / (n! (q+n+1)), n = 2m + odd,
+    for one degree q and one parity: the elements selected by live."""
+    acc = np.zeros(np.count_nonzero(live))
+    going = np.ones(acc.size, dtype=bool)
+    m = 0
+    while going.any():
+        n = 2 * m + odd
+        term = (-1) ** m * power(n)[live] * L ** (q + n + 1) / (math.factorial(n) * (q + n + 1))
+        acc = np.where(going, acc + term, acc)
+        m += 1
+        going &= (np.abs(term) >= 1e-20 * np.maximum(np.abs(acc), 1e-300)) & (m <= 120)
+    return acc
+
+
+def trig_moments_reference(omega, L, deg):
+    """graphctrl.potentials.trig_moments with one series loop per degree and parity.
+
+    The same branch choice and the same terms, summed in the same order, so the
+    kernel's single series pass must agree with it bit for bit.  Returns the
+    list of (cos, sin) moment arrays for q = 0..deg.
+    """
+    w = np.asarray(omega, dtype=float)
+    T = np.abs(w) * L
+    first = np.where(T < 0.5, 0, deg + 1)
+    mid = np.flatnonzero((T >= 0.5) & (T < deg))
+    if mid.size:
+        Tm = T[mid]
+        bound = np.array([math.exp(min(t, 40.0)) for t in Tm.tolist()])
+        factor = np.ones(mid.size)
+        for k in range(1, deg + 1):
+            factor *= np.maximum(1.0, k / Tm)
+            first[mid[(factor > bound) & (first[mid] > deg)]] = k
+    series = np.flatnonzero(first <= deg)
+    first = first[series]
+    ws = w[series].tolist()
+    powers = []
+
+    def power(n):
+        while len(powers) <= n:
+            k = len(powers)
+            powers.append(np.array([x ** k for x in ws]))
+        return powers[n]
+
+    wr = np.where(T < 0.5, 1.0, w)
+    s, c = np.sin(wr * L), np.cos(wr * L)
+    ic, is_ = s / wr, (1.0 - c) / wr
+    Lq, out = 1.0, []
+    for q in range(deg + 1):
+        if q:
+            Lq *= L
+            ic, is_ = Lq * s / wr - (q / wr) * is_, -Lq * c / wr + (q / wr) * ic
+        live = first <= q
+        if live.any():
+            ic[series[live]] = _series_reference(power, live, q, L, 0)
+            is_[series[live]] = _series_reference(power, live, q, L, 1)
+        out.append((ic, is_))
+    return out
 
 
 def trig_moments_scalar(p, omega, L):
@@ -466,6 +526,27 @@ def moment_control_reference(alpha, coefficients, t):
         else:
             out = out + c * np.sin(freq * t)
     return out
+
+
+def signed_family(alpha):
+    """The signed family -alpha_{K-1} < ... < -alpha_1 < alpha_0 = 0 < ... < alpha_{K-1}."""
+    return np.concatenate([-alpha[:0:-1], alpha])
+
+
+def centred_grams_reference(alpha, T):
+    """The cos and sin Grams of graphctrl.moment._centred_system from the whole
+    (K, 2K - 1) grid of the centred kernel over the signed family: S(alpha_k +
+    alpha_j) and S(alpha_k - alpha_j) are its columns K - 1 + j and K - 1 - j."""
+    S = centred_inner(alpha[:, None] + signed_family(alpha), T)
+    K = S.shape[0]
+    plus, minus = S[:, K - 1:], S[:, K - 1::-1]
+    return 0.5 * (plus + minus), 0.5 * (minus[1:, 1:] - plus[1:, 1:])
+
+
+def exponential_gram_reference(freqs, T):
+    """The exponential Gram from the whole K x K grid of exp_inner, upper triangle kept."""
+    E = exp_inner(freqs[None, :] - freqs[:, None], T)
+    return np.triu(E) + np.triu(E, 1).conj().T
 
 
 def dd_matrix_reference(values):

@@ -11,14 +11,15 @@ from scipy.integrate import simpson
 from graphctrl import moment
 from graphctrl.errors import NumericalError, ValidationError
 from graphctrl.moment import (_centred_system, _congruence, _dd_blocks, _gram_condition,
-                              _greedy_clusters, _half_blocks, _signed, _uncentred,
+                              _greedy_clusters, _half_blocks, _uncentred,
                               build_dd_system, build_partition, centred_inner, check_trace_bounds,
                               dd_matrix, estimate_gap_parameters, exp_inner, exponential_gram,
                               solve_moment, verify_biorthogonality)
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import (dd_matrix_reference, greedy_clusters_reference, greedy_sizes_reference,
-                      moment_control_reference, star)
+from conftest import (centred_grams_reference, dd_matrix_reference, exponential_gram_reference,
+                      greedy_clusters_reference, greedy_sizes_reference, moment_control_reference,
+                      signed_family, star)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -210,6 +211,37 @@ def test_exp_inner_and_centred_inner_match_mpmath():
     assert np.array_equal(got.imag, -got.imag[::-1])
 
 
+GRAM_FAMILIES = [
+    (np.array([0.0]), 3.0),
+    (np.array([0.0, 2.5]), 3.0),
+    (eps_pair_family(1e-2) - eps_pair_family(1e-2)[0], 4.0),
+    (eps_pair_family(1e-5) - eps_pair_family(1e-5)[0], 4.0),
+    ((np.arange(1, 65) * PI) ** 2 - PI ** 2, 1.0),
+]
+
+
+@pytest.mark.parametrize("alpha, T", GRAM_FAMILIES, ids=["K1", "K2", "eps1e-2", "eps1e-5", "interval"])
+def test_half_grid_grams_match_full_grid_bitwise(alpha, T):
+    cos_gram, sin_gram = _centred_system(alpha, np.zeros(alpha.size, dtype=complex), T)[:2]
+    ref_cos, ref_sin = centred_grams_reference(alpha, T)
+    assert cos_gram.tobytes() == ref_cos.tobytes() and sin_gram.tobytes() == ref_sin.tobytes()
+    freqs = alpha + 0.75
+    assert exponential_gram(freqs, T).tobytes() == exponential_gram_reference(freqs, T).tobytes()
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=24, unique=True),
+       st.floats(min_value=0.5, max_value=20.0))
+def test_half_grid_grams_match_full_grid_bitwise_property(values, T):
+    freqs = np.sort(values)
+    E = exponential_gram(freqs, T)
+    assert E.tobytes() == exponential_gram_reference(freqs, T).tobytes()
+    alpha = np.abs(freqs - freqs[0])
+    grams = _centred_system(alpha, np.zeros(alpha.size, dtype=complex), T)[:2]
+    for got, ref in zip(grams, centred_grams_reference(alpha, T)):
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_frame_lower_bound_stability():
     for K in (64, 128):
         freqs = paired_family(K)
@@ -381,7 +413,7 @@ def interleaved_gram(alpha, T):
     constant, then cos and sin of each alpha[1:], interleaved: the real rows of the
     dictionary's moments against e^{i alpha_k t}."""
     K = alpha.size
-    inner = exp_inner(alpha[:, None] + _signed(alpha), T)
+    inner = exp_inner(alpha[:, None] + signed_family(alpha), T)
     plus, minus = inner[:, K:], inner[:, K - 2::-1]
     moments = np.empty((K, 2 * K - 1), dtype=complex)
     moments[:, 0] = inner[:, K - 1]
@@ -468,7 +500,7 @@ def test_block_gram_of_signed_family_matches_dense():
     # the block congruence W^T G W on the Hermitian Gram G[p, q] = integral of
     # e^{i (s_p - s_q) t} of a signed family s, whose clusters lie on both sides of 0
     alpha = eps_pair_family(1e-2)
-    signed = _signed(alpha)
+    signed = signed_family(alpha)
     part = build_partition(signed)
     blocks = _dd_blocks(part, 4.0)
     G = exp_inner(signed[:, None] + signed, 4.0)[:, ::-1]
@@ -605,7 +637,8 @@ def test_dd_mode_is_real_and_agrees_with_direct(family):
 
 
 def test_dd_mode_builds_no_signed_family_matrix(monkeypatch):
-    # the only integrals are one K x (2K - 1) grid of the centred kernel
+    # the only integrals are one centred-kernel call on the j >= k half of the (K, 2K - 1)
+    # grid: S(alpha_k + alpha_j) and S(alpha_k - alpha_j) at the K (K + 1) / 2 pairs
     calls = []
 
     def recording(name, fn):
@@ -619,7 +652,7 @@ def test_dd_mode_builds_no_signed_family_matrix(monkeypatch):
     K = 32
     solve_moment((np.arange(1, K + 1) * PI) ** 2, random_targets(2, K), 1.0,
                  mode="dd_preconditioned")
-    assert calls == [("centred_inner", (K, 2 * K - 1))]
+    assert calls == [("centred_inner", (2, K * (K + 1) // 2))]
 
 
 @pytest.mark.parametrize("lam, x, message", [

@@ -16,7 +16,8 @@ from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matri
 from graphctrl.spectrum import explicit_subsystem, solve_spectrum
 
 from conftest import (degree6_neumann_cos_integral, find_resonant_quadruples_reference, interval,
-                      matrix_element_scalar, star, trig_moments_scalar, trig_poly_integral_scalar)
+                      matrix_element_scalar, star, trig_moments_reference, trig_moments_scalar,
+                      trig_poly_integral_scalar)
 
 PI = math.pi
 SIN, COS = True, False        # the is_sin flag of an edge factor
@@ -117,6 +118,38 @@ def test_trig_moments_match_scalar_bitwise(L, wide, narrow, kind):
             # cos * sin is the sin * cos integral with the frequencies swapped
             assert bits(mode_overlap_integral(w1, COS, w2, SIN, L, p)) == \
                 bits(trig_poly_integral_scalar(p, w2, L, "sincos", w1))
+
+
+@settings(max_examples=10)
+@given(st.floats(min_value=0.2, max_value=3.0),
+       st.lists(st.floats(min_value=-15.0, max_value=15.0), max_size=12))
+def test_trig_moments_match_per_degree_series_bitwise(L, extra):
+    # one series pass over every degree and parity against one loop per degree and parity
+    omega = np.concatenate([extra, switch_omegas(L)])
+    for deg in range(13):
+        got = list(trig_moments(omega, L, deg))
+        ref = trig_moments_reference(omega, L, deg)
+        assert len(got) == deg + 1
+        for q, ((ic, is_), (rc, rs)) in enumerate(zip(got, ref)):
+            assert bits(ic) == bits(rc) and bits(is_) == bits(rs), f"deg = {deg}, q = {q}"
+
+
+@pytest.mark.parametrize("half_width", [0.45, 12.0])
+def test_trig_moments_working_set_is_linear(half_width):
+    # 0.45: every element on the series at every degree, whose 2 (deg + 1) sums are
+    # held until their yields; 12.0: both branches, switching at every degree.  The
+    # one series pass peaks near 190 * 8N bytes at deg 12 (13 cells per element, each
+    # with two running sums, terms, tolerances, table lookups and indices)
+    N = 20000
+    omega = np.linspace(-half_width, half_width, N)
+    tracemalloc.start()
+    try:
+        for _ in trig_moments(omega, 1.0, 12):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 8 * N
 
 
 @pytest.mark.parametrize("graph_name, per_edge", [
