@@ -62,17 +62,9 @@ class ClusterPartition:
     def sizes(self) -> list[int]:
         return [e - s for s, e in self.clusters]
 
-    @property
-    def positions(self) -> list[range]:
-        return [range(s, e) for s, e in self.clusters]
-
     def cluster_values(self, c: int) -> np.ndarray:
         s, e = self.clusters[c]
         return self.frequencies[s:e]
-
-    def cluster_labels(self, c: int) -> np.ndarray:
-        s, e = self.clusters[c]
-        return self.labels[s:e]
 
 
 def validate_gap_condition(freqs: np.ndarray, delta: float, M: int):
@@ -108,8 +100,9 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
 
     if delta is None or M is None:
         delta, M = estimate_gap_parameters(freqs)
-    if delta <= 0 or M < 1:
-        raise ValidationError("delta must be positive and M >= 1")
+    if not (math.isfinite(delta) and delta > 0) or M < 1:
+        raise ValidationError(
+            f"delta must be finite and positive and M >= 1, got delta = {delta!r}, M = {M!r}")
     validate_gap_condition(freqs, delta, M)
 
     clusters = _greedy_clusters(freqs, delta)
@@ -158,32 +151,60 @@ def _greedy_clusters(freqs, delta) -> list[tuple[int, int]]:
 # divided differences
 
 def dd_matrix(values: np.ndarray) -> np.ndarray:
-    """Upper-triangular divided-difference matrix of one cluster."""
+    """Upper-triangular divided-difference matrices of clusters stacked on the last axis.
+
+    values of shape (..., n) give blocks of shape (..., n, n); one cluster of n
+    values is the case of no leading axes.
+    """
     v = np.asarray(values, dtype=float)
-    n = v.size
-    F = np.zeros((n, n))
+    n = v.shape[-1]
+    F = np.zeros(v.shape + (n,))
     # F[j, k] = 1 / prod_{l <= k, l != j} (v_j - v_l), divided out in the order of l
-    diag = F.reshape(-1)[::n + 1]      # a view of the diagonal
-    diag[:] = 1.0
+    diag = F.reshape(v.shape[:-1] + (n * n,))[..., ::n + 1]     # a view of the diagonals
+    diag[...] = 1.0
     for l in range(n - 1):
-        diag[l + 1:] /= v[l + 1:] - v[l]
+        diag[..., l + 1:] /= v[..., l + 1:] - v[..., l, None]
     for k in range(1, n):
-        F[:k, k] = F[:k, k - 1] / (v[:k] - v[k])
+        F[..., :k, k] = F[..., :k, k - 1] / (v[..., :k] - v[..., k, None])
     return F
+
+
+def _stacked_blocks(values: np.ndarray, clusters) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The divided-difference blocks of [start, end) clusters of values, stacked by size.
+
+    For each cluster size s, in increasing order, the pair (rows, F): the
+    positions of its n_s clusters in their order, shape (n_s, s), and their
+    blocks from one batched dd_matrix, shape (n_s, s, s).  This is W =
+    blockdiag(F_m), block F_m on the positions of cluster m.
+    """
+    bounds = np.array(clusters, dtype=int).reshape(-1, 2)
+    starts, sizes = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        rows = starts[sizes == size, None] + np.arange(size)
+        F = dd_matrix(values[rows])
+        if size > 1 and np.any(np.diagonal(F, axis1=1, axis2=2) == 0.0):
+            raise NumericalError("divided-difference block is singular")
+        stacks.append((rows, F))
+    return stacks
 
 
 @dataclass
 class DividedDifferenceSystem:
     partition: ClusterPartition
     horizon: float
-    blocks: list[np.ndarray]
+    blocks: list[tuple[np.ndarray, np.ndarray]]   # (rows, F) per cluster size, see _stacked_blocks
     gram: np.ndarray
     frame_bounds: tuple[float, float]
 
     @property
     def weights(self) -> np.ndarray:
         """Block-diagonal transpose action: xi = W^T e with W = blockdiag(F_m)."""
-        return _block_diagonal(self.partition, self.blocks)
+        n = self.partition.frequencies.size
+        W = np.zeros((n, n))
+        for rows, F in self.blocks:
+            W[rows[:, :, None], rows[:, None, :]] = F
+        return W
 
     def dd_function(self, k: int):
         """xi_k as a callable of t (0-based position k)."""
@@ -194,15 +215,6 @@ class DividedDifferenceSystem:
             t = np.asarray(t, dtype=float)
             return sum(W[p, k] * np.exp(1j * nu[p] * t) for p in range(nu.size) if W[p, k] != 0.0)
         return xi
-
-
-def _block_diagonal(partition: ClusterPartition, blocks) -> np.ndarray:
-    """W = blockdiag(F_m), each block on its cluster's positions."""
-    n = partition.frequencies.size
-    W = np.zeros((n, n))
-    for (s, e), F in zip(partition.clusters, blocks):
-        W[s:e, s:e] = F
-    return W
 
 
 def exp_inner(omega, T: float):
@@ -317,8 +329,8 @@ def exponential_gram(freqs: np.ndarray, T: float) -> np.ndarray:
     return E
 
 
-def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
-    """Divided-difference blocks of the partition, once T is inside the Riesz window.
+def _dd_blocks(partition: ClusterPartition, T: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stacked divided-difference blocks of the partition, once T is inside the Riesz window.
 
     The window requires T > 2 pi / delta; equality is admitted (up to
     rounding) since the finite truncation is still well conditioned there
@@ -328,47 +340,43 @@ def _dd_blocks(partition: ClusterPartition, T: float) -> list[np.ndarray]:
         raise ValidationError(
             f"horizon T = {T:.6g} too small: the Riesz-basis window requires "
             f"T > 2 pi / delta = {2 * math.pi / partition.delta:.6g}")
-    blocks = [dd_matrix(partition.frequencies[s:e]) if e - s > 1 else np.ones((1, 1))
-              for s, e in partition.clusters]
-    if any(F.shape[0] > 1 and np.any(np.diag(F) == 0.0) for F in blocks):
-        raise NumericalError("divided-difference block is singular")
-    return blocks
+    return _stacked_blocks(partition.frequencies, partition.clusters)
 
 
 def build_dd_system(partition: ClusterPartition, T: float) -> DividedDifferenceSystem:
     """Assemble the divided-difference family and its Gram frame bounds."""
     blocks = _dd_blocks(partition, T)
-    G = _congruence(partition.positions, blocks, exponential_gram(partition.frequencies, T))
+    G = _congruence(blocks, exponential_gram(partition.frequencies, T))
     G = 0.5 * (G + G.conj().T)
     eigs = np.linalg.eigvalsh(G)
     return DividedDifferenceSystem(partition=partition, horizon=float(T), blocks=blocks,
                                    gram=G, frame_bounds=(float(eigs[0]), float(eigs[-1])))
 
 
-def _apply_blocks(positions, blocks, X, transpose: bool = False) -> np.ndarray:
-    """W @ X, or W.T @ X, without forming W: block F_m of W sits on the indices positions[m].
+def _apply_blocks(blocks, X, transpose: bool = False) -> np.ndarray:
+    """W @ X, or W.T @ X, without forming W, for the stacked blocks of _stacked_blocks.
 
-    Blocks of size 1 are [[1]] and are copied; the others are multiplied in
-    one batched product per block size.
+    Rows of size-1 clusters keep X's values, and each larger size is one
+    batched product.  With no cluster larger than 1, W = I and X itself is
+    returned (as float or complex).
     """
     X = np.asarray(X)
+    stacks = [(rows, F) for rows, F in blocks if rows.shape[1] > 1]
+    if not stacks:
+        return X.astype(np.result_type(X, float), copy=False)
     out = X.astype(np.result_type(X, float))
-    sizes = [len(p) for p in positions]
-    for size in set(sizes) - {1}:
-        members = [c for c, n in enumerate(sizes) if n == size]
-        rows = np.array([positions[c] for c in members])
-        F = np.stack([blocks[c] for c in members])
+    for rows, F in stacks:
         if transpose:
             F = F.transpose(0, 2, 1)
         Xc = X[rows]
-        out[rows] = (F @ Xc.reshape(len(members), size, -1)).reshape(Xc.shape)
+        out[rows] = (F @ Xc.reshape(rows.shape + (-1,))).reshape(Xc.shape)
     return out
 
 
-def _congruence(positions, blocks, G: np.ndarray) -> np.ndarray:
+def _congruence(blocks, G: np.ndarray) -> np.ndarray:
     """W^T G W for the block-diagonal W of _apply_blocks."""
-    WtG = _apply_blocks(positions, blocks, G, transpose=True)
-    return _apply_blocks(positions, blocks, WtG.T, transpose=True).T
+    WtG = _apply_blocks(blocks, G, transpose=True)
+    return _apply_blocks(blocks, WtG.T, transpose=True).T
 
 
 @dataclass
@@ -383,24 +391,29 @@ class TraceBoundReport:
 
 def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceBoundReport:
     """Trace growth of the blocks against min |label|^(2(1+d)) (and the
-    squared-frequency blocks against min |label|^(2d))."""
-    if dtilde < 0:
-        raise ValidationError("dtilde must be >= 0")
+    squared-frequency blocks against min |label|^(2d)).
+
+    The traces are row sums of the stacked blocks and of the stacked blocks
+    at the nodes theta = sign(nu) nu^2; the rows are reported in cluster order.
+    """
+    if not (math.isfinite(dtilde) and dtilde >= 0):
+        raise ValidationError(f"dtilde must be finite and >= 0, got {dtilde!r}")
     part = system.partition
-    rows, theta_rows = [], []
-    for c, F in enumerate(system.blocks):
-        lab = int(np.min(np.abs(part.cluster_labels(c))))
-        tr = float(np.sum(F * F))
-        rows.append((tr, lab, tr / lab ** (2 * (1 + dtilde))))
-        nu = part.cluster_values(c)
-        theta = np.sign(nu) * nu ** 2
-        Ft = dd_matrix(theta)
-        trt = float(np.sum(Ft * Ft))
-        theta_rows.append((trt, lab, trt / max(lab ** (2 * dtilde), 1e-300)))
-    labs = np.array([r[1] for r in rows], dtype=float)
+    starts, traces, theta_traces, labels = [], [], [], []
+    for rows, F in system.blocks:
+        nu = part.frequencies[rows]
+        Ft = dd_matrix(np.sign(nu) * nu ** 2)
+        starts.append(rows[:, 0])
+        traces.append(np.sum((F * F).reshape(len(rows), -1), axis=1))
+        theta_traces.append(np.sum((Ft * Ft).reshape(len(rows), -1), axis=1))
+        labels.append(np.min(np.abs(part.labels[rows]), axis=1))
+    order = np.argsort(np.concatenate(starts))
+    tr, trt, labs = (np.concatenate(a)[order].tolist() for a in (traces, theta_traces, labels))
+    rows = [(t, lab, t / lab ** (2 * (1 + dtilde))) for t, lab in zip(tr, labs)]
+    theta_rows = [(t, lab, t / max(lab ** (2 * dtilde), 1e-300)) for t, lab in zip(trt, labs)]
     ratios = np.array([r[2] for r in rows])
-    if labs.size >= 2 and np.all(ratios > 0):
-        slope = loglog_fit(labs, ratios)[0]
+    if len(labs) >= 2 and np.all(ratios > 0):
+        slope = loglog_fit(np.array(labs, dtype=float), ratios)[0]
     else:
         slope = math.nan
     return TraceBoundReport(per_cluster=rows, sup_ratio=float(max(r[2] for r in rows)),
@@ -560,12 +573,12 @@ def _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M):
     (W^T G W) z = W^T b, solved with Jacobi (unit-diagonal) scaling, one per
     Gram; the condition number is the frame-bound ratio of the two scaled
     families together.  W comes from the clusters of alpha (_half_blocks)
-    and is applied block by block, never formed.
+    and is applied by stacked blocks, never formed.
     """
     halves = _half_blocks(build_partition(alpha, delta, M), T)
     scaled = []
-    for G, (positions, blocks) in zip((cos_gram, sin_gram), halves):
-        H = _congruence(positions, blocks, G)
+    for G, blocks in zip((cos_gram, sin_gram), halves):
+        H = _congruence(blocks, G)
         diag = H.diagonal()
         if not np.all(diag > 0):
             raise NumericalError("divided-difference Gram has a non-positive diagonal; increase T")
@@ -573,34 +586,30 @@ def _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M):
         scaled.append((scale[:, None] * H * scale, scale))
     cond = _gram_condition(*(Hs for Hs, _ in scaled))
     out = []
-    for (Hs, scale), (positions, blocks), b in zip(scaled, halves, (y.real, y.imag[1:])):
+    for (Hs, scale), blocks, b in zip(scaled, halves, (y.real, y.imag[1:])):
         try:
-            z = np.linalg.solve(Hs, scale * _apply_blocks(positions, blocks, b, transpose=True))
+            z = np.linalg.solve(Hs, scale * _apply_blocks(blocks, b, transpose=True))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"divided-difference moment system singular: {exc}")
-        out.append(_apply_blocks(positions, blocks, scale * z))
+        out.append(_apply_blocks(blocks, scale * z))
     return out, cond
 
 
 def _half_blocks(partition: ClusterPartition, T: float):
-    """The divided-difference blocks of a partition of alpha on the cos and on the sin Gram.
+    """The stacked divided-difference blocks of a partition of alpha on the cos and on the
+    sin Gram.
 
     Index k of the cos Gram is cos alpha_k s (the constant at k = 0), and it
     takes the clusters as they are.  Index k - 1 of the sin Gram is
     sin alpha_k s, so it takes them shifted down by one; sin 0 s does not
     exist, and the cluster holding alpha_0 = 0 takes the block over its
-    nonzero alphas.  Returns ((positions, blocks), (positions, blocks)).
+    nonzero alphas, stacked with the other clusters of its size.  Returns
+    (cos blocks, sin blocks).
     """
-    blocks = _dd_blocks(partition, T)
-    positions, sin_blocks = [], []
-    for (s, e), F in zip(partition.clusters, blocks):
-        if s == 0:
-            if e == 1:
-                continue
-            s, F = 1, dd_matrix(partition.frequencies[1:e])
-        positions.append(range(s - 1, e - 1))
-        sin_blocks.append(F)
-    return (partition.positions, blocks), (positions, sin_blocks)
+    cos_blocks = _dd_blocks(partition, T)
+    nonzero = [(max(s, 1), e) for s, e in partition.clusters if e > 1]
+    sin_blocks = [(rows - 1, F) for rows, F in _stacked_blocks(partition.frequencies, nonzero)]
+    return cos_blocks, sin_blocks
 
 
 def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, float]:
@@ -624,13 +633,13 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
     del residual
 
     # w_k = sum_m F[k, m] u_m biorthogonal to e_j: test on the raw Gram
-    part, blocks = system.partition, system.blocks
-    E = exponential_gram(part.frequencies, system.horizon)
+    blocks = system.blocks
+    E = exponential_gram(system.partition.frequencies, system.horizon)
     # <u_m, e_j>: u_m = sum_q Ginv[q, m] xi_q, xi in e-coords via W
-    U_e = _apply_blocks(part.positions, blocks, Ginv)          # e-coordinates of the u family
+    U_e = _apply_blocks(blocks, Ginv)                          # e-coordinates of the u family
     inner_ue = np.conjugate(U_e, out=U_e).T @ E                # <u_m, e_j>
     del U_e, E
-    inner_we = _apply_blocks(part.positions, blocks, inner_ue)  # rows: w_k against e_j
+    inner_we = _apply_blocks(blocks, inner_ue)                 # rows: w_k against e_j
     inner_we.flat[::n + 1] -= 1.0
     dev2 = float(np.max(np.abs(inner_we)))
     return dev1, dev2

@@ -11,8 +11,8 @@ from graphctrl.dynamics import LieClosureReport, admissible_pairs
 from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
-from graphctrl.moment import centred_inner, exp_inner
-from graphctrl.spectrum import edge_factors, star_roots
+from graphctrl.moment import TraceBoundReport, centred_inner, exp_inner
+from graphctrl.spectrum import edge_factors, loglog_fit, star_roots
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -562,6 +562,80 @@ def dd_matrix_reference(values):
                     prod /= (v[j] - v[l])
             F[j, k] = prod
     return F
+
+
+def dd_blocks_reference(partition):
+    """The divided-difference blocks of graphctrl.moment._dd_blocks, one cluster at a
+    time: the clusters' positions and, per cluster, dd_matrix_reference or [[1]]."""
+    positions = [range(s, e) for s, e in partition.clusters]
+    blocks = [dd_matrix_reference(partition.frequencies[s:e]) if e - s > 1 else np.ones((1, 1))
+              for s, e in partition.clusters]
+    return positions, blocks
+
+
+def half_blocks_reference(partition):
+    """graphctrl.moment._half_blocks, cluster by cluster: the cos half as the clusters
+    are, the sin half shifted down by one, with the cluster holding position 0 over
+    its other positions."""
+    positions, blocks = dd_blocks_reference(partition)
+    sin_positions, sin_blocks = [], []
+    for (s, e), F in zip(partition.clusters, blocks):
+        if s == 0:
+            if e == 1:
+                continue
+            s, F = 1, dd_matrix_reference(partition.frequencies[1:e])
+        sin_positions.append(range(s - 1, e - 1))
+        sin_blocks.append(F)
+    return (positions, blocks), (sin_positions, sin_blocks)
+
+
+def unstack_blocks(stacks):
+    """Stacked (rows, F) blocks back to per-cluster positions and blocks, in position order."""
+    pairs = sorted(((list(r), f) for rows, F in stacks for r, f in zip(rows.tolist(), F)),
+                   key=lambda pair: pair[0][0])
+    return [range(r[0], r[-1] + 1) for r, _ in pairs], [f for _, f in pairs]
+
+
+def apply_blocks_reference(positions, blocks, X, transpose=False):
+    """W @ X or W.T @ X for per-cluster blocks: index arrays and np.stack rebuilt on each
+    call, one batched product per block size."""
+    X = np.asarray(X)
+    out = X.astype(np.result_type(X, float))
+    sizes = [len(p) for p in positions]
+    for size in set(sizes) - {1}:
+        members = [c for c, n in enumerate(sizes) if n == size]
+        rows = np.array([positions[c] for c in members])
+        F = np.stack([blocks[c] for c in members])
+        if transpose:
+            F = F.transpose(0, 2, 1)
+        Xc = X[rows]
+        out[rows] = (F @ Xc.reshape(len(members), size, -1)).reshape(Xc.shape)
+    return out
+
+
+def congruence_reference(positions, blocks, G):
+    WtG = apply_blocks_reference(positions, blocks, G, transpose=True)
+    return apply_blocks_reference(positions, blocks, WtG.T, transpose=True).T
+
+
+def check_trace_bounds_reference(partition, blocks, dtilde):
+    """graphctrl.moment.check_trace_bounds one cluster at a time, from per-cluster blocks."""
+    rows, theta_rows = [], []
+    for (s, e), F in zip(partition.clusters, blocks):
+        lab = int(np.min(np.abs(partition.labels[s:e])))
+        tr = float(np.sum(F * F))
+        rows.append((tr, lab, tr / lab ** (2 * (1 + dtilde))))
+        nu = partition.frequencies[s:e]
+        Ft = dd_matrix_reference(np.sign(nu) * nu ** 2)
+        trt = float(np.sum(Ft * Ft))
+        theta_rows.append((trt, lab, trt / max(lab ** (2 * dtilde), 1e-300)))
+    labs = np.array([r[1] for r in rows], dtype=float)
+    ratios = np.array([r[2] for r in rows])
+    slope = loglog_fit(labs, ratios)[0] if labs.size >= 2 and np.all(ratios > 0) else math.nan
+    return TraceBoundReport(per_cluster=rows, sup_ratio=float(max(r[2] for r in rows)),
+                            theta_per_cluster=theta_rows,
+                            theta_sup_ratio=float(max(r[2] for r in theta_rows)),
+                            fitted_slope=slope, dtilde=dtilde)
 
 
 def greedy_clusters_reference(freqs, delta):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,16 +11,18 @@ from scipy.integrate import simpson
 
 from graphctrl import moment
 from graphctrl.errors import NumericalError, ValidationError
-from graphctrl.moment import (_centred_system, _congruence, _dd_blocks, _gram_condition,
-                              _greedy_clusters, _half_blocks, _uncentred,
+from graphctrl.moment import (_apply_blocks, _centred_system, _congruence, _dd_blocks,
+                              _gram_condition, _greedy_clusters, _half_blocks, _uncentred,
                               build_dd_system, build_partition, centred_inner, check_trace_bounds,
                               dd_matrix, estimate_gap_parameters, exp_inner, exponential_gram,
                               solve_moment, verify_biorthogonality)
 from graphctrl.spectrum import solve_spectrum
 
-from conftest import (centred_grams_reference, dd_matrix_reference, exponential_gram_reference,
-                      greedy_clusters_reference, greedy_sizes_reference, moment_control_reference,
-                      signed_family, star)
+from conftest import (apply_blocks_reference, centred_grams_reference, check_trace_bounds_reference,
+                      congruence_reference, dd_blocks_reference, dd_matrix_reference,
+                      exponential_gram_reference, greedy_clusters_reference, greedy_sizes_reference,
+                      half_blocks_reference, moment_control_reference, signed_family, star,
+                      unstack_blocks)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -66,6 +69,11 @@ def test_partition_two_star_progression():
 def test_partition_rejects_gap_violation():
     with pytest.raises(ValidationError, match="window gap violated"):
         build_partition([0.0, 0.1, 0.2, 10.0], delta=1.0, M=2)
+    # a NaN delta passed every comparison, and build_dd_system then read frame
+    # bounds (45.6, 21142.5) at T = 100 for this partition
+    for delta in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValidationError, match="delta must be finite and positive"):
+            build_partition([1.0, 1.1], delta, 3)
 
 
 def test_partition_rejects_oversized_cluster():
@@ -120,26 +128,77 @@ def test_dd_matrix_pair_example():
 
 
 @settings(max_examples=120)
-@given(n=st.integers(1, 9), clustered=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_dd_matrix_matches_scalar_loops_bitwise(n, clustered, seed):
+@given(n=st.integers(1, 9), stacked=st.integers(1, 4), clustered=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dd_matrix_matches_scalar_loops_bitwise(n, stacked, clustered, seed):
     # clustered: nodes 1e-7 ... 1e-3 apart around one centre (entries up to ~1e56);
-    # spread: unsorted nodes over (-20, 20)
+    # spread: unsorted nodes over (-20, 20).  Each of the stacked clusters, batched
+    # as (stacked, n) values, and the first one alone, as (1, n) and as (n,), must
+    # give the scalar loops' block.
     rng = np.random.default_rng(seed)
     if clustered:
-        v = rng.uniform(-5.0, 5.0) + np.cumsum(10.0 ** rng.uniform(-7, -3, n))
+        centres = rng.uniform(-5.0, 5.0, (stacked, 1))
+        V = centres + np.cumsum(10.0 ** rng.uniform(-7, -3, (stacked, n)), axis=1)
     else:
-        v = rng.uniform(-20.0, 20.0, n)
-    assert dd_matrix(v).tobytes() == dd_matrix_reference(v).tobytes()
+        V = rng.uniform(-20.0, 20.0, (stacked, n))
+    batched = dd_matrix(V)
+    assert batched.shape == (stacked, n, n)
+    for v, F in zip(V, batched):
+        assert F.tobytes() == dd_matrix_reference(v).tobytes()
+    assert dd_matrix(V[:1]).tobytes() == dd_matrix(V[0]).tobytes() == batched[0].tobytes()
 
 
 def test_dd_blocks_upper_triangular_invertible():
     freqs = paired_family(30)
     part = build_partition(freqs, 0.4, 3)
     system = build_dd_system(part, 1.2 * TWO_PI / 0.4)
-    for F in system.blocks:
+    for F in unstack_blocks(system.blocks)[1]:
         assert np.allclose(F, np.triu(F))
         assert np.all(np.abs(np.diag(F)) > 0)
         assert np.isfinite(np.linalg.cond(F))
+
+
+@settings(max_examples=80)
+@given(M=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1), at_zero=st.booleans())
+def test_stacked_blocks_match_per_cluster_references_bitwise(M, data, seed, at_zero):
+    # clusters of sizes 1 .. M - 1 (singletons at M = 1), inner gaps below delta = 1
+    # and outer gaps of at least M: the window condition holds and the greedy cut
+    # gives back exactly these clusters; at_zero puts the first frequency at 0, as
+    # for the shifted frequencies alpha of a moment solve
+    sizes = data.draw(st.lists(st.integers(1, max(1, M - 1)), min_size=1, max_size=12))
+    rng = np.random.default_rng(seed)
+    gaps = np.concatenate([np.r_[rng.uniform(M, M + 3), rng.uniform(0.01, 0.9, s - 1)]
+                           for s in sizes])[1:]
+    freqs = np.concatenate([[0.0], np.cumsum(gaps)]) + (0.0 if at_zero else rng.uniform(-15, 5))
+    labels = rng.integers(1, 40, freqs.size) * rng.choice([-1, 1], freqs.size)
+    part = build_partition(freqs, 1.0, M, labels=labels)
+    assert part.sizes == sizes
+    T = 1.05 * TWO_PI
+
+    stacks = _dd_blocks(part, T)
+    assert [rows.shape[1] for rows, _ in stacks] == sorted(set(sizes))
+    positions, blocks = dd_blocks_reference(part)
+    got_positions, got_blocks = unstack_blocks(stacks)
+    assert got_positions == positions
+    assert [F.tobytes() for F in got_blocks] == [F.tobytes() for F in blocks]
+    for got, (ref_positions, ref_blocks) in zip(_half_blocks(part, T), half_blocks_reference(part)):
+        got_positions, got_blocks = unstack_blocks(got)
+        assert got_positions == ref_positions
+        assert [F.tobytes() for F in got_blocks] == [F.tobytes() for F in ref_blocks]
+
+    n = freqs.size
+    E = exponential_gram(freqs, T)
+    for X in (rng.standard_normal(n), rng.standard_normal((n, 3)), E, E.real):
+        for transpose in (False, True):
+            assert (_apply_blocks(stacks, X, transpose).tobytes()
+                    == apply_blocks_reference(positions, blocks, X, transpose).tobytes())
+    for G in (E, E.real):
+        assert _congruence(stacks, G).tobytes() == congruence_reference(positions, blocks, G).tobytes()
+
+    system = build_dd_system(part, T)
+    for dtilde in (0.0, 0.5, 1.3):
+        assert (repr(check_trace_bounds(system, dtilde))
+                == repr(check_trace_bounds_reference(part, blocks, dtilde)))
 
 
 def test_integer_lattice_orthogonal_frame():
@@ -266,6 +325,11 @@ def test_trace_pair_example():
     system = build_dd_system(part, 8.0)
     rep = check_trace_bounds(system, dtilde=0.0)
     assert rep.per_cluster[0][0] == pytest.approx(13.5)
+    # a NaN dtilde returned NaN ratios with an unchanged sup_ratio (1 ** nan == 1.0)
+    system = build_dd_system(build_partition(paired_family(16), 0.4, 3), 1.2 * TWO_PI / 0.4)
+    for dtilde in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="dtilde must be finite and >= 0"):
+            check_trace_bounds(system, dtilde)
 
 
 def test_theta_scale_ratio_controlled_by_sqrt_scale():
@@ -496,6 +560,32 @@ def test_block_applied_weights_match_dense_products(freqs, delta, M, T):
     assert np.max(np.abs(np.subtract(verify_biorthogonality(system), devs))) <= 1e-12
 
 
+# Before the blocks were stacked, on the K = 256 clustered family and after one
+# warm-up call, the system that build_dd_system returns held 1 071 096 traced
+# bytes, and build_dd_system then verify_biorthogonality peaked at 6 340 408
+# (tracemalloc, numpy 2).  The margins, 256 KiB and 450 KiB, cover allocator and
+# numpy differences and stay below the 1 MiB of one more K x K complex array,
+# kept on the system or alive at the peak.
+DD_SYSTEM_KEPT_BOUND = 1_071_096 + 256 * 1024
+DD_TRACEMALLOC_PEAK_BOUND = 6_340_408 + 450 * 1024
+
+
+def test_dd_system_and_biorthogonality_memory():
+    part = build_partition(paired_family(256), 0.4, 3)
+    T = 1.2 * TWO_PI / 0.4
+    verify_biorthogonality(build_dd_system(part, T))      # lazy imports and caches
+    tracemalloc.start()
+    try:
+        system = build_dd_system(part, T)
+        kept = tracemalloc.get_traced_memory()[0]
+        verify_biorthogonality(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept <= DD_SYSTEM_KEPT_BOUND
+    assert peak <= DD_TRACEMALLOC_PEAK_BOUND
+
+
 def test_block_gram_of_signed_family_matches_dense():
     # the block congruence W^T G W on the Hermitian Gram G[p, q] = integral of
     # e^{i (s_p - s_q) t} of a signed family s, whose clusters lie on both sides of 0
@@ -508,7 +598,7 @@ def test_block_gram_of_signed_family_matches_dense():
     assert max(part.sizes) == 2
     W = build_dd_system(part, 4.0).weights
     dense = W.T @ G @ W
-    assert np.max(np.abs(_congruence(part.positions, blocks, G) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(_congruence(blocks, G) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
@@ -605,10 +695,10 @@ def test_dictionary_blocks_match_dense_weights(alpha, delta, M, T, zero_size):
     assert part.sizes[0] == zero_size
     grams = _centred_system(alpha, np.zeros(alpha.size, dtype=complex), T)[:2]
     halves = _half_blocks(part, T)
-    for G, W, (positions, blocks) in zip(grams, dense_half_weights(alpha, part), halves):
-        assert sorted(i for p in positions for i in p) == list(range(G.shape[0]))
+    for G, W, blocks in zip(grams, dense_half_weights(alpha, part), halves):
+        assert sorted(np.concatenate([rows.ravel() for rows, _ in blocks])) == list(range(G.shape[0]))
         dense = W.T @ G @ W
-        got = _congruence(positions, blocks, G)
+        got = _congruence(blocks, G)
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
