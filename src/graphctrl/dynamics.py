@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import potentials, spectrum
 from .errors import NumericalError, ValidationError, require_finite
 from .moment import TrigControl, exp_inner
 
@@ -184,9 +185,15 @@ def _polar_unitary(U):
     return w @ vt
 
 
+def _require_steps(n_steps) -> int:
+    if not n_steps >= 1:
+        raise ValidationError(f"step count n_steps must be >= 1, got {n_steps!r}")
+    return int(n_steps)
+
+
 def choose_step_count(system: GalerkinSystem, control, horizon: float, n_steps: int | None):
     if n_steps is not None:
-        return int(n_steps)
+        return _require_steps(n_steps)
     comm = np.linalg.norm(np.diag(system.lam) @ system.B - system.B @ np.diag(system.lam))
     u_scale = float(np.max(np.abs(control(np.linspace(0, horizon, 257)))))
     # resolve the control oscillation and keep the commutator error of a step small
@@ -213,8 +220,6 @@ def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
 
     n = choose_step_count(system, control, T, n_steps)
     dt = T / n
-    if dt <= 0 or not math.isfinite(dt):
-        raise NumericalError("step size underflow")
     rec_every = max(1, n // max(record - 1, 1))
     t_mid = (np.arange(n) + 0.5) * dt
     _, recorded = _split_evolve(system.lam, system.B, control(t_mid), dt, psi0, rec_every)
@@ -304,6 +309,7 @@ def propagate_reversed(system: GalerkinSystem, psi0, control, n_steps: int) -> n
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_finite("initial state", psi0)
+    n_steps = _require_steps(n_steps)
     T = control.horizon
     dt = T / n_steps
     t_mid = T - (np.arange(n_steps) + 0.5) * dt   # u(T - t) on the forward grid
@@ -339,31 +345,28 @@ class LieClosureReport:
     bracket_depth: int
 
 
-def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
-                     element_tol: float | None = None, int_labels=None) -> list[tuple[int, int]]:
-    """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair.
-
-    Sorted once, each frequency is compared with its sorted neighbours, the
-    nearest others; with integer labels (lambda = c label^2) equal gaps collide.
+def _coupled_collisions(system: GalerkinSystem, resonance_tol: float, int_labels):
+    """Coupled pairs j < k (0-based, row-major) and the index pairs (a, b) of those
+    whose frequencies collide.  |B_jk| > 1e-12 max(1, max|B|) is coupled; the
+    |gaps| of pair_gaps collide within resonance_tol max(1, max|lambda|), or when
+    equal with integer labels (lambda = c label^2).
     """
     if not (math.isfinite(resonance_tol) and resonance_tol >= 0):
         raise ValidationError(f"resonance tolerance must be finite and >= 0, got {resonance_tol!r}")
     B, lam = system.B, system.lam
-    if element_tol is None:
-        element_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
-    j, k = np.triu_indices(system.dim, 1)
-    coupled = np.abs(B[j, k]) > element_tol
-    j, k = j[coupled], k[coupled]
-    if int_labels is None:
-        f, tol = np.abs(lam[k] - lam[j]), resonance_tol * max(1.0, float(np.abs(lam).max()))
-    else:
-        labels = np.asarray(int_labels, dtype=np.int64)
-        f, tol = np.abs(labels[k] ** 2 - labels[j] ** 2), 0
-    order = np.argsort(f, kind="stable")
-    close = np.diff(f[order]) <= tol
-    degenerate = np.zeros(f.size, dtype=bool)
-    degenerate[order[:-1]] |= close
-    degenerate[order[1:]] |= close
+    j, k, gap = potentials.pair_gaps(lam, int_labels)
+    coupled = np.abs(B[j, k]) > 1e-12 * max(1.0, float(np.abs(B).max()))
+    tol = resonance_tol * max(1.0, float(np.abs(lam).max()))
+    a, b = potentials.matching_gaps(np.abs(gap[coupled]), tol)
+    return j[coupled], k[coupled], a, b
+
+
+def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
+                     int_labels=None) -> list[tuple[int, int]]:
+    """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair."""
+    j, k, a, b = _coupled_collisions(system, resonance_tol, int_labels)
+    degenerate = np.zeros(j.size, dtype=bool)
+    degenerate[a] = degenerate[b] = True
     return list(zip((j[~degenerate] + 1).tolist(), (k[~degenerate] + 1).tolist()))
 
 
@@ -446,7 +449,7 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
 
     u(t) = amplitude * cos(|lambda_m - lambda_n| t) over the first-order
     pulse duration pi / (amplitude |B_mn|); the reported fidelity is
-    |<target, psi(T)>|.
+    |<target, psi(T)>|.  An uncoupled or frequency-degenerate pair is refused.
     """
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
@@ -456,25 +459,20 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
     if source == target:
         return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
     m, nn = source - 1, target - 1
-    Bmn = system.B[m, nn]
-    if Bmn == 0.0:
-        raise ValidationError(f"modes {source} and {target} are uncoupled (zero matrix element)")
-    pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
-    if (min(source, target), max(source, target)) not in pairs:
-        f0 = abs(system.lam[nn] - system.lam[m])
-        scale = max(1.0, float(np.abs(system.lam).max()))
-        elem_tol = 1e-12 * max(1.0, float(np.abs(system.B).max()))
-        rows, cols = np.triu_indices(K, 1)      # every pair, row-major
-        gap = np.abs(system.lam[cols] - system.lam[rows])
-        hit = (((rows != min(m, nn)) | (cols != max(m, nn)))
-               & (np.abs(system.B[rows, cols]) > elem_tol)
-               & (np.abs(gap - f0) <= resonance_tol * scale))
-        colliding = list(zip((rows[hit] + 1).tolist(), (cols[hit] + 1).tolist()))
+    lo, hi = min(m, nn), max(m, nn)
+    if (lo + 1, hi + 1) not in admissible_pairs(system, resonance_tol, int_labels=int_labels):
+        j, k, a, b = _coupled_collisions(system, resonance_tol, int_labels)
+        pair = np.flatnonzero((j == lo) & (k == hi))
+        if pair.size == 0:
+            raise ValidationError(f"modes {source} and {target} are uncoupled (|B_mn| = "
+                                  f"{abs(system.B[m, nn]):.3g} is not above 1e-12 max(1, max|B|))")
+        hit = np.sort(np.r_[b[a == pair], a[b == pair]])     # row-major
+        colliding = list(zip((j[hit] + 1).tolist(), (k[hit] + 1).tolist()))
         raise ValidationError(
             f"transition {source}->{target} is frequency-degenerate among coupled pairs; "
             f"colliding pairs: {colliding}")
     omega = abs(system.lam[nn] - system.lam[m])
-    T = math.pi / (amplitude * abs(Bmn))
+    T = math.pi / (amplitude * abs(system.B[m, nn]))
     u = resonant_pulse(amplitude, omega, T)
     psi0 = np.zeros(K, dtype=complex)
     psi0[m] = 1.0
@@ -504,8 +502,6 @@ def subsystem_transfer_demo(family: str, params: dict, source: int, target: int,
     runs the resonant transfer inside the truncation (default size: three
     times the highest index involved).
     """
-    from . import potentials, spectrum
-
     if num_modes is None:
         num_modes = 3 * max(source, target)
     basis = spectrum.explicit_subsystem(family, num_modes, **params)

@@ -348,52 +348,57 @@ def _envelope_fit(ks, vals, n_blocks=6):
     return (slope, const)
 
 
-def find_resonant_quadruples(mu, tol_abs, int_labels=None):
-    """Pairs of index pairs (j,k) != (l,m), j<k, l<m with mu_j - mu_k - mu_l + mu_m ~ 0.
+def pair_gaps(mu, int_labels=None):
+    """Row-major pairs j < k (0-based) and their gaps mu_k - mu_j, or label_k^2 -
+    label_j^2 as exact int64 with integer labels (mu = scale * label^2)."""
+    j, k = np.triu_indices(len(mu), 1)
+    if int_labels is None:
+        return j, k, mu[k] - mu[j]
+    lab = np.asarray(int_labels, dtype=np.int64)
+    return j, k, lab[k] ** 2 - lab[j] ** 2
 
-    Implemented by a stable sort of all pair gaps mu_k - mu_j and matching
-    each gap with the following ones until g2 - g > tol_abs; when integer
-    labels are supplied (mu = scale * label^2) the gaps are label_k^2 -
-    label_j^2 and match by exact integer equality.  Each quadruple lists its
-    smaller pair first and the list is sorted by the pairs, so rounding noise
-    in equal gaps does not reorder the output.
-    """
-    mu = np.asarray(mu, dtype=float)
-    j, k = np.triu_indices(mu.size, 1)
-    fgap = mu[k] - mu[j]
-    if int_labels is not None:
-        lab = np.asarray(int_labels, dtype=np.int64)
-        gap = lab[k] ** 2 - lab[j] ** 2
-    else:
-        gap = fgap
+
+def matching_gaps(gap, tol_abs):
+    """Every index pair (a, b) of gaps with |gap[a] - gap[b]| <= tol_abs, each once,
+    a before b in a stable sort of the gaps; integer gaps match only when equal."""
+    if np.issubdtype(gap.dtype, np.integer):
+        tol_abs = 0
     order = np.argsort(gap, kind="stable")
-    j, k, fgap, gap = j[order] + 1, k[order] + 1, fgap[order], gap[order]
+    gap = gap[order]
     n = gap.size
 
     # window [i + 1, end_i) of candidates for gap i.  A gap above fl(g + 2 tol_abs)
     # exceeds g by more than 2 tol_abs exactly, so g2 - g > tol_abs after
     # rounding too: the window holds every match, and the exact test decides.
     first_after = np.arange(n) + 1
-    if int_labels is not None:
-        end = np.searchsorted(gap, gap, side="right")
-    else:
-        end = np.maximum(np.searchsorted(gap, gap + 2 * tol_abs, side="right"), first_after)
+    end = np.maximum(np.searchsorted(gap, gap + 2 * tol_abs, side="right"), first_after)
     count = end - first_after
     first = np.repeat(np.arange(n), count)
     second = first + 1 + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    if int_labels is None:
-        keep = ~(gap[second] - gap[first] > tol_abs)
-        first, second = first[keep], second[keep]
+    keep = ~(gap[second] - gap[first] > tol_abs)
+    return order[first[keep]], order[second[keep]]
 
-    # smaller pair first, then sort by the pairs (no two quadruples share both)
-    swap = (j[second] < j[first]) | ((j[second] == j[first]) & (k[second] < k[first]))
-    a = np.where(swap, second, first)
-    b = np.where(swap, first, second)
-    defect = np.abs(fgap[second] - fgap[first])
-    rank = np.lexsort((k[b], j[b], k[a], j[a]))
+
+def find_resonant_quadruples(mu, tol_abs, int_labels=None):
+    """Pairs of index pairs (j,k) != (l,m), j<k, l<m with mu_j - mu_k - mu_l + mu_m ~ 0.
+
+    The pair gaps mu_k - mu_j (pair_gaps) within tol_abs of each other
+    (matching_gaps); when integer labels are supplied (mu = scale * label^2)
+    the gaps are label_k^2 - label_j^2 and match by exact integer equality.
+    Each quadruple lists its smaller pair first and the list is sorted by the
+    pairs, so rounding noise in equal gaps does not reorder the output.
+    """
+    mu = np.asarray(mu, dtype=float)
+    j, k, gap = pair_gaps(mu, int_labels)
+    first, second = matching_gaps(gap, tol_abs)
+    # row-major indices order the pairs: smaller pair first, then sort by the pairs
+    a, b = np.minimum(first, second), np.maximum(first, second)
+    rank = np.lexsort((b, a))
     a, b = a[rank], b[rank]
+    defect = np.abs((mu[k[b]] - mu[j[b]]) - (mu[k[a]] - mu[j[a]]))
+    j, k = j + 1, k + 1
     return [((p, q), (r, s), d) for p, q, r, s, d in
-            zip(j[a].tolist(), k[a].tolist(), j[b].tolist(), k[b].tolist(), defect[rank].tolist())]
+            zip(j[a].tolist(), k[a].tolist(), j[b].tolist(), k[b].tolist(), defect.tolist())]
 
 
 def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,

@@ -152,12 +152,10 @@ def loglog_fit(ks, vals):
     return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean((y - A @ sol) ** 2)))
 
 
-def assemble_secular(lengths, is_sin, weights=None):
+def assemble_secular(lengths, is_sin, weights):
     """Return vectorized callables (S, S') for the pole-free secular function."""
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
-    if weights is None:
-        weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
     is_sin = np.asarray(is_sin, dtype=bool)
     own = np.eye(n, dtype=bool)

@@ -693,6 +693,34 @@ def admissible_pairs_reference(lam, B, resonance_tol=1e-8, int_labels=None):
     return out
 
 
+def transfer_colliders_reference(lam, B, j, k, resonance_tol=1e-8, int_labels=None):
+    """Coupled pairs (1-based, row-major) other than (j, k) whose frequency
+    collides with that of the 1-based pair (j, k).
+
+    Each pair is compared with (j, k) directly, kept as the reference for the
+    colliders that resonant_transfer lists.
+    """
+    K = len(lam)
+    element_tol = 1e-12 * max(1.0, float(np.abs(B).max()))
+    scale = max(1.0, float(np.abs(lam).max()))
+
+    def frequency(l, m):
+        if int_labels is not None:
+            return abs(int_labels[m] ** 2 - int_labels[l] ** 2)
+        return abs(lam[m] - lam[l])
+
+    f = frequency(j - 1, k - 1)
+    out = []
+    for l in range(K):
+        for m in range(l + 1, K):
+            if (l + 1, m + 1) == (j, k) or abs(B[l, m]) <= element_tol:
+                continue
+            g = frequency(l, m)
+            if g == f if int_labels is not None else abs(g - f) <= resonance_tol * scale:
+                out.append((l + 1, m + 1))
+    return out
+
+
 # -- resonant quadruples -------------------------------------------------------
 
 def find_resonant_quadruples_reference(mu, tol_abs, int_labels=None):

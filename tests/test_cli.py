@@ -221,6 +221,24 @@ def test_report_command(problem, tmp_path):
     assert "transfer_demo" in doc
 
 
+def test_report_records_a_refused_transfer_demo(tmp_path):
+    # P = (x - 1/2)^2 is even about the middle of (0, 1), so B_12 = 0 by parity:
+    # the demo is refused and the report still writes, with the reason
+    problem = tmp_path / "parity.json"
+    problem.write_text(json.dumps({
+        "graph": {"topology": "interval",
+                  "edges": [{"id": "e1", "length": 1.0, "from": "a", "to": "b"}],
+                  "vertices": [{"id": "a", "bc": "D"}, {"id": "b", "bc": "D"}]},
+        "control": {"e1": [0.25, -1.0, 1.0]},
+        "solver": {"num_modes": 20},
+    }))
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "report", "--problem", str(problem)]) == EXIT_OK
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["spectrum"]["simple"] is True
+    assert "modes 1 and 2 are uncoupled" in doc["transfer_demo"]["error"]
+
+
 @pytest.mark.parametrize("command, flag", [("liealg", "--resonance-tol"),
                                            ("check-assumptions", "--tol-res"),
                                            ("check-assumptions", "--floor"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from graphctrl import dynamics
 from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _free_step, _kick_steps, _period_map, _polar_unitary,
-                                _split_evolve, _step_matrices,
+                                _propagate_periodic, _split_evolve, _step_matrices,
                                 admissible_pairs, first_order_prediction, lie_closure,
                                 linearized_response, propagate, propagate_reversed,
                                 resonant_pulse, resonant_transfer, subsystem_transfer_demo)
@@ -23,7 +23,7 @@ from graphctrl.spectrum import equilateral_dropped_modes, explicit_subsystem, so
 
 from conftest import (admissible_pairs_reference, closure_by_components, interval,
                       lie_closure_reference, sampled_moment_integral_reference, star,
-                      trig_moment_integral_reference)
+                      transfer_colliders_reference, trig_moment_integral_reference)
 
 PI = math.pi
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_problems"
@@ -133,6 +133,22 @@ def test_shifted_periodic_window_matches_fixed_steps(const, terms, t0_periods):
     assert np.max(np.abs(whole - np.round(whole))) < 1e-12
     fixed = propagate(sys8, psi0, u, n_steps=200000)
     assert np.max(np.abs(periodic.final - fixed.final)) <= 1e-7
+
+
+def test_step_doubling_error_on_the_periodic_path():
+    # a transfer pulse of about 2 020 periods: the estimate compares period maps
+    # of 1024 and 512 steps, the reference error is against maps of 4096 steps
+    _, system = sample_system("star2_dirichlet", 30)
+    amplitude = 0.02
+    u = resonant_pulse(amplitude, system.lam[1] - system.lam[0],
+                       PI / (amplitude * abs(system.B[0, 1])))
+    psi0 = np.zeros(30, dtype=complex)
+    psi0[0] = 1.0
+    traj = propagate(system, psi0, u)
+    assert traj.period_steps == 1024
+    fine = _propagate_periodic(system, psi0, u, u.period, 2, 4 * traj.period_steps)
+    err = np.max(np.abs(traj.final - fine.final))
+    assert 0.5 * err <= dynamics.step_doubling_error(system, psi0, u, traj) <= 2.0 * err
 
 
 def random_system(K, seed):
@@ -283,6 +299,18 @@ def test_time_reversal_returns_initial_state():
     traj = propagate(sys8, psi0, u, n_steps=n)
     back = propagate_reversed(sys8, traj.final, u, n_steps=n)
     assert np.max(np.abs(back - psi0)) < 1e-9
+
+
+@pytest.mark.parametrize("evolve", [propagate, propagate_reversed])
+@pytest.mark.parametrize("n_steps", [0, -2, math.nan])
+def test_propagation_rejects_step_count_below_one(evolve, n_steps):
+    # propagate raised ZeroDivisionError at 0 and "step size underflow" (exit 3)
+    # below; the reversed pass returned the initial state unchanged
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05)])
+    with pytest.raises(ValidationError, match="n_steps must be >= 1"):
+        evolve(interval_system(), psi0, u, n_steps=n_steps)
 
 
 # -- linearized response ------------------------------------------------------
@@ -691,6 +719,54 @@ def test_transfer_lists_two_colliders_in_row_major_order():
     system = GalerkinSystem(lam=np.array([0.0, 0.0, 1.0, 1.0, 5.0]), B=B)
     with pytest.raises(ValidationError, match=r"colliding pairs: \[\(1, 4\), \(2, 3\)\]$"):
         resonant_transfer(system, 1, 3, 0.01)
+
+
+def test_transfer_colliders_follow_int_labels():
+    # labels 1, 2, 1, 2 give (1, 2) and (3, 4) the gap 3, which their
+    # eigenvalue gaps do not share: the list read [] by eigenvalue
+    B = np.zeros((4, 4))
+    for j, k in ((0, 1), (2, 3), (0, 2)):
+        B[j, k] = B[k, j] = 1.0
+    system = GalerkinSystem(lam=np.array([0.0, 1.0, 2.5, 4.7]), B=B)
+    with pytest.raises(ValidationError, match=r"colliding pairs: \[\(3, 4\)\]$"):
+        resonant_transfer(system, 1, 2, 0.01, int_labels=[1, 2, 1, 2])
+
+
+def test_transfer_lists_the_reference_colliders():
+    # every coupled pair that is not admissible is refused with the pairs it
+    # collides with, by eigenvalue and by integer label
+    rng = np.random.default_rng(21)
+    tol, refused = 1e-8, 0
+    for _ in range(100):
+        system = random_pair_system(rng, tol)
+        labels = [int(v) for v in rng.integers(1, 8, system.dim)]
+        floor = 1e-12 * max(1.0, float(np.abs(system.B).max()))
+        for lab in (None, labels):
+            admissible = admissible_pairs(system, tol, int_labels=lab)
+            for j, k in zip(*np.triu_indices(system.dim, 1)):
+                j, k = int(j) + 1, int(k) + 1
+                if abs(system.B[j - 1, k - 1]) <= floor or (j, k) in admissible:
+                    continue
+                expected = transfer_colliders_reference(system.lam, system.B, j, k, tol, lab)
+                assert expected
+                source, target = (j, k) if rng.random() < 0.5 else (k, j)
+                with pytest.raises(ValidationError) as exc:
+                    resonant_transfer(system, source, target, 0.01, tol, int_labels=lab)
+                assert str(exc.value).endswith(f"colliding pairs: {expected}")
+                refused += 1
+    assert refused > 100
+
+
+def test_transfer_reports_sub_floor_coupling_as_uncoupled():
+    # B_12 = 1e-14 is below the floor of admissible_pairs; the transfer used to
+    # call it frequency-degenerate with no colliding pair
+    B = np.zeros((3, 3))
+    B[0, 1] = B[1, 0] = 1e-14
+    B[1, 2] = B[2, 1] = 1.0
+    system = GalerkinSystem(lam=np.array([0.0, 1.0, 2.7]), B=B)
+    assert admissible_pairs(system) == [(2, 3)]
+    with pytest.raises(ValidationError, match="modes 1 and 2 are uncoupled"):
+        resonant_transfer(system, 1, 2, 0.01)
 
 
 def test_transfer_rejects_uncoupled():
