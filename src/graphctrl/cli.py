@@ -131,7 +131,7 @@ def cmd_spectrum(args, runner: Runner):
     header = ["k", "lambda", "omega", "multiplicity"] + [f"amp_{eid}" for eid in basis.edge_ids]
     runner.write_csv("spectrum.csv", header, [np.arange(1, len(basis) + 1), basis.eigenvalues,
                                               basis.omegas, basis.multiplicity, *basis.amplitudes.T])
-    report = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
+    report = spectrum.validate_spectral_hypotheses(basis)
     lengths = check_length_set(graph.lengths)
     runner.write_json("spectrum_summary.json", {
         "num_modes": len(basis),
@@ -182,7 +182,7 @@ def cmd_lowerbounds(args, runner: Runner):
         "raw_slope": fit.raw_slope,
         "worst_k": fit.worst_k,
         "scaled_infimum_eps": {str(e): float(np.min(fit.values * np.arange(1, len(basis) + 1) ** (1 + e)))
-                               for e in (0.05, 0.1, 0.25, 0.5)},
+                               for e in lowerbounds.EPS_GRID},
     })
 
 
@@ -280,7 +280,7 @@ def cmd_report(args, runner: Runner):
         "weyl": basis.weyl_report,
         "sqrt_gap": _sqrt_gap(basis),
     }}
-    hyp = spectrum.validate_spectral_hypotheses(basis) if len(basis) >= 20 else None
+    hyp = spectrum.validate_spectral_hypotheses(basis)
     if hyp:
         out["spectrum"]["simple"] = hyp.simplicity
     demo = bool(hyp and hyp.simplicity)

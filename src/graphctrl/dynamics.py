@@ -345,28 +345,36 @@ class LieClosureReport:
     bracket_depth: int
 
 
-def _coupled_collisions(system: GalerkinSystem, resonance_tol: float, int_labels):
-    """Coupled pairs j < k (0-based, row-major) and the index pairs (a, b) of those
-    whose frequencies collide.  |B_jk| > 1e-12 max(1, max|B|) is coupled; the
-    |gaps| of pair_gaps collide within resonance_tol max(1, max|lambda|), or when
-    equal with integer labels (lambda = c label^2).
+def _coupled_gaps(system: GalerkinSystem, resonance_tol: float, int_labels):
+    """Coupled pairs j < k (0-based, row-major), their |gaps| and the tolerance
+    within which two of those collide.
+
+    |B_jk| > 1e-12 max(1, max|B|) is coupled.  The gaps are those of
+    pair_gaps; they collide within resonance_tol max(1, max|lambda|), or only
+    when equal with integer labels (lambda = c label^2), where the tolerance is 0.
     """
     if not (math.isfinite(resonance_tol) and resonance_tol >= 0):
         raise ValidationError(f"resonance tolerance must be finite and >= 0, got {resonance_tol!r}")
     B, lam = system.B, system.lam
     j, k, gap = potentials.pair_gaps(lam, int_labels)
     coupled = np.abs(B[j, k]) > 1e-12 * max(1.0, float(np.abs(B).max()))
-    tol = resonance_tol * max(1.0, float(np.abs(lam).max()))
-    a, b = potentials.matching_gaps(np.abs(gap[coupled]), tol)
-    return j[coupled], k[coupled], a, b
+    tol = 0 if int_labels is not None else resonance_tol * max(1.0, float(np.abs(lam).max()))
+    return j[coupled], k[coupled], np.abs(gap[coupled]), tol
 
 
 def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
                      int_labels=None) -> list[tuple[int, int]]:
-    """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair."""
-    j, k, a, b = _coupled_collisions(system, resonance_tol, int_labels)
+    """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair.
+
+    Float subtraction is monotone, so a gap collides with some other gap
+    exactly when it collides with a neighbour in a stable sort of the gaps:
+    one O(P log P) sort over the P coupled pairs, and no list of collisions.
+    """
+    j, k, gap, tol = _coupled_gaps(system, resonance_tol, int_labels)
+    order = np.argsort(gap, kind="stable")
+    close = np.diff(gap[order]) <= tol
     degenerate = np.zeros(j.size, dtype=bool)
-    degenerate[a] = degenerate[b] = True
+    degenerate[order[:-1][close]] = degenerate[order[1:][close]] = True
     return list(zip((j[~degenerate] + 1).tolist(), (k[~degenerate] + 1).tolist()))
 
 
@@ -461,12 +469,13 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
     m, nn = source - 1, target - 1
     lo, hi = min(m, nn), max(m, nn)
     if (lo + 1, hi + 1) not in admissible_pairs(system, resonance_tol, int_labels=int_labels):
-        j, k, a, b = _coupled_collisions(system, resonance_tol, int_labels)
+        j, k, gap, tol = _coupled_gaps(system, resonance_tol, int_labels)
         pair = np.flatnonzero((j == lo) & (k == hi))
         if pair.size == 0:
             raise ValidationError(f"modes {source} and {target} are uncoupled (|B_mn| = "
                                   f"{abs(system.B[m, nn]):.3g} is not above 1e-12 max(1, max|B|))")
-        hit = np.sort(np.r_[b[a == pair], a[b == pair]])     # row-major
+        hit = np.abs(gap - gap[pair]) <= tol      # row-major, like the pairs
+        hit[pair] = False
         colliding = list(zip((j[hit] + 1).tolist(), (k[hit] + 1).tolist()))
         raise ValidationError(
             f"transition {source}->{target} is frequency-degenerate among coupled pairs; "

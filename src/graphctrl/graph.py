@@ -136,15 +136,12 @@ class LengthSetReport:
 
     Genuine rational independence (or algebraic irrationality of ratios)
     cannot be decided from floating point data; the report only certifies
-    that no ratio L_k/L_j is within ``tol`` of a rational p/q with
-    q <= q_max.
+    that no ratio L_k/L_j is within the scan's ``tol`` of a rational p/q
+    with q <= ``q_max``.
     """
 
-    ratios: np.ndarray
     rational_hits: list[tuple[int, int, int, int, float]]  # (k, j, p, q, residual), 1-based
     independence_flag: bool
-    q_max: int = DEFAULT_QMAX
-    tol: float = DEFAULT_RATIO_TOL
 
 
 def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RATIO_TOL) -> LengthSetReport:
@@ -164,18 +161,15 @@ def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RA
     if tol <= 0:
         raise ValidationError("tol must be positive")
 
-    n = lengths.size
-    ratios = lengths[:, None] / lengths[None, :]
     hits = []
-    for k in range(1, n):
+    for k in range(1, lengths.size):
         for j in range(k):
             r = lengths[k] / lengths[j]
             frac = Fraction(r).limit_denominator(q_max)
             residual = abs(r - frac.numerator / frac.denominator)
             if residual < tol:
                 hits.append((k + 1, j + 1, frac.numerator, frac.denominator, residual))
-    return LengthSetReport(ratios=ratios, rational_hits=hits,
-                           independence_flag=not hits, q_max=q_max, tol=tol)
+    return LengthSetReport(rational_hits=hits, independence_flag=not hits)
 
 
 @dataclass

@@ -31,6 +31,9 @@ from .graph import MetricGraph, Topology
 from .spectrum import (SpectralBasis, _is_sin, assemble_secular, common_vanishing_points,
                        edge_factors, leave_one_out, loglog_fit, star_roots, sum_in_order)
 
+EPS_GRID = (0.05, 0.1, 0.25, 0.5)   # the eps of the decaying lower bounds a(x) x^(1+eps)
+COS_BOUND_EPS = 0.1                  # the eps of the cosine bound |cos| omega^(1+eps)
+
 
 @dataclass
 class SecularProduct:
@@ -173,12 +176,10 @@ class DiophantineReport:
     ratio_infimum: float               # inf a(x) / product_bound(x) over nonzero bound
     genuine_zero_points: list[float]
     sandwich_max_violation: float
-    scaled_infima: dict[float, float]  # eps -> inf a(x) x^(1+eps)
-    eps_grid: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5)
+    scaled_infima: dict[float, float]  # eps -> inf a(x) x^(1+eps), eps in EPS_GRID
 
 
-def diophantine_products(lengths, i1, i2, x_grid,
-                         eps_grid=(0.05, 0.1, 0.25, 0.5)) -> DiophantineReport:
+def diophantine_products(lengths, i1, i2, x_grid) -> DiophantineReport:
     """Distance-to-integer product bounds on a grid.
 
     Evaluates the mixed sin/cos product sum a(x), the two distance-product
@@ -222,31 +223,29 @@ def diophantine_products(lengths, i1, i2, x_grid,
     d = half_distance(y)
     viol = max(float(np.max(2 * d - cosy)), float(np.max(cosy - math.pi * d)))
 
-    scaled = {float(e): float(np.min(a_vals * x ** (1 + e))) for e in eps_grid}
+    scaled = {e: float(np.min(a_vals * x ** (1 + e))) for e in EPS_GRID}
     return DiophantineReport(x_grid=x, a_values=a_vals, product_bound=bound,
                              ratio_infimum=ratio_inf, genuine_zero_points=zeros,
-                             sandwich_max_violation=viol, scaled_infima=scaled,
-                             eps_grid=tuple(eps_grid))
+                             sandwich_max_violation=viol, scaled_infima=scaled)
 
 
 @dataclass
 class CosBoundReport:
     roots: np.ndarray
     per_root_min: np.ndarray        # min over edges of |cos(omega_n L_l)|
-    scaled_min: float               # min over n, l of |cos| * omega^(1+eps)
+    scaled_min: float               # min over n, l of |cos| * omega^(1+eps), eps = COS_BOUND_EPS
     trend_slope: float              # log-log slope of the running scaled minimum
-    eps: float
     failed: bool
 
 
-def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
+def check_cos_lower_bound(lengths, K: int) -> CosBoundReport:
     """Cosine values along the roots of the all-Neumann secular equation.
 
     Takes the first K distinct positive roots of sum_l sin(x L_l) prod_{m ≠ l}
     cos(x L_m) = 0 (a branch point of rationally related lengths counts
     once) and reports min over roots and edges of |cos(omega_n L_l)| *
-    omega_n^(1 + eps); a minimum indistinguishable from zero means the bound
-    genuinely fails (rationally related lengths).
+    omega_n^(1 + COS_BOUND_EPS); a minimum indistinguishable from zero means
+    the bound genuinely fails (rationally related lengths).
     """
     if K < 1:
         raise ValidationError("K must be >= 1")
@@ -254,7 +253,7 @@ def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
     roots = star_roots(lengths, np.zeros(lengths.size, dtype=bool), K, distinct=True)[0][:K]
     cosvals = np.abs(np.cos(np.outer(roots, lengths)))
     per_root = cosvals.min(axis=1)
-    scaled = per_root * roots ** (1 + eps)
+    scaled = per_root * roots ** (1 + COS_BOUND_EPS)
     running = np.minimum.accumulate(scaled)
     ks = np.arange(1, roots.size + 1, dtype=float)
     ok = running > 0
@@ -264,4 +263,4 @@ def check_cos_lower_bound(lengths, K: int, eps: float = 0.1) -> CosBoundReport:
         slope = -math.inf
     failed = bool(np.any(per_root < 1e-12))
     return CosBoundReport(roots=roots, per_root_min=per_root, scaled_min=float(scaled.min()),
-                          trend_slope=slope, eps=eps, failed=failed)
+                          trend_slope=slope, failed=failed)

@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError, require_finite
-from .spectrum import loglog_fit
+from .spectrum import MAX_GAP_WINDOW, loglog_fit
 
-MAX_MOMENT_SIZE = 512
 CONDITION_LIMIT = 1e10
 RESIDUAL_LIMIT = 1e-8
 
@@ -61,10 +60,6 @@ class ClusterPartition:
     @property
     def sizes(self) -> list[int]:
         return [e - s for s, e in self.clusters]
-
-    def cluster_values(self, c: int) -> np.ndarray:
-        s, e = self.clusters[c]
-        return self.frequencies[s:e]
 
 
 def validate_gap_condition(freqs: np.ndarray, delta: float, M: int):
@@ -116,17 +111,17 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
                             M=int(M), clusters=clusters)
 
 
-def estimate_gap_parameters(freqs: np.ndarray, m_max: int = 10) -> tuple[float, int]:
+def estimate_gap_parameters(freqs: np.ndarray) -> tuple[float, int]:
     """Smallest workable M (then largest delta) for the windowed gap condition.
 
     delta_M = min_k (nu_{k+M} - nu_k) / M is the largest delta valid for a
-    given M.  M is feasible when the greedy clustering at delta_M respects
+    given M <= MAX_GAP_WINDOW.  M is feasible when the greedy clustering at delta_M respects
     the size bound; among feasible M the smallest one whose delta is at
     least half the best achievable is returned.
     """
     freqs = np.asarray(freqs, dtype=float)
     deltas = {}
-    for M in range(1, m_max + 1):
+    for M in range(1, MAX_GAP_WINDOW + 1):
         if freqs.size <= M:
             break
         deltas[M] = float(np.min(freqs[M:] - freqs[:-M]) / M)
@@ -205,16 +200,6 @@ class DividedDifferenceSystem:
         for rows, F in self.blocks:
             W[rows[:, :, None], rows[:, None, :]] = F
         return W
-
-    def dd_function(self, k: int):
-        """xi_k as a callable of t (0-based position k)."""
-        W = self.weights
-        nu = self.partition.frequencies
-
-        def xi(t):
-            t = np.asarray(t, dtype=float)
-            return sum(W[p, k] * np.exp(1j * nu[p] * t) for p in range(nu.size) if W[p, k] != 0.0)
-        return xi
 
 
 def exp_inner(omega, T: float):
@@ -468,8 +453,8 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
     K = lam.size
     if x.size != K:
         raise ValidationError("lambdas and targets must have equal length")
-    if K < 1 or K > MAX_MOMENT_SIZE:
-        raise ValidationError(f"moment problem size must be in 1..{MAX_MOMENT_SIZE}")
+    if K < 1:
+        raise ValidationError("moment problem size must be >= 1")
     if not (math.isfinite(T) and T > 0):
         raise ValidationError(f"horizon T must be finite and > 0, got {T!r}")
     if abs(x[0].imag) > 1e-12 * max(1.0, abs(x[0])):
@@ -621,8 +606,6 @@ def verify_biorthogonality(system: DividedDifferenceSystem) -> tuple[float, floa
     """
     G = system.gram
     n = G.shape[0]
-    if n > 256:
-        raise ValidationError("biorthogonality check capped at 256 functions")
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError as exc:

@@ -187,11 +187,6 @@ def squared_shift_potential(L: float) -> np.ndarray:
     return np.array([L * L, -2.0 * L, 1.0])
 
 
-def quartic_shift_potential(L: float) -> np.ndarray:
-    """(x - L)^4 in ascending coefficients."""
-    return np.array([L ** 4, -4 * L ** 3, 6 * L ** 2, -4 * L, 1.0])
-
-
 def degree6_neumann_potential(L: float) -> np.ndarray:
     """5x^6 - 24x^5 L + 45x^4 L^2 - 40x^3 L^3 + 15x^2 L^4 - L^6, ascending.
 
@@ -266,7 +261,12 @@ def build_matrix(op: ControlOperator, basis: SpectralBasis, K: int | None = None
 # exchange operators of the closed-form subsystems
 
 def _exchange_elements(basis: SpectralBasis, rows, cols) -> np.ndarray:
-    """Exchange-operator elements for 0-based index arrays rows <= cols."""
+    """Exchange-operator elements for 0-based index arrays rows <= cols.
+
+    two_equal_edges: B psi = (x^2 (psi1 - psi2), x^2 (psi2 - psi1), 0, ...)
+    paired_star / loops: the rescaled cross-pair (resp. cross-loop)
+    exchange; in the subsystem basis these reduce to integrals over (0, 1).
+    """
     if basis.family is None:
         raise ValidationError("exchange elements are defined for explicit subsystems only")
     n = int(cols.max()) + 1 if cols.size else 0
@@ -292,20 +292,9 @@ def _exchange_elements(basis: SpectralBasis, rows, cols) -> np.ndarray:
     return 2.0 * Lj * Lk * val
 
 
-def exchange_matrix_element(basis: SpectralBasis, j: int, k: int) -> float:
-    """Matrix elements of the family-specific exchange operators.
-
-    two_equal_edges: B psi = (x^2 (psi1 - psi2), x^2 (psi2 - psi1), 0, ...)
-    paired_star / loops: the rescaled cross-pair (resp. cross-loop)
-    exchange; in the subsystem basis these reduce to integrals over (0, 1).
-    """
-    lo, hi = (j, k) if j <= k else (k, j)
-    return float(_exchange_elements(basis, np.array([lo - 1]), np.array([hi - 1]))[0])
-
-
-def build_exchange_matrix(basis: SpectralBasis, K: int | None = None) -> np.ndarray:
-    K = len(basis) if K is None else K
-    return _symmetric_from_upper(K, lambda rows, cols: _exchange_elements(basis, rows, cols))
+def build_exchange_matrix(basis: SpectralBasis) -> np.ndarray:
+    """The family's exchange-operator matrix over all modes of the basis, mirrored."""
+    return _symmetric_from_upper(len(basis), lambda rows, cols: _exchange_elements(basis, rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +320,13 @@ def _loglog_fit(ks, vals):
     return (slope, math.exp(intercept), rms)
 
 
-def _envelope_fit(ks, vals, n_blocks=6):
+_ENVELOPE_BLOCKS = 6     # geometric blocks whose minima the envelope fit regresses
+
+
+def _envelope_fit(ks, vals):
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    edges = np.unique(np.round(np.geomspace(ks.min(), ks.max() + 1, n_blocks + 1)))
+    edges = np.unique(np.round(np.geomspace(ks.min(), ks.max() + 1, _ENVELOPE_BLOCKS + 1)))
     bk, bv = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = (ks >= lo) & (ks < hi) & (vals > 0)

@@ -45,7 +45,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .graph import BoundaryCondition, MetricGraph, Topology
 
-_CLUSTER_REL = 1e-9
+_CLUSTER_REL = 1e-9          # edge-factor zeros this close, relative to max(1, x), are one cluster
+MAX_GAP_WINDOW = 10          # the largest window M tried for the windowed gap condition
+_GAP_FLOOR_REL = 1e-9        # a sqrt-gap delta must exceed this, relative to max(1, max omega)
+MIN_HYPOTHESIS_MODES = 20    # validate_spectral_hypotheses needs this many modes
 _NEWTON_STEP_REL = 1e-15     # a bracket is done once its Newton step is this small relative to x
 _NEWTON_PASSES = 64          # bisecting alone would meet the step tolerance within this many passes
 
@@ -183,11 +186,11 @@ def assemble_secular(lengths, is_sin, weights):
 # ---------------------------------------------------------------------------
 # roots from interlacing brackets
 
-def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
+def _edge_zero_clusters(lengths, is_sin, x_max):
     """Distinct zeros of the edge factors tau_l on (0, x_max], in increasing order.
 
     The closed-form zeros (sin: n pi / L, cos: (n - 1/2) pi / L) of all edges
-    are merged where consecutive ones agree to ``cluster_rel``.  Returns the
+    are merged where consecutive ones agree to _CLUSTER_REL.  Returns the
     first, last and mean member of each cluster as arrays lo, hi, x, and a
     (clusters, edges) boolean array marking the edges that vanish in each
     cluster.
@@ -203,7 +206,7 @@ def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
         return x, x, x, np.zeros((0, len(lengths)), dtype=bool)
     order = np.lexsort((e, x))
     x, e = x[order], e[order]
-    starts = np.concatenate(([True], np.diff(x) > cluster_rel * np.maximum(1.0, x[:-1])))
+    starts = np.concatenate(([True], np.diff(x) > _CLUSTER_REL * np.maximum(1.0, x[:-1])))
     first = np.flatnonzero(starts)
     last = np.append(first[1:], x.size) - 1
     vanishing = np.zeros((first.size, len(lengths)), dtype=bool)
@@ -212,14 +215,14 @@ def _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
     return x[first], x[last], mean, vanishing
 
 
-def common_vanishing_points(lengths, is_sin, x_max, cluster_rel=_CLUSTER_REL):
+def common_vanishing_points(lengths, is_sin, x_max):
     """Points where >= 2 edge factors vanish simultaneously.
 
     Returns a list of (x, [edge indices]) sorted by x.  Only rationally
     related lengths produce such points; they are detected by clustering the
     closed-form zeros of the individual factors.
     """
-    _, _, x, vanishing = _edge_zero_clusters(lengths, is_sin, x_max, cluster_rel)
+    _, _, x, vanishing = _edge_zero_clusters(lengths, is_sin, x_max)
     return [(float(x[i]), np.flatnonzero(vanishing[i]).tolist())
             for i in np.flatnonzero(vanishing.sum(axis=1) >= 2)]
 
@@ -365,21 +368,21 @@ def _weyl_report(lams):
     return (float(vals.min()), float(vals.max()))
 
 
-def _gap_report(omegas, m_max=10, floor_rel=1e-9):
-    """The smallest M <= m_max with a gap omega_{k+M} - omega_k >= M delta, delta > 0,
-    as (M, delta); (m_max, 0.0) when there is none, None below two modes."""
+def _gap_report(omegas):
+    """The smallest M <= MAX_GAP_WINDOW with a gap omega_{k+M} - omega_k >= M delta, delta > 0,
+    as (M, delta); (MAX_GAP_WINDOW, 0.0) when there is none, None below two modes."""
     omegas = np.asarray(omegas)
     if omegas.size < 2:
         return None
     scale = max(1.0, float(omegas.max()))
-    for M in range(1, m_max + 1):
+    for M in range(1, MAX_GAP_WINDOW + 1):
         if len(omegas) <= M:
             break
         gaps = omegas[M:] - omegas[:-M]
         delta = float(gaps.min()) / M
-        if delta > floor_rel * scale:
+        if delta > _GAP_FLOOR_REL * scale:
             return (M, delta)
-    return (m_max, 0.0)
+    return (MAX_GAP_WINDOW, 0.0)
 
 
 def solve_spectrum(graph: MetricGraph, num_modes: int) -> SpectralBasis:
@@ -557,25 +560,19 @@ class SpectralHypothesesReport:
     gap: tuple[int, float]
     simplicity: bool
     center_decay_exponent: float
-    center_min_product: float
 
 
-def validate_spectral_hypotheses(basis: SpectralBasis, min_modes: int = 20) -> SpectralHypothesesReport:
-    """Two-sided k^2 growth, sqrt-gap parameters, simplicity, center decay."""
-    if len(basis) < min_modes:
-        raise ValidationError(f"need at least {min_modes} modes, got {len(basis)}")
+def validate_spectral_hypotheses(basis: SpectralBasis) -> SpectralHypothesesReport | None:
+    """Two-sided k^2 growth, sqrt-gap parameters, simplicity, center decay; None below
+    MIN_HYPOTHESIS_MODES modes."""
+    if len(basis) < MIN_HYPOTHESIS_MODES:
+        return None
     lams = basis.eigenvalues
     rel = np.diff(lams) / np.maximum(np.abs(lams[1:]), 1e-300)
     simple = bool(np.all(rel > 1e-9))
     centers = np.abs(basis.center_values)
     ks = np.arange(1, len(basis) + 1)
     sel = centers > 0
-    if sel.sum() >= 2:
-        p_fit = -loglog_fit(ks[sel], centers[sel])[0]
-        min_prod = float(np.min(centers[sel] * ks[sel] ** p_fit))
-    else:
-        p_fit, min_prod = math.nan, 0.0
+    p_fit = -loglog_fit(ks[sel], centers[sel])[0] if sel.sum() >= 2 else math.nan
     return SpectralHypothesesReport(weyl=basis.weyl_report, gap=basis.gap_report,
-                                    simplicity=simple,
-                                    center_decay_exponent=p_fit,
-                                    center_min_product=min_prod)
+                                    simplicity=simple, center_decay_exponent=p_fit)

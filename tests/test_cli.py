@@ -382,6 +382,23 @@ def test_moment_solve_residual_gate_exit_code(tmp_path, capsys, mode):
     assert not (out / "control.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
+def test_moment_solve_above_512_frequencies(tmp_path, mode):
+    # 600 interval frequencies (k pi)^2: sizes above 512 used to exit 2
+    lambdas = [(k * math.pi) ** 2 for k in range(1, 601)]
+    rng = np.random.default_rng(6)
+    targets = rng.normal(size=600) + 1j * rng.normal(size=600)
+    targets[0] = targets[0].real
+    freqs, target = write_moment_inputs(tmp_path, lambdas, targets)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
+                     "--target", str(target), "--T", "1.0", "--mode", mode,
+                     "--samples", "11"]) == EXIT_OK
+    diag = json.loads((out / "moment_diagnostics.json").read_text())
+    assert diag["max_residual"] <= 1e-8
+    assert len(diag["residuals"]) == 600
+
+
 # -- the column writer and the JSON hook against the old writers -------------------
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,

@@ -478,6 +478,11 @@ def test_validate_equilateral_not_simple(star3_equilateral):
     assert rep.simplicity is False
 
 
+def test_validate_returns_none_below_twenty_modes():
+    assert validate_spectral_hypotheses(solve_spectrum(interval(1.0), 19)) is None
+    assert validate_spectral_hypotheses(solve_spectrum(interval(1.0), 20)) is not None
+
+
 def test_validate_interval():
     basis = solve_spectrum(interval(1.0), 40)
     rep = validate_spectral_hypotheses(basis)
