@@ -2,9 +2,13 @@
 
 Every command writes its data files plus a manifest.json recording the
 command, input digests, settings and produced files.  CSV rows are streamed
-from whole columns with floats as %.17g, so every double round-trips; JSON goes
-through json.dump and is strict: a NaN or infinity exits 3 naming the file.
-Apart from the manifest's wall time, outputs are deterministic.
+from whole columns with floats as %.17g, so every double round-trips.  JSON
+has the json module's indent=2, sort_keys=True layout, written by one writer
+that formats each scalar with the C-level string, float and int encoders; a
+long list of records (the resonant quadruples) is streamed from its columns
+in chunks.  JSON is strict: a NaN or infinity exits 3 naming the file, and the
+file is not created.  Apart from the manifest's wall time, outputs are
+deterministic.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 64 usage.
 """
@@ -32,6 +36,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 _CSV_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g"}   # by dtype kind
+_JSON_FORMATS = {"i": "%d", "u": "%d", "f": "%r"}
+_RECORD_CHUNK = 4096     # records formatted per write of a streamed Records list
 
 
 def _sha256(path) -> str:
@@ -57,15 +63,29 @@ class Runner:
         return self.out_dir / name
 
     def write_json(self, name: str, payload: dict):
-        path = self.path(name)
+        """payload in the json module's indent=2, sort_keys=True layout, plus a newline.
+
+        Numpy scalars and arrays are written as their tolist(), complex
+        numbers as {"im": ..., "re": ...}, Records as a list of dicts.  The
+        payload is checked and encoded before the file is opened; only the
+        records are formatted later, in chunks, as they are written.
+        """
+        pieces: list = []
         try:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default,
-                          allow_nan=False)
-                fh.write("\n")
-        except ValueError as exc:     # a NaN or infinity: no partial file is left
-            path.unlink()
-            raise NumericalError(f"{name}: non-finite value ({exc})") from None
+            _encode(payload, "\n", pieces)
+        except ValueError:         # a NaN or infinity: no file is created
+            raise NumericalError(f"{name}: non-finite value") from None
+        pieces.append("\n")
+        text = []
+        with open(self.path(name), "w") as fh:
+            for piece in pieces:
+                if isinstance(piece, str):
+                    text.append(piece)
+                else:
+                    fh.write("".join(text))
+                    text.clear()
+                    fh.writelines(piece)
+            fh.write("".join(text))
 
     def write_csv(self, name: str, header: list[str], columns):
         """A CSV table from equal-length 1-D integer or float arrays, streamed as one
@@ -89,13 +109,106 @@ class Runner:
         self.write_json("manifest.json", manifest)
 
 
-def _json_default(x):
-    """JSON form of complex numbers and numpy scalars and arrays (json prints float64 itself)."""
-    if isinstance(x, complex):
-        return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, (np.generic, np.ndarray)):
-        return x.tolist()
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+class Records:
+    """A JSON list of flat records, given as equal-length columns by field name.
+
+    A 1-D integer or float column gives one number per record, a 2-D column
+    (n x w, w >= 1) a list of w numbers.  Runner.write_json writes the list as
+    the json module writes the equivalent list of dicts, one %-template per record.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self.columns = columns
+
+
+def _float_text(x) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r}")
+    return float.__repr__(x)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _quote, int: int.__repr__, float: _float_text, np.float64: _float_text,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _encode(x, nl: str, out: list):
+    """Append to out the JSON text of x, whose lines start with nl (a newline and the indent).
+
+    Scalars are one string each; a Records list is one iterator of strings.
+    """
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+        return
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        kinds = set(map(type, x))
+        if len(kinds) == 1 and (scalar := _SCALARS.get(kinds.pop())) is not None:
+            out.append("[" + inner + ("," + inner).join(map(scalar, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            out.append(sep + _quote(k) + ": ")
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, Records):
+        out.append(_record_chunks(x.columns, nl))
+    elif isinstance(x, complex):
+        _encode({"im": float(x.imag), "re": float(x.real)}, nl, out)
+    elif isinstance(x, (np.generic, np.ndarray)):
+        _encode(x.tolist(), nl, out)
+    else:
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _record_chunks(columns: dict[str, np.ndarray], nl: str):
+    """The text of Records(columns) at line prefix nl, checked now and formatted in chunks later."""
+    keys = sorted(columns)
+    cols = [np.asarray(columns[k]) for k in keys]
+    if not all(c.dtype.kind in _JSON_FORMATS and (c.ndim == 1 or c.ndim == 2 and c.shape[1])
+               for c in cols):
+        raise TypeError("record columns must be integer or float arrays, 1-D or n x w, w >= 1")
+    n = len(cols[0]) if cols else 0
+    if any(len(c) != n for c in cols):
+        raise TypeError("record columns must have equal lengths")
+    if not all(np.isfinite(c).all() for c in cols if c.dtype.kind == "f"):
+        raise ValueError("non-finite value in a record column")
+    item, field, value = nl + "  ", nl + "    ", nl + "      "
+    fields = []
+    for key, c in zip(keys, cols):
+        slot = _JSON_FORMATS[c.dtype.kind]
+        if c.ndim == 2:
+            slot = "[" + value + ("," + value).join([slot] * c.shape[1]) + field + "]"
+        fields.append(_quote(key).replace("%", "%%") + ": " + slot)
+    template = "{" + field + ("," + field).join(fields) + item + "}"
+    flat = [v for c in cols for v in (c.T if c.ndim == 2 else [c])]
+
+    def chunks():
+        if not n:
+            yield "[]"
+            return
+        sep = "[" + item
+        for start in range(0, n, _RECORD_CHUNK):
+            rows = zip(*(v[start:start + _RECORD_CHUNK].tolist() for v in flat))
+            yield sep + ("," + item).join([template % r for r in rows])
+            sep = "," + item
+        yield nl + "]"
+    return chunks()
 
 
 def _read_input(path, what: str, parse):
@@ -154,9 +267,7 @@ def cmd_check_assumptions(args, runner: Runner):
                       "rms_residual": rep.decay_fit[2]},
         "envelope_fit": {"exponent": rep.envelope_fit[0], "constant": rep.envelope_fit[1]},
         "zero_elements": rep.zero_elements,
-        "resonant_quadruples": [
-            {"pair1": q[0], "pair2": q[1], "frequency_defect": q[2], "diagonal_combination": q[3]}
-            for q in rep.resonant_quadruples],
+        "resonant_quadruples": Records(rep.resonant_quadruples),
         "vertex_compatibility": {
             "preserves_h2": vertex.preserves_h2,
             "vanishing_order": vertex.vanishing_order,
@@ -293,7 +404,7 @@ def cmd_report(args, runner: Runner):
         "decay_exponent": coupling.decay_fit[0],
         "envelope_exponent": coupling.envelope_fit[0],
         "zero_elements": coupling.zero_elements,
-        "num_resonant_quadruples": len(coupling.resonant_quadruples),
+        "num_resonant_quadruples": len(coupling.resonant_quadruples["frequency_defect"]),
     }
     out["vertex_compatibility"] = {
         "preserves_h2": vertex.preserves_h2,

@@ -343,17 +343,19 @@ def _apply_blocks(blocks, X, transpose: bool = False) -> np.ndarray:
 
     Rows of size-1 clusters keep X's values, and each larger size is one
     batched product.  With no cluster larger than 1, W = I and X itself is
-    returned (as float or complex).
+    returned (as float or complex).  The product works on a C-ordered copy of
+    X, so the row gathers and scatters are contiguous also for a transposed
+    view; a size gathers only its own rows, which no other size writes.
     """
     X = np.asarray(X)
     stacks = [(rows, F) for rows, F in blocks if rows.shape[1] > 1]
     if not stacks:
         return X.astype(np.result_type(X, float), copy=False)
-    out = X.astype(np.result_type(X, float))
+    out = X.astype(np.result_type(X, float), order="C")
     for rows, F in stacks:
         if transpose:
             F = F.transpose(0, 2, 1)
-        Xc = X[rows]
+        Xc = out[rows]
         out[rows] = (F @ Xc.reshape(rows.shape + (-1,))).reshape(Xc.shape)
     return out
 

@@ -306,7 +306,9 @@ class CouplingReport:
     decay_fit: tuple[float, float, float]      # (exponent, constant, rms residual)
     envelope_fit: tuple[float, float]          # (exponent, constant) of block minima
     zero_elements: list[int]
-    resonant_quadruples: list[tuple[tuple[int, int], tuple[int, int], float, float]]
+    # columns by field: pair1, pair2 (n x 2 int64, 1-based, pair1 < pair2), frequency_defect
+    # and diagonal_combination (n floats); rows sorted by the pairs
+    resonant_quadruples: dict[str, np.ndarray]
     floor: float = 0.0
 
 
@@ -377,20 +379,21 @@ def find_resonant_quadruples(mu, tol_abs, int_labels=None):
     The pair gaps mu_k - mu_j (pair_gaps) within tol_abs of each other
     (matching_gaps); when integer labels are supplied (mu = scale * label^2)
     the gaps are label_k^2 - label_j^2 and match by exact integer equality.
-    Each quadruple lists its smaller pair first and the list is sorted by the
-    pairs, so rounding noise in equal gaps does not reorder the output.
+    Returns the columns (pair1, pair2, defect): row i is one quadruple, its
+    1-based pairs (j, k) < (l, m) as int64 rows of the n x 2 arrays and its
+    float defect |(mu_m - mu_l) - (mu_k - mu_j)|.  Rows are sorted by the
+    pairs, so rounding noise in equal gaps does not reorder them.
     """
     mu = np.asarray(mu, dtype=float)
     j, k, gap = pair_gaps(mu, int_labels)
-    first, second = matching_gaps(gap, tol_abs)
+    a, b = matching_gaps(gap, tol_abs)
     # row-major indices order the pairs: smaller pair first, then sort by the pairs
-    a, b = np.minimum(first, second), np.maximum(first, second)
+    a, b = np.minimum(a, b), np.maximum(a, b)
     rank = np.lexsort((b, a))
     a, b = a[rank], b[rank]
     defect = np.abs((mu[k[b]] - mu[j[b]]) - (mu[k[a]] - mu[j[a]]))
     j, k = j + 1, k + 1
-    return [((p, q), (r, s), d) for p, q, r, s, d in
-            zip(j[a].tolist(), k[a].tolist(), j[b].tolist(), k[b].tolist(), defect.tolist())]
+    return np.stack([j[a], k[a]], axis=1), np.stack([j[b], k[b]], axis=1), defect
 
 
 def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
@@ -431,10 +434,11 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
     labels = basis.int_labels[:K] if basis.int_labels is not None else None
     tol_abs = tol_res * float(np.abs(mu).max())
     defect_floor = 1e-12 * float(np.abs(mu).max())
-    quads = []
-    for (j, k), (l, m), defect in find_resonant_quadruples(mu, tol_abs, labels):
-        combo = abs(diag[j - 1] - diag[k - 1] - diag[l - 1] + diag[m - 1])
-        quads.append(((j, k), (l, m), defect if defect >= defect_floor else 0.0, float(combo)))
+    pair1, pair2, defect = find_resonant_quadruples(mu, tol_abs, labels)
+    (j, k), (l, m) = (pair1 - 1).T, (pair2 - 1).T
+    quads = {"pair1": pair1, "pair2": pair2,
+             "frequency_defect": np.where(defect >= defect_floor, defect, 0.0),
+             "diagonal_combination": np.abs(diag[j] - diag[k] - diag[l] + diag[m])}
     return CouplingReport(elements=col, decay_fit=decay_fit, envelope_fit=envelope_fit,
                           zero_elements=zero_elements, resonant_quadruples=quads, floor=floor)
 

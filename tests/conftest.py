@@ -751,6 +751,19 @@ def find_resonant_quadruples_reference(mu, tol_abs, int_labels=None):
     return sorted(out)
 
 
+def resonant_quadruple_records_reference(mu, diag, tol_abs, int_labels=None):
+    """The resonant_quadruples list of assumptions.json as analyze_coupling built it, one
+    tuple per quadruple, and cmd_check_assumptions turned it into one dict per quadruple,
+    before the quadruples became columns: kept as the reference for the streamed records."""
+    defect_floor = 1e-12 * float(np.abs(mu).max())
+    quads = []
+    for (j, k), (l, m), defect in find_resonant_quadruples_reference(mu, tol_abs, int_labels):
+        combo = abs(diag[j - 1] - diag[k - 1] - diag[l - 1] + diag[m - 1])
+        quads.append(((j, k), (l, m), defect if defect >= defect_floor else 0.0, float(combo)))
+    return [{"pair1": q[0], "pair2": q[1], "frequency_defect": q[2], "diagonal_combination": q[3]}
+            for q in quads]
+
+
 # -- bracket closure ---------------------------------------------------------
 
 def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):

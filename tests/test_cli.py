@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (closure_by_components, fmt_reference, jsonable_reference,
+from conftest import (closure_by_components, find_resonant_quadruples_reference, fmt_reference,
+                      jsonable_reference, resonant_quadruple_records_reference,
                       trajectory_rows_reference, write_csv_reference, write_json_reference)
 from graphctrl import dynamics, potentials, spectrum
-from graphctrl.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, Runner,
-                           dispatch)
+from graphctrl.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, Records,
+                           Runner, dispatch)
 from graphctrl.errors import NumericalError
 from graphctrl.graph import load_problem
 
@@ -521,6 +522,87 @@ def test_json_hook_matches_reference_copy(payload):
     new, old = bytes_by_both_writers(lambda r, name: r.write_json(name, payload),
                                      lambda path: write_json_reference(path, payload))
     assert new == old
+
+
+@st.composite
+def record_columns(draw):
+    """Equal-length int64 and float columns by field name, 1-D or n x w (w = 1..3); now and
+    then one float cell is made NaN or infinite."""
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for name in draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)):
+        width = draw(st.sampled_from([None, 1, 2, 3]))
+        shape = (n,) if width is None else (n, width)
+        size = math.prod(shape)
+        if draw(st.booleans()):
+            values = draw(st.lists(_INT64, min_size=size, max_size=size))
+            columns[name] = np.array(values, dtype=np.int64).reshape(shape)
+        else:
+            values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=size, max_size=size))
+            columns[name] = np.array(values, dtype=float).reshape(shape)
+    floats = [c for c in columns.values() if c.dtype.kind == "f" and c.size]
+    bad = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+    if bad is not None and floats:
+        col = draw(st.sampled_from(floats))
+        col.flat[draw(st.integers(0, col.size - 1))] = bad
+    return columns
+
+
+@settings(max_examples=200)
+@given(record_columns())
+@example({"pair1": np.array([[1, 2], [3, 4]]), "frequency_defect": np.array([-0.0, 5e-324]),
+          "diagonal_combination": np.array([1e308, 0.1])})
+@example({"pair1": np.zeros((0, 2), dtype=np.int64), "frequency_defect": np.zeros(0)})
+@example({"a%d": np.array([1, -2]), "b%%": np.array([[0.5, 1e-300], [1.0, 2.0]])})
+@example({"a": np.array([1, -2]), "b": np.array([[0.5, math.nan], [1.0, 2.0]])})
+@example({"x": np.array([-math.inf])})
+def test_record_writer_matches_reference_dicts(columns):
+    # Records columns are written as the reference writes the equivalent list of dicts, and a
+    # NaN or infinity anywhere leaves no file at all
+    n = len(next(iter(columns.values())))
+    records = [{name: col[i].tolist() for name, col in columns.items()} for i in range(n)]
+    payload = {"a": 1, "records": Records(columns), "z": [0.5, {"y": None}]}
+    if not all(np.isfinite(c).all() for c in columns.values()):
+        with tempfile.TemporaryDirectory() as d:
+            with pytest.raises(NumericalError, match="^new: non-finite value$"):
+                Runner("test", Path(d), [], {}).write_json("new", payload)
+            assert not (Path(d) / "new").exists()
+        return
+    new, old = bytes_by_both_writers(
+        lambda r, name: r.write_json(name, payload),
+        lambda path: write_json_reference(path, {**payload, "records": records}))
+    assert new == old
+
+
+def test_check_assumptions_at_scale_matches_reference(tmp_path):
+    # 5 307 resonant quadruples at K = 120, more than one chunk of streamed records
+    problem = SAMPLES / "star2_dirichlet.json"
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "check-assumptions", "--problem", str(problem),
+                     "--modes", "120"]) == EXIT_OK
+    written = (out / "assumptions.json").read_bytes()
+    graph, control, _ = load_problem(problem)
+    basis = spectrum.solve_spectrum(graph, 120)
+    mu = basis.eigenvalues
+    diag = potentials.build_matrix(control, basis).diagonal()
+    doc = json.loads(written)
+    doc["resonant_quadruples"] = resonant_quadruple_records_reference(
+        mu, diag, 1e-10 * float(np.abs(mu).max()))
+    assert len(doc["resonant_quadruples"]) == 5307
+    write_json_reference(tmp_path / "ref.json", doc)
+    assert written == (tmp_path / "ref.json").read_bytes()
+
+
+def test_report_counts_the_resonant_quadruples(tmp_path):
+    problem = SAMPLES / "star2_dirichlet.json"
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "report", "--problem", str(problem),
+                     "--modes", "60"]) == EXIT_OK
+    doc = json.loads((out / "report.json").read_text())
+    mu = spectrum.solve_spectrum(load_problem(problem)[0], 60).eigenvalues
+    reference = find_resonant_quadruples_reference(mu, 1e-10 * float(np.abs(mu).max()))
+    assert doc["coupling"]["num_resonant_quadruples"] == len(reference) == 985
 
 
 # -- input checks -------------------------------------------------------------------
