@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dynamics, lowerbounds, moment, potentials, spectrum
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_range
 from .graph import check_length_set, load_problem
 
 EXIT_OK = 0
@@ -341,11 +341,11 @@ def _control_from_file(path) -> dynamics.TrigControl | dynamics.SampledControl:
 def _galerkin_from_problem(args):
     _, control, basis = _solve_from_problem(args)
     B = potentials.build_matrix(control, basis)
-    return basis, dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B)
+    return dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B, int_labels=basis.int_labels)
 
 
 def cmd_simulate(args, runner: Runner):
-    basis, system = _galerkin_from_problem(args)
+    system = _galerkin_from_problem(args)
     if not 1 <= args.initial <= system.dim:
         raise ValidationError(f"--initial must be a mode in 1..{system.dim}, got {args.initial}")
     u = _control_from_file(args.control)
@@ -369,9 +369,7 @@ def cmd_simulate(args, runner: Runner):
 
 
 def cmd_liealg(args, runner: Runner):
-    basis, system = _galerkin_from_problem(args)
-    rep = dynamics.lie_closure(system, resonance_tol=args.resonance_tol,
-                               int_labels=basis.int_labels)
+    rep = dynamics.lie_closure(_galerkin_from_problem(args), resonance_tol=args.resonance_tol)
     runner.write_json("lie_closure.json", {
         "dimension": rep.n1,
         "admissible_pairs": rep.admissible_pairs,
@@ -383,8 +381,7 @@ def cmd_liealg(args, runner: Runner):
 
 
 def cmd_report(args, runner: Runner):
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise ValidationError(f"--eps must be finite and > 0, got {args.eps!r}")
+    require_range("--eps", args.eps, ">")
     graph, control, basis = _solve_from_problem(args)
     out: dict = {"spectrum": {
         "eigenvalues": basis.eigenvalues,
@@ -416,7 +413,7 @@ def cmd_report(args, runner: Runner):
         fit = lowerbounds.fit_derivative_bound(sp, basis)
         out["derivative_bound"] = {"dtilde": fit.dtilde, "constant": fit.constant,
                                    "raw_slope": fit.raw_slope}
-        system = dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B)
+        system = dynamics.GalerkinSystem(lam=basis.eigenvalues, B=B, int_labels=basis.int_labels)
         try:
             res = dynamics.resonant_transfer(system, 1, 2, args.eps)
             out["transfer_demo"] = {"fidelity": res.fidelity, "norm_drift": res.norm_drift,
@@ -434,20 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out-dir", default="out", help="output directory (default: ./out)")
     sub = ap.add_subparsers(dest="command")
+    problem = argparse.ArgumentParser(add_help=False)    # the arguments of every problem command
+    problem.add_argument("--problem", required=True)
+    problem.add_argument("--modes", type=int, default=None)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and eigenfunction amplitudes (CSV)")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    sub.add_parser("spectrum", parents=[problem], help="eigenvalues and eigenfunction amplitudes (CSV)")
 
-    p = sub.add_parser("check-assumptions", help="coupling decay / resonances / vertex conditions")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    p = sub.add_parser("check-assumptions", parents=[problem],
+                       help="coupling decay / resonances / vertex conditions")
     p.add_argument("--tol-res", dest="tol_res", type=float, default=1e-10)
     p.add_argument("--floor", type=float, default=None)
 
-    p = sub.add_parser("lowerbounds", help="secular-derivative lower-bound fits")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    sub.add_parser("lowerbounds", parents=[problem], help="secular-derivative lower-bound fits")
 
     p = sub.add_parser("moment-solve", help="solve a truncated moment problem")
     p.add_argument("--freqs", required=True, help="CSV with columns k,lambda")
@@ -456,20 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["direct", "dd_preconditioned"], default="direct")
     p.add_argument("--samples", type=int, default=1001)
 
-    p = sub.add_parser("simulate", help="propagate the truncated dynamics")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    p = sub.add_parser("simulate", parents=[problem], help="propagate the truncated dynamics")
     p.add_argument("--control", required=True, help="control JSON file")
     p.add_argument("--initial", type=int, default=1)
 
-    p = sub.add_parser("liealg", help="bracket-closure dimension report")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    p = sub.add_parser("liealg", parents=[problem], help="bracket-closure dimension report")
     p.add_argument("--resonance-tol", dest="resonance_tol", type=float, default=1e-8)
 
-    p = sub.add_parser("report", help="combined spectral / coupling / bound / transfer report")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--modes", type=int, default=None)
+    p = sub.add_parser("report", parents=[problem],
+                       help="combined spectral / coupling / bound / transfer report")
     p.add_argument("--eps", type=float, default=0.01)
 
     return ap

@@ -17,7 +17,8 @@ u(t) e^{i alpha t}, as one array over alpha.  Also here: the first-order
 (linearized) response -i B[k, 0] times those moments at alpha_k = lambda_k -
 lambda_1, used to validate moment controls; the bracket-closure dimension
 count behind the finite-dimensional controllability criterion; and resonant
-population-transfer synthesis.  The closure is counted in closed form from
+population-transfer synthesis.  A system may carry integer labels (lambda =
+c label^2); its transition frequencies then collide only when exactly equal.  The closure is counted in closed form from
 the graph of admissible pairs: su(c) on each connected component of c >= 2
 modes, with the bracket depth set by the largest distance between two
 connected modes; both come from boolean reachability products, so no
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials, spectrum
-from .errors import NumericalError, ValidationError, require_finite
+from .errors import NumericalError, ValidationError, require_finite, require_integers, require_range
 from .moment import TrigControl, exp_inner
 
 
@@ -40,6 +41,7 @@ from .moment import TrigControl, exp_inner
 class GalerkinSystem:
     lam: np.ndarray        # ascending real eigenvalues
     B: np.ndarray          # real symmetric coupling matrix
+    int_labels: np.ndarray | None = None   # K integers when lam = scale * label^2, else None
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -53,6 +55,8 @@ class GalerkinSystem:
             raise ValidationError("coupling matrix must be symmetric")
         if np.any(np.diff(self.lam) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
+        if self.int_labels is not None:
+            self.int_labels = require_integers("integer labels", self.int_labels, K)
 
     @property
     def dim(self) -> int:
@@ -78,8 +82,7 @@ class SampledControl:
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("control samples must be a non-empty list of numbers")
         require_finite("control samples", self.samples)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"control sample step dt must be finite and > 0, got {self.dt!r}")
+        require_range("control sample step dt", self.dt, ">")
 
     @property
     def horizon(self) -> float:
@@ -194,7 +197,7 @@ def _require_steps(n_steps) -> int:
 def choose_step_count(system: GalerkinSystem, control, horizon: float, n_steps: int | None):
     if n_steps is not None:
         return _require_steps(n_steps)
-    comm = np.linalg.norm(np.diag(system.lam) @ system.B - system.B @ np.diag(system.lam))
+    comm = np.linalg.norm(system.lam[:, None] * system.B - system.B * system.lam)
     u_scale = float(np.max(np.abs(control(np.linspace(0, horizon, 257)))))
     # resolve the control oscillation and keep the commutator error of a step small
     n_osc = int(64 * max(1.0, control.max_frequency * horizon / (2 * math.pi)))
@@ -345,32 +348,30 @@ class LieClosureReport:
     bracket_depth: int
 
 
-def _coupled_gaps(system: GalerkinSystem, resonance_tol: float, int_labels):
+def _coupled_gaps(system: GalerkinSystem, resonance_tol: float):
     """Coupled pairs j < k (0-based, row-major), their |gaps| and the tolerance
     within which two of those collide.
 
     |B_jk| > 1e-12 max(1, max|B|) is coupled.  The gaps are those of
     pair_gaps; they collide within resonance_tol max(1, max|lambda|), or only
-    when equal with integer labels (lambda = c label^2), where the tolerance is 0.
+    when equal with the system's integer labels (lambda = c label^2): tolerance 0.
     """
-    if not (math.isfinite(resonance_tol) and resonance_tol >= 0):
-        raise ValidationError(f"resonance tolerance must be finite and >= 0, got {resonance_tol!r}")
-    B, lam = system.B, system.lam
-    j, k, gap = potentials.pair_gaps(lam, int_labels)
+    require_range("resonance tolerance", resonance_tol, ">=")
+    B, lam, labels = system.B, system.lam, system.int_labels
+    j, k, gap = potentials.pair_gaps(lam, labels)
     coupled = np.abs(B[j, k]) > 1e-12 * max(1.0, float(np.abs(B).max()))
-    tol = 0 if int_labels is not None else resonance_tol * max(1.0, float(np.abs(lam).max()))
+    tol = 0 if labels is not None else resonance_tol * max(1.0, float(np.abs(lam).max()))
     return j[coupled], k[coupled], np.abs(gap[coupled]), tol
 
 
-def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8,
-                     int_labels=None) -> list[tuple[int, int]]:
+def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8) -> list[tuple[int, int]]:
     """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair.
 
     Float subtraction is monotone, so a gap collides with some other gap
     exactly when it collides with a neighbour in a stable sort of the gaps:
     one O(P log P) sort over the P coupled pairs, and no list of collisions.
     """
-    j, k, gap, tol = _coupled_gaps(system, resonance_tol, int_labels)
+    j, k, gap, tol = _coupled_gaps(system, resonance_tol)
     order = np.argsort(gap, kind="stable")
     close = np.diff(gap[order]) <= tol
     degenerate = np.zeros(j.size, dtype=bool)
@@ -410,8 +411,7 @@ def _pair_graph(n, pairs):
     return reach.argmax(axis=1), d + 1
 
 
-def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
-                int_labels=None) -> LieClosureReport:
+def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8) -> LieClosureReport:
     """Dimension of the real Lie algebra generated by the admissible rotations.
 
     The generators are the skew-Hermitian pair matrices at phases 0 and pi/2
@@ -430,7 +430,7 @@ def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8,
     short of su(n) takes one more level, which gains nothing.
     """
     n = system.dim
-    pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
+    pairs = admissible_pairs(system, resonance_tol)
     labels, D = _pair_graph(n, pairs)
     sizes = np.bincount(labels)
     reached = int((sizes[sizes >= 2] ** 2 - 1).sum())
@@ -452,30 +452,30 @@ class TransferResult:
 
 
 def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitude: float,
-                      resonance_tol: float = 1e-8, int_labels=None) -> TransferResult:
+                      resonance_tol: float = 1e-8) -> TransferResult:
     """Population transfer source -> target (1-based) by a resonant pulse.
 
     u(t) = amplitude * cos(|lambda_m - lambda_n| t) over the first-order
     pulse duration pi / (amplitude |B_mn|); the reported fidelity is
-    |<target, psi(T)>|.  An uncoupled or frequency-degenerate pair is refused.
+    |<target, psi(T)>|.  An uncoupled or frequency-degenerate pair is refused;
+    comparing its gap with every coupled gap decides as admissible_pairs does.
     """
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
         raise ValidationError("mode index out of range")
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise ValidationError(f"transfer amplitude must be finite and > 0, got {amplitude!r}")
+    require_range("transfer amplitude", amplitude, ">")
     if source == target:
         return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
     m, nn = source - 1, target - 1
     lo, hi = min(m, nn), max(m, nn)
-    if (lo + 1, hi + 1) not in admissible_pairs(system, resonance_tol, int_labels=int_labels):
-        j, k, gap, tol = _coupled_gaps(system, resonance_tol, int_labels)
-        pair = np.flatnonzero((j == lo) & (k == hi))
-        if pair.size == 0:
-            raise ValidationError(f"modes {source} and {target} are uncoupled (|B_mn| = "
-                                  f"{abs(system.B[m, nn]):.3g} is not above 1e-12 max(1, max|B|))")
-        hit = np.abs(gap - gap[pair]) <= tol      # row-major, like the pairs
-        hit[pair] = False
+    j, k, gap, tol = _coupled_gaps(system, resonance_tol)
+    pair = np.flatnonzero((j == lo) & (k == hi))
+    if pair.size == 0:
+        raise ValidationError(f"modes {source} and {target} are uncoupled (|B_mn| = "
+                              f"{abs(system.B[m, nn]):.3g} is not above 1e-12 max(1, max|B|))")
+    hit = np.abs(gap - gap[pair]) <= tol      # row-major, like the pairs
+    hit[pair] = False
+    if hit.any():
         colliding = list(zip((j[hit] + 1).tolist(), (k[hit] + 1).tolist()))
         raise ValidationError(
             f"transition {source}->{target} is frequency-degenerate among coupled pairs; "
@@ -529,9 +529,8 @@ def subsystem_transfer_demo(family: str, params: dict, source: int, target: int,
     if dropped_max > 1e-10:
         raise NumericalError(
             f"coupling operator leaks out of the invariant subsystem (max {dropped_max:.3g})")
-    system = GalerkinSystem(lam=basis.eigenvalues, B=B)
-    res = resonant_transfer(system, source, target, amplitude,
-                            int_labels=basis.int_labels)
+    system = GalerkinSystem(lam=basis.eigenvalues, B=B, int_labels=basis.int_labels)
+    res = resonant_transfer(system, source, target, amplitude)
     return SubsystemDemoReport(transfer=res, family=family,
                                dropped_coupling_max=dropped_max,
                                truncation_boundary_max=res.boundary_population)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the finiteness check of array input.
+"""Exception types shared across the package, and the input checks that several layers share.
 
 Validation problems (bad input files, violated invariants) are kept apart
 from numerical failures (lost root brackets, singular Gram matrices) so the
 CLI can map them to distinct exit codes.
 """
+
+import math
 
 import numpy as np
 
@@ -28,3 +30,21 @@ def require_finite(name: str, values):
         index = tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
         where = f"[{', '.join(map(str, index))}]" if index else ""
         raise ValidationError(f"{name}{where} = {values[index]} is not finite")
+
+
+def require_range(name: str, x, relation: str):
+    """Raise ValidationError unless the scalar x is finite and x > 0 (relation ">") or
+    x >= 0 (relation ">=")."""
+    if not (math.isfinite(x) and (x > 0 if relation == ">" else x >= 0)):
+        raise ValidationError(f"{name} must be finite and {relation} 0, got {x!r}")
+
+
+def require_integers(name: str, values, count: int) -> np.ndarray:
+    """values as an int64 array; ValidationError unless they are count integers."""
+    values = np.asarray(values)
+    if values.shape != (count,):
+        raise ValidationError(f"{name}: expected {count} integers, got shape {values.shape}")
+    if not (values.dtype.kind in "iu" or values.dtype.kind == "f"
+            and np.all(np.isfinite(values) & (values == np.trunc(values)))):
+        raise ValidationError(f"{name} must be integers")
+    return values.astype(np.int64)

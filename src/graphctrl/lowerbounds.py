@@ -234,7 +234,9 @@ class CosBoundReport:
     roots: np.ndarray
     per_root_min: np.ndarray        # min over edges of |cos(omega_n L_l)|
     scaled_min: float               # min over n, l of |cos| * omega^(1+eps), eps = COS_BOUND_EPS
-    trend_slope: float              # log-log slope of the running scaled minimum
+    # log-log slope of the running scaled minimum over its positive values; NaN when fewer
+    # than two are positive (K = 1).  No CLI output reads it.
+    trend_slope: float
     failed: bool
 
 
@@ -255,12 +257,7 @@ def check_cos_lower_bound(lengths, K: int) -> CosBoundReport:
     per_root = cosvals.min(axis=1)
     scaled = per_root * roots ** (1 + COS_BOUND_EPS)
     running = np.minimum.accumulate(scaled)
-    ks = np.arange(1, roots.size + 1, dtype=float)
-    ok = running > 0
-    if ok.sum() >= 2:
-        slope = loglog_fit(ks[ok], running[ok])[0]
-    else:
-        slope = -math.inf
+    slope = loglog_fit(np.arange(1, roots.size + 1), running)[0]
     failed = bool(np.any(per_root < 1e-12))
     return CosBoundReport(roots=roots, per_root_min=per_root, scaled_min=float(scaled.min()),
                           trend_slope=slope, failed=failed)

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, require_finite
-from .spectrum import MAX_GAP_WINDOW, loglog_fit
+from .errors import NumericalError, ValidationError, require_finite, require_integers, require_range
+from .spectrum import loglog_fit, windowed_gaps
 
 CONDITION_LIMIT = 1e10
 RESIDUAL_LIMIT = 1e-8
@@ -52,7 +52,7 @@ RESIDUAL_LIMIT = 1e-8
 @dataclass
 class ClusterPartition:
     frequencies: np.ndarray          # strictly increasing
-    labels: np.ndarray               # integer labels (signed indexing supported)
+    labels: np.ndarray               # nonzero integer labels (signed indexing supported)
     delta: float
     M: int
     clusters: list[tuple[int, int]]  # [start, end) positions
@@ -79,8 +79,8 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
     """Greedy left-to-right clustering: cut whenever the next gap is >= delta.
 
     The pair (delta, M) is validated against the windowed gap condition and
-    against the cluster-size bound (<= M-1 for M >= 2, singletons for M=1);
-    when not supplied both are estimated from the data.
+    against the cluster-size bound (max_cluster_size); when not supplied both
+    are estimated from the data.  Labels must be nonzero integers.
     """
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
@@ -89,9 +89,9 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
         raise ValidationError("frequencies must be strictly increasing and pairwise distinct")
     if labels is None:
         labels = np.arange(1, freqs.size + 1)
-    labels = np.asarray(labels, dtype=int)
-    if labels.size != freqs.size:
-        raise ValidationError("labels must match frequencies in length")
+    labels = require_integers("labels", labels, freqs.size)
+    if np.any(labels == 0):
+        raise ValidationError("labels must be nonzero")
 
     if delta is None or M is None:
         delta, M = estimate_gap_parameters(freqs)
@@ -101,7 +101,7 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
     validate_gap_condition(freqs, delta, M)
 
     clusters = _greedy_clusters(freqs, delta)
-    limit = 1 if M == 1 else M - 1
+    limit = max_cluster_size(M)
     for s, e in clusters:
         if e - s > limit:
             raise ValidationError(
@@ -111,27 +111,28 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
                             M=int(M), clusters=clusters)
 
 
+def max_cluster_size(M: int) -> int:
+    """The cluster-size bound at window M: M - 1 for M >= 2, singletons for M = 1."""
+    return 1 if M == 1 else M - 1
+
+
 def estimate_gap_parameters(freqs: np.ndarray) -> tuple[float, int]:
     """Smallest workable M (then largest delta) for the windowed gap condition.
 
-    delta_M = min_k (nu_{k+M} - nu_k) / M is the largest delta valid for a
-    given M <= MAX_GAP_WINDOW.  M is feasible when the greedy clustering at delta_M respects
+    delta_M (spectrum.windowed_gaps) is the largest delta valid for a given
+    M <= MAX_GAP_WINDOW.  M is feasible when the greedy clustering at delta_M respects
     the size bound; among feasible M the smallest one whose delta is at
     least half the best achievable is returned.
     """
     freqs = np.asarray(freqs, dtype=float)
-    deltas = {}
-    for M in range(1, MAX_GAP_WINDOW + 1):
-        if freqs.size <= M:
-            break
-        deltas[M] = float(np.min(freqs[M:] - freqs[:-M]) / M)
+    deltas = dict(windowed_gaps(freqs))
     if not deltas:
         return (1.0, 1)
     best = max(deltas.values())
     for M, d in deltas.items():
         if d < 0.5 * best or d <= 0:
             continue
-        if max(e - s for s, e in _greedy_clusters(freqs, d)) <= (1 if M == 1 else M - 1):
+        if max(e - s for s, e in _greedy_clusters(freqs, d)) <= max_cluster_size(M):
             return (d, M)
     return (best, max(deltas, key=deltas.get))
 
@@ -241,8 +242,7 @@ class TrigControl:
     terms: list[tuple[float, str, float]] = field(default_factory=list)  # (freq, "cos"|"sin", coeff)
 
     def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError(f"control horizon must be finite and > 0, got {self.horizon!r}")
+        require_range("control horizon", self.horizon, ">")
         require_finite("control constant", self.const)
         for _, kind, _ in self.terms:
             if kind not in ("cos", "sin"):
@@ -383,8 +383,7 @@ def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceB
     The traces are row sums of the stacked blocks and of the stacked blocks
     at the nodes theta = sign(nu) nu^2; the rows are reported in cluster order.
     """
-    if not (math.isfinite(dtilde) and dtilde >= 0):
-        raise ValidationError(f"dtilde must be finite and >= 0, got {dtilde!r}")
+    require_range("dtilde", dtilde, ">=")
     part = system.partition
     starts, traces, theta_traces, labels = [], [], [], []
     for rows, F in system.blocks:
@@ -398,11 +397,7 @@ def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceB
     tr, trt, labs = (np.concatenate(a)[order].tolist() for a in (traces, theta_traces, labels))
     rows = [(t, lab, t / lab ** (2 * (1 + dtilde))) for t, lab in zip(tr, labs)]
     theta_rows = [(t, lab, t / max(lab ** (2 * dtilde), 1e-300)) for t, lab in zip(trt, labs)]
-    ratios = np.array([r[2] for r in rows])
-    if len(labs) >= 2 and np.all(ratios > 0):
-        slope = loglog_fit(np.array(labs, dtype=float), ratios)[0]
-    else:
-        slope = math.nan
+    slope = loglog_fit(labs, [r[2] for r in rows])[0]
     return TraceBoundReport(per_cluster=rows, sup_ratio=float(max(r[2] for r in rows)),
                             theta_per_cluster=theta_rows,
                             theta_sup_ratio=float(max(r[2] for r in theta_rows)),
@@ -457,8 +452,7 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         raise ValidationError("lambdas and targets must have equal length")
     if K < 1:
         raise ValidationError("moment problem size must be >= 1")
-    if not (math.isfinite(T) and T > 0):
-        raise ValidationError(f"horizon T must be finite and > 0, got {T!r}")
+    require_range("horizon T", T, ">")
     if abs(x[0].imag) > 1e-12 * max(1.0, abs(x[0])):
         raise ValidationError("x_1 must be real (tangent-space condition)")
     if np.any(np.diff(lam) <= 0):

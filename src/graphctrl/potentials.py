@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_range
 from .graph import BoundaryCondition, MetricGraph
 from .spectrum import SpectralBasis, loglog_fit
 
@@ -312,16 +312,6 @@ class CouplingReport:
     floor: float = 0.0
 
 
-def _loglog_fit(ks, vals):
-    ks = np.asarray(ks, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    ok = vals > 0
-    if ok.sum() < 2:
-        return (math.nan, math.nan, math.nan)
-    slope, intercept, rms = loglog_fit(ks[ok], vals[ok])
-    return (slope, math.exp(intercept), rms)
-
-
 _ENVELOPE_BLOCKS = 6     # geometric blocks whose minima the envelope fit regresses
 
 
@@ -336,10 +326,8 @@ def _envelope_fit(ks, vals):
             i = np.argmin(vals[m])
             bk.append(ks[m][i])
             bv.append(vals[m][i])
-    if len(bk) < 2:
-        return (math.nan, math.nan)
-    slope, const, _ = _loglog_fit(bk, bv)
-    return (slope, const)
+    slope, intercept, _ = loglog_fit(bk, bv)
+    return (slope, math.exp(intercept))
 
 
 def pair_gaps(mu, int_labels=None):
@@ -409,10 +397,9 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
     """
     if K < 4:
         raise ValidationError("need at least 4 modes")
-    if not (math.isfinite(tol_res) and tol_res >= 0):
-        raise ValidationError(f"resonance tolerance must be finite and >= 0, got {tol_res!r}")
-    if floor is not None and not (math.isfinite(floor) and floor >= 0):
-        raise ValidationError(f"zero-element floor must be finite and >= 0, got {floor!r}")
+    require_range("resonance tolerance", tol_res, ">=")
+    if floor is not None:
+        require_range("zero-element floor", floor, ">=")
     if isinstance(B, np.ndarray):
         col = np.asarray(B)[:K, 0].copy()
         diag = np.asarray(B).diagonal()[:K].copy()
@@ -428,7 +415,8 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
 
     lo, hi = fit_range if fit_range is not None else (max(2, K // 3), K)
     ks = np.arange(lo, hi + 1)
-    decay_fit = _loglog_fit(ks, abs_col[lo - 1:hi])
+    slope, intercept, rms = loglog_fit(ks, abs_col[lo - 1:hi])
+    decay_fit = (slope, math.exp(intercept), rms)
     envelope_fit = _envelope_fit(ks, abs_col[lo - 1:hi])
 
     labels = basis.int_labels[:K] if basis.int_labels is not None else None

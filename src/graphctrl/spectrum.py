@@ -32,7 +32,8 @@ A basis is held as arrays (``SpectralBasis``): the eigenvalues, a K x E
 amplitude matrix, ``is_sin`` and the center values.  The amplitudes of all
 simple roots come from one array evaluation; a branch point fills its r-1
 rows, and ``multiplicity`` counts the members of each eigenspace among the
-modes kept.
+modes kept.  The windowed gaps delta_M (``windowed_gaps``) and the log-log
+fit over positive values (``loglog_fit``) serve the other layers too.
 """
 
 from __future__ import annotations
@@ -148,7 +149,13 @@ def sum_in_order(terms):
 
 
 def loglog_fit(ks, vals):
-    """(slope, intercept, rms residual) of the least-squares line log(vals) ~ log(ks)."""
+    """(slope, intercept, rms residual) of the least-squares line log(vals) ~ log(ks) over the
+    points with vals > 0; NaNs when fewer than two of them are positive."""
+    vals = np.asarray(vals, dtype=float)
+    positive = vals > 0
+    if np.count_nonzero(positive) < 2:
+        return (math.nan, math.nan, math.nan)
+    ks, vals = np.asarray(ks, dtype=float)[positive], vals[positive]
     A = np.vstack([np.log(ks), np.ones(np.size(ks))]).T
     y = np.log(vals)
     sol = np.linalg.lstsq(A, y, rcond=None)[0]
@@ -368,6 +375,13 @@ def _weyl_report(lams):
     return (float(vals.min()), float(vals.max()))
 
 
+def windowed_gaps(freqs):
+    """(M, delta_M) for M = 1 .. min(MAX_GAP_WINDOW, n - 1), one M at a time: delta_M =
+    min_k (nu_{k+M} - nu_k) / M is the largest delta of the windowed gap condition at M."""
+    for M in range(1, min(MAX_GAP_WINDOW, len(freqs) - 1) + 1):
+        yield M, float(np.min(freqs[M:] - freqs[:-M])) / M
+
+
 def _gap_report(omegas):
     """The smallest M <= MAX_GAP_WINDOW with a gap omega_{k+M} - omega_k >= M delta, delta > 0,
     as (M, delta); (MAX_GAP_WINDOW, 0.0) when there is none, None below two modes."""
@@ -375,11 +389,7 @@ def _gap_report(omegas):
     if omegas.size < 2:
         return None
     scale = max(1.0, float(omegas.max()))
-    for M in range(1, MAX_GAP_WINDOW + 1):
-        if len(omegas) <= M:
-            break
-        gaps = omegas[M:] - omegas[:-M]
-        delta = float(gaps.min()) / M
+    for M, delta in windowed_gaps(omegas):
         if delta > _GAP_FLOOR_REL * scale:
             return (M, delta)
     return (MAX_GAP_WINDOW, 0.0)
@@ -571,8 +581,6 @@ def validate_spectral_hypotheses(basis: SpectralBasis) -> SpectralHypothesesRepo
     rel = np.diff(lams) / np.maximum(np.abs(lams[1:]), 1e-300)
     simple = bool(np.all(rel > 1e-9))
     centers = np.abs(basis.center_values)
-    ks = np.arange(1, len(basis) + 1)
-    sel = centers > 0
-    p_fit = -loglog_fit(ks[sel], centers[sel])[0] if sel.sum() >= 2 else math.nan
+    p_fit = -loglog_fit(np.arange(1, len(basis) + 1), centers)[0]
     return SpectralHypothesesReport(weyl=basis.weyl_report, gap=basis.gap_report,
                                     simplicity=simple, center_decay_exponent=p_fit)

@@ -12,7 +12,7 @@ from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.graph import Edge, MetricGraph, Topology
 from graphctrl.moment import TraceBoundReport, centred_inner, exp_inner
-from graphctrl.spectrum import edge_factors, loglog_fit, star_roots
+from graphctrl.spectrum import MAX_GAP_WINDOW, edge_factors, loglog_fit, star_roots
 
 
 # Property tests run the same examples on every run; each test sets its own
@@ -662,6 +662,57 @@ def greedy_sizes_reference(freqs, delta):
     return sizes
 
 
+# -- windowed gaps and log-log fits ----------------------------------------------
+# The two loops over the window M that spectrum._gap_report and
+# moment.estimate_gap_parameters ran before spectrum.windowed_gaps, and the
+# log-log fit without its positivity filter: kept as references.
+
+def gap_report_reference(omegas):
+    omegas = np.asarray(omegas)
+    if omegas.size < 2:
+        return None
+    scale = max(1.0, float(omegas.max()))
+    for M in range(1, MAX_GAP_WINDOW + 1):
+        if len(omegas) <= M:
+            break
+        gaps = omegas[M:] - omegas[:-M]
+        delta = float(gaps.min()) / M
+        if delta > 1e-9 * scale:
+            return (M, delta)
+    return (MAX_GAP_WINDOW, 0.0)
+
+
+def window_deltas_reference(freqs):
+    deltas = {}
+    for M in range(1, MAX_GAP_WINDOW + 1):
+        if freqs.size <= M:
+            break
+        deltas[M] = float(np.min(freqs[M:] - freqs[:-M]) / M)
+    return deltas
+
+
+def estimate_gap_parameters_reference(freqs):
+    freqs = np.asarray(freqs, dtype=float)
+    deltas = window_deltas_reference(freqs)
+    if not deltas:
+        return (1.0, 1)
+    best = max(deltas.values())
+    for M, d in deltas.items():
+        if d < 0.5 * best or d <= 0:
+            continue
+        if max(greedy_sizes_reference(freqs, d)) <= (1 if M == 1 else M - 1):
+            return (d, M)
+    return (best, max(deltas, key=deltas.get))
+
+
+def plain_loglog_fit(ks, vals):
+    """(slope, intercept, rms residual) of the least-squares line log(vals) ~ log(ks)."""
+    A = np.vstack([np.log(ks), np.ones(np.size(ks))]).T
+    y = np.log(vals)
+    sol = np.linalg.lstsq(A, y, rcond=None)[0]
+    return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean((y - A @ sol) ** 2)))
+
+
 # -- admissible transition pairs ----------------------------------------------
 
 def admissible_pairs_reference(lam, B, resonance_tol=1e-8, int_labels=None):
@@ -764,14 +815,26 @@ def resonant_quadruple_records_reference(mu, diag, tol_abs, int_labels=None):
             for q in quads]
 
 
+# -- propagation step count ---------------------------------------------------
+
+def dense_step_count(system, control, horizon):
+    """dynamics.choose_step_count with [Lambda, B] formed by two products with diag(lam)."""
+    lam, B = system.lam, system.B
+    comm = np.linalg.norm(np.diag(lam) @ B - B @ np.diag(lam))
+    u_scale = float(np.max(np.abs(control(np.linspace(0, horizon, 257)))))
+    n_osc = int(64 * max(1.0, control.max_frequency * horizon / (2 * math.pi)))
+    n_comm = int(math.sqrt(max(comm * u_scale, 1e-12)) * horizon * 20)
+    return max(512, n_osc, n_comm)
+
+
 # -- bracket closure ---------------------------------------------------------
 
-def lie_closure_reference(system, resonance_tol=1e-8, int_labels=None):
+def lie_closure_reference(system, resonance_tol=1e-8):
     """One dense commutator and one Gram-Schmidt test per bracket, in breadth-first
     order: the numeric closure, kept as the oracle for the closed-form
     component count and bracket depth of graphctrl.dynamics.lie_closure."""
     n = system.dim
-    pairs = admissible_pairs(system, resonance_tol, int_labels=int_labels)
+    pairs = admissible_pairs(system, resonance_tol)
     gens = []
     for (j, k) in pairs:
         for theta in (0.0, math.pi / 2):

@@ -1,4 +1,5 @@
-"""The library names that the benchmark's tracer wraps or reads still resolve.
+"""The library names that the benchmark's tracer wraps or reads still resolve, and the
+library still accepts the argument lists that the benchmark passes.
 
 bench/tracing.py wraps functions of graphctrl by name, so deleting or renaming
 one of them would only show in a traced benchmark run.  Its source is
@@ -8,8 +9,11 @@ under bench/.
 
 import dataclasses
 import importlib
+import inspect
 import types
 from pathlib import Path
+
+import pytest
 
 from graphctrl.moment import MomentSolution
 
@@ -35,3 +39,40 @@ def test_traced_library_names_resolve():
 def test_moment_solution_keeps_the_gated_field():
     # the checkers and cli workloads gate on sol.imag_moment_defect
     assert "imag_moment_defect" in {f.name for f in dataclasses.fields(MomentSolution)}
+
+
+# The argument lists that bench/ passes to the library, by call site.  A parameter
+# removed or renamed under one of them would otherwise only break a benchmark run.
+BENCH_CALLS = [
+    ("dynamics", "GalerkinSystem", (), {"lam": None, "B": None}),
+    ("graph", "MetricGraph", (), {"edges": None, "bc": None, "topology": None}),
+    ("graph", "Edge", ("e1", 1.0, "v1", "c"), {}),
+    ("dynamics", "TrigControl", (), {"horizon": 1.0, "terms": []}),
+    ("dynamics", "lie_closure", (None,), {}),
+    ("dynamics", "resonant_transfer", (None, 1, 2, 0.01), {}),
+    ("dynamics", "propagate", (None, None, None), {"n_steps": 1}),
+    ("dynamics", "propagate_reversed", (None, None, None), {"n_steps": 1}),
+    ("spectrum", "solve_spectrum", (None, 1), {}),
+    ("potentials", "ControlOperator", (), {"per_edge": {}}),
+    ("potentials", "squared_shift_potential", (1.0,), {}),
+    ("potentials", "build_matrix", (None, None), {}),
+    ("potentials", "build_matrix", (None, None, 1), {}),
+    ("potentials", "analyze_coupling", (None, None, 4), {}),
+    ("potentials", "check_vertex_compatibility", (None, None), {}),
+    ("moment", "build_partition", (None, 1.0, 1), {}),
+    ("moment", "solve_moment", (None, None, 1.0), {"mode": "direct"}),
+    ("moment", "build_dd_system", (None, 1.0), {}),
+    ("moment", "check_trace_bounds", (None, 0.5), {}),
+    ("moment", "verify_biorthogonality", (None,), {}),
+    ("lowerbounds", "build_secular_product", (None,), {}),
+    ("lowerbounds", "fit_derivative_bound", (None, None), {}),
+    ("lowerbounds", "check_cos_lower_bound", (None, 1), {}),
+    ("cli", "dispatch", ([],), {}),
+]
+
+
+@pytest.mark.parametrize("layer, name, args, kwargs", BENCH_CALLS,
+                         ids=[f"{layer}.{name}" for layer, name, _, _ in BENCH_CALLS])
+def test_benchmark_call_shapes_bind(layer, name, args, kwargs):
+    target = getattr(importlib.import_module(f"graphctrl.{layer}"), name)
+    inspect.signature(target).bind(*args, **kwargs)

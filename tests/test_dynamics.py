@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from graphctrl import dynamics
 from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _free_step, _kick_steps, _period_map, _polar_unitary,
                                 _propagate_periodic, _split_evolve, _step_matrices,
-                                admissible_pairs, first_order_prediction, lie_closure,
+                                admissible_pairs, choose_step_count, first_order_prediction, lie_closure,
                                 linearized_response, propagate, propagate_reversed,
                                 resonant_pulse, resonant_transfer, subsystem_transfer_demo)
 from graphctrl.errors import ValidationError
@@ -21,8 +22,8 @@ from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matri
                                   coupling_block, squared_shift_potential)
 from graphctrl.spectrum import equilateral_dropped_modes, explicit_subsystem, solve_spectrum
 
-from conftest import (admissible_pairs_reference, closure_by_components, interval,
-                      lie_closure_reference, sampled_moment_integral_reference, star,
+from conftest import (admissible_pairs_reference, closure_by_components, dense_step_count,
+                      interval, lie_closure_reference, sampled_moment_integral_reference, star,
                       transfer_colliders_reference, trig_moment_integral_reference)
 
 PI = math.pi
@@ -311,6 +312,21 @@ def test_propagation_rejects_step_count_below_one(evolve, n_steps):
     u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05)])
     with pytest.raises(ValidationError, match="n_steps must be >= 1"):
         evolve(interval_system(), psi0, u, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("K", [5, 30, 100, 300])
+def test_step_count_matches_the_dense_commutator_formula(K):
+    # [Lambda, B] is formed by broadcasting instead of two K x K products with diag(lam)
+    rng = np.random.default_rng(K)
+    B = rng.normal(size=(K, K))
+    system = GalerkinSystem(lam=np.sort(rng.uniform(0.0, 50.0 * K, K)), B=B + B.T)
+    lam, B = system.lam, system.B
+    assert (np.linalg.norm(lam[:, None] * B - B * lam)
+            == np.linalg.norm(np.diag(lam) @ B - B @ np.diag(lam)))
+    for horizon, amplitude in ((0.5, 1e-4), (2.0, 0.05), (8.0, 1.0)):
+        u = TrigControl(horizon=horizon, terms=[(3.0, "cos", amplitude), (11.0, "sin", amplitude)])
+        assert (choose_step_count(system, u, horizon, None)
+                == dense_step_count(system, u, horizon))
 
 
 # -- linearized response ------------------------------------------------------
@@ -606,8 +622,27 @@ def test_admissible_pairs_match_direct_comparison():
         system = random_pair_system(rng, tol)
         assert admissible_pairs(system, tol) == admissible_pairs_reference(system.lam, system.B, tol)
         labels = [int(v) for v in rng.integers(1, 8, system.dim)]
-        assert (admissible_pairs(system, tol, int_labels=labels)
+        labelled = GalerkinSystem(lam=system.lam, B=system.B, int_labels=labels)
+        assert (admissible_pairs(labelled, tol)
                 == admissible_pairs_reference(system.lam, system.B, tol, int_labels=labels))
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([1, 2], "expected 3 integers"),
+    ([1, 2, 3, 4], "expected 3 integers"),
+    ([1, 1.5, 2], "must be integers"),
+    ([1, math.nan, 2], "must be integers"),
+    (["1", "2", "3"], "must be integers"),
+])
+def test_galerkin_system_rejects_bad_int_labels(labels, match):
+    with pytest.raises(ValidationError, match=f"integer labels.*{match}"):
+        GalerkinSystem(lam=np.array([1.0, 4.0, 9.0]), B=np.ones((3, 3)), int_labels=labels)
+
+
+def test_galerkin_system_keeps_int_labels_as_integers():
+    system = GalerkinSystem(lam=np.array([1.0, 4.0, 9.0]), B=np.ones((3, 3)), int_labels=[1.0, 2.0, 3.0])
+    assert system.int_labels.dtype == np.int64 and system.int_labels.tolist() == [1, 2, 3]
+    assert GalerkinSystem(lam=np.array([1.0]), B=np.ones((1, 1))).int_labels is None
 
 
 def test_lie_closure_n12_star():
@@ -638,9 +673,9 @@ def test_block_closure_matches_reference_loop(n, n_blocks, density, labelled, se
     block = rng.integers(0, n_blocks, n)
     B = np.where((rng.random((n, n)) < density) & (block[:, None] == block[None, :]),
                  rng.normal(size=(n, n)), 0.0)
-    system = GalerkinSystem(lam=lam, B=np.triu(B) + np.triu(B, 1).T)
-    rep = lie_closure(system, int_labels=labels)
-    assert rep == lie_closure_reference(system, int_labels=labels)
+    system = GalerkinSystem(lam=lam, B=np.triu(B) + np.triu(B, 1).T, int_labels=labels)
+    rep = lie_closure(system)
+    assert rep == lie_closure_reference(system)
     assert rep.reached_dimension == closure_by_components(n, rep.admissible_pairs)
 
 
@@ -685,8 +720,8 @@ def test_admissible_pairs_match_reference_property(values, step, tol, labelled, 
     B = np.zeros((n, n))
     B[np.triu_indices(n, 1)] = upper
     labels = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)) if labelled else None
-    system = GalerkinSystem(lam=lam, B=B + B.T)
-    assert (admissible_pairs(system, tol, int_labels=labels)
+    system = GalerkinSystem(lam=lam, B=B + B.T, int_labels=labels)
+    assert (admissible_pairs(system, tol)
             == admissible_pairs_reference(system.lam, system.B, tol, int_labels=labels))
 
 
@@ -767,9 +802,9 @@ def test_transfer_colliders_follow_int_labels():
     B = np.zeros((4, 4))
     for j, k in ((0, 1), (2, 3), (0, 2)):
         B[j, k] = B[k, j] = 1.0
-    system = GalerkinSystem(lam=np.array([0.0, 1.0, 2.5, 4.7]), B=B)
+    system = GalerkinSystem(lam=np.array([0.0, 1.0, 2.5, 4.7]), B=B, int_labels=[1, 2, 1, 2])
     with pytest.raises(ValidationError, match=r"colliding pairs: \[\(3, 4\)\]$"):
-        resonant_transfer(system, 1, 2, 0.01, int_labels=[1, 2, 1, 2])
+        resonant_transfer(system, 1, 2, 0.01)
 
 
 def test_transfer_lists_the_reference_colliders():
@@ -778,11 +813,12 @@ def test_transfer_lists_the_reference_colliders():
     rng = np.random.default_rng(21)
     tol, refused = 1e-8, 0
     for _ in range(100):
-        system = random_pair_system(rng, tol)
-        labels = [int(v) for v in rng.integers(1, 8, system.dim)]
-        floor = 1e-12 * max(1.0, float(np.abs(system.B).max()))
+        base = random_pair_system(rng, tol)
+        labels = [int(v) for v in rng.integers(1, 8, base.dim)]
+        floor = 1e-12 * max(1.0, float(np.abs(base.B).max()))
         for lab in (None, labels):
-            admissible = admissible_pairs(system, tol, int_labels=lab)
+            system = GalerkinSystem(lam=base.lam, B=base.B, int_labels=lab)
+            admissible = admissible_pairs(system, tol)
             for j, k in zip(*np.triu_indices(system.dim, 1)):
                 j, k = int(j) + 1, int(k) + 1
                 if abs(system.B[j - 1, k - 1]) <= floor or (j, k) in admissible:
@@ -791,10 +827,39 @@ def test_transfer_lists_the_reference_colliders():
                 assert expected
                 source, target = (j, k) if rng.random() < 0.5 else (k, j)
                 with pytest.raises(ValidationError) as exc:
-                    resonant_transfer(system, source, target, 0.01, tol, int_labels=lab)
+                    resonant_transfer(system, source, target, 0.01, tol)
                 assert str(exc.value).endswith(f"colliding pairs: {expected}")
                 refused += 1
     assert refused > 100
+
+
+def test_transfer_refuses_exactly_the_inadmissible_pairs(monkeypatch):
+    # one scan of the coupled gaps decides a transfer as admissible_pairs does; the
+    # accepted transfers run on a stub propagation that returns the initial state
+    def stub(system, psi0, control):
+        return dynamics.Trajectory(np.zeros(1), psi0[None, :], 0)
+    monkeypatch.setattr(dynamics, "propagate", stub)
+    rng = np.random.default_rng(23)
+    tol, outcomes = 1e-8, Counter()
+    for _ in range(60):
+        base = random_pair_system(rng, tol)
+        floor = 1e-12 * max(1.0, float(np.abs(base.B).max()))
+        for lab in (None, [int(v) for v in rng.integers(1, 8, base.dim)]):
+            system = GalerkinSystem(lam=base.lam, B=base.B, int_labels=lab)
+            admissible = admissible_pairs(system, tol)
+            for j, k in zip(*np.triu_indices(system.dim, 1)):
+                j, k = int(j) + 1, int(k) + 1
+                coupled = abs(system.B[j - 1, k - 1]) > floor
+                source, target = (j, k) if rng.random() < 0.5 else (k, j)
+                try:
+                    resonant_transfer(system, source, target, 0.01, tol)
+                    outcome = "accepted"
+                except ValidationError as exc:
+                    outcome = "degenerate" if "frequency-degenerate" in str(exc) else "uncoupled"
+                assert outcome == ("uncoupled" if not coupled else
+                                   "accepted" if (j, k) in admissible else "degenerate")
+                outcomes[outcome] += 1
+    assert min(outcomes.values()) > 50
 
 
 def test_transfer_reports_sub_floor_coupling_as_uncoupled():

@@ -234,6 +234,11 @@ def test_cos_bound_single_edge():
     assert not rep.failed
 
 
+def test_cos_bound_trend_slope_is_nan_for_one_root():
+    # one running minimum is too few to fit a slope
+    assert math.isnan(check_cos_lower_bound([1.0, SQRT2], 1).trend_slope)
+
+
 def test_cos_bound_irrational_pair():
     rep = check_cos_lower_bound([1.0, SQRT2], 100)
     assert not rep.failed

@@ -202,6 +202,23 @@ def test_stacked_blocks_match_per_cluster_references_bitwise(M, data, seed, at_z
                 == repr(check_trace_bounds_reference(part, blocks, dtilde)))
 
 
+def test_partition_rejects_non_integral_labels():
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        build_partition([1.0, 2.0, 3.0], delta=0.5, M=1, labels=[1.5, 2.7, 3.2])
+    part = build_partition([1.0, 2.0, 3.0], delta=0.5, M=1, labels=[1.0, -2.0, 3.0])
+    assert part.labels.tolist() == [1, -2, 3]
+    with pytest.raises(ValidationError, match="expected 3 integers"):
+        build_partition([1.0, 2.0, 3.0], delta=0.5, M=1, labels=[1, 2])
+
+
+def test_partition_rejects_a_zero_label():
+    # the trace bounds divide by |label|^(2(1 + d)): a label 0 used to pass here and
+    # end in ZeroDivisionError in check_trace_bounds
+    freqs = np.arange(-3.0, 5.0) + 0.5
+    with pytest.raises(ValidationError, match="labels must be nonzero"):
+        build_partition(freqs, delta=1.0, M=1, labels=np.arange(-3, 5))
+
+
 def test_integer_lattice_orthogonal_frame():
     freqs = np.array(sorted(set(range(-5, 0)) | set(range(1, 6))), dtype=float)
     part = build_partition(freqs, delta=1.0, M=1,

@@ -1,9 +1,10 @@
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphctrl import spectrum
@@ -12,13 +13,16 @@ from graphctrl.errors import NumericalError
 from graphctrl.graph import BoundaryCondition as BC
 from graphctrl.lowerbounds import build_secular_product, check_cos_lower_bound
 from graphctrl.potentials import mode_overlap_integral
-from graphctrl.spectrum import (_branch_modes, _simple_modes, common_vanishing_points,
-                                edge_factors, explicit_subsystem, equilateral_dropped_modes,
-                                solve_spectrum, star_roots, validate_spectral_hypotheses)
+from graphctrl.moment import estimate_gap_parameters
+from graphctrl.spectrum import (MAX_GAP_WINDOW, _branch_modes, _gap_report, _simple_modes,
+                                common_vanishing_points, edge_factors, explicit_subsystem,
+                                equilateral_dropped_modes, loglog_fit, solve_spectrum, star_roots,
+                                validate_spectral_hypotheses, windowed_gaps)
 
 from conftest import (_edge_factors_reference, assert_fills_slots, bisect_brackets_reference,
-                      branch_modes_reference, interlacing_slots, interval, star,
-                      star_basis_reference)
+                      branch_modes_reference, estimate_gap_parameters_reference,
+                      gap_report_reference, interlacing_slots, interval, plain_loglog_fit, star,
+                      star_basis_reference, window_deltas_reference)
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -413,6 +417,46 @@ def test_reports_are_none_below_two_modes(star2_irrational, star5_neumann):
         assert basis.weyl_report is None and basis.gap_report is None
     two = solve_spectrum(star2_irrational, 2)
     assert two.weyl_report is not None and two.gap_report[0] == 1
+
+
+frequency_sets = st.one_of(
+    # small integer multiples of a step: equal gaps, exactly (step 1) or up to rounding
+    st.tuples(st.lists(st.integers(0, 40), min_size=0, max_size=2 * MAX_GAP_WINDOW),
+              st.sampled_from([1.0, 0.1, PI])).map(lambda c: np.sort(np.array(c[0], dtype=float)) * c[1]),
+    st.lists(st.floats(-50.0, 50.0), min_size=0, max_size=2 * MAX_GAP_WINDOW).map(
+        lambda v: np.sort(np.array(v, dtype=float))),
+)
+
+
+@settings(max_examples=300)
+@given(freqs=frequency_sets)
+@example(freqs=np.arange(MAX_GAP_WINDOW + 1, dtype=float))
+@example(freqs=np.array([0.0, 1.0, 1.0, 2.0]))
+def test_windowed_gaps_match_the_two_window_loops(freqs):
+    # the window helper, the sqrt-gap report and the gap-parameter estimate against
+    # the loops over M that spectrum and moment each ran, including n <= MAX_GAP_WINDOW + 1
+    assert inspect.isgenerator(windowed_gaps(freqs))
+    assert repr(dict(windowed_gaps(freqs))) == repr(window_deltas_reference(freqs))
+    assert repr(_gap_report(freqs)) == repr(gap_report_reference(freqs))
+    assert repr(estimate_gap_parameters(freqs)) == repr(estimate_gap_parameters_reference(freqs))
+
+
+@pytest.mark.parametrize("vals", [[], [2.0], [0.0, 3.0, -1.0], [-1.0, -2.0, 0.0, 5.0]])
+def test_loglog_fit_is_nan_below_two_positive_values(vals):
+    ks = np.arange(1, len(vals) + 1)
+    assert all(math.isnan(v) for v in loglog_fit(ks, vals))
+
+
+@settings(max_examples=100)
+@given(vals=st.lists(st.one_of(st.floats(1e-30, 1e30), st.sampled_from([0.0, -1.0])),
+                     min_size=2, max_size=40),
+       offset=st.floats(0.5, 100.0))
+def test_loglog_fit_equals_the_plain_fit_on_the_positive_values(vals, offset):
+    vals = np.array(vals)
+    ks = offset + np.arange(vals.size)
+    positive = vals > 0
+    assume(positive.sum() >= 2)
+    assert repr(loglog_fit(ks, vals)) == repr(plain_loglog_fit(ks[positive], vals[positive]))
 
 
 def test_simple_modes_reject_a_vanishing_edge_factor():
