@@ -381,7 +381,7 @@ def cmd_liealg(args, runner: Runner):
 
 
 def cmd_report(args, runner: Runner):
-    require_range("--eps", args.eps, ">")
+    require_range("--eps", args.eps, strict=True)
     graph, control, basis = _solve_from_problem(args)
     out: dict = {"spectrum": {
         "eigenvalues": basis.eigenvalues,

@@ -82,7 +82,7 @@ class SampledControl:
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValidationError("control samples must be a non-empty list of numbers")
         require_finite("control samples", self.samples)
-        require_range("control sample step dt", self.dt, ">")
+        require_range("control sample step dt", self.dt, strict=True)
 
     @property
     def horizon(self) -> float:
@@ -356,7 +356,7 @@ def _coupled_gaps(system: GalerkinSystem, resonance_tol: float):
     pair_gaps; they collide within resonance_tol max(1, max|lambda|), or only
     when equal with the system's integer labels (lambda = c label^2): tolerance 0.
     """
-    require_range("resonance tolerance", resonance_tol, ">=")
+    require_range("resonance tolerance", resonance_tol, strict=False)
     B, lam, labels = system.B, system.lam, system.int_labels
     j, k, gap = potentials.pair_gaps(lam, labels)
     coupled = np.abs(B[j, k]) > 1e-12 * max(1.0, float(np.abs(B).max()))
@@ -463,7 +463,7 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
         raise ValidationError("mode index out of range")
-    require_range("transfer amplitude", amplitude, ">")
+    require_range("transfer amplitude", amplitude, strict=True)
     if source == target:
         return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
     m, nn = source - 1, target - 1

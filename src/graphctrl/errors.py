@@ -32,11 +32,10 @@ def require_finite(name: str, values):
         raise ValidationError(f"{name}{where} = {values[index]} is not finite")
 
 
-def require_range(name: str, x, relation: str):
-    """Raise ValidationError unless the scalar x is finite and x > 0 (relation ">") or
-    x >= 0 (relation ">=")."""
-    if not (math.isfinite(x) and (x > 0 if relation == ">" else x >= 0)):
-        raise ValidationError(f"{name} must be finite and {relation} 0, got {x!r}")
+def require_range(name: str, x, *, strict: bool):
+    """Raise ValidationError unless the scalar x is finite and x > 0 (strict) or x >= 0."""
+    if not (math.isfinite(x) and (x > 0 if strict else x >= 0)):
+        raise ValidationError(f"{name} must be finite and {'>' if strict else '>='} 0, got {x!r}")
 
 
 def require_integers(name: str, values, count: int) -> np.ndarray:

@@ -129,7 +129,8 @@ def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None
         k0 = int(np.argmin(vals)) + 1
         raise ValidationError(f"derivative vanishes at mode {k0}: degenerate zero")
     ks = np.arange(1, K + 1, dtype=float)
-    slope = loglog_fit(ks, vals)[0]
+    # one mode fixes no slope: 0, the slope of the least-squares line through one point
+    slope = loglog_fit(ks, vals)[0] if K >= 2 else 0.0
     dtilde = max(0.0, -slope - 1.0)
     prods = vals * ks ** (1.0 + dtilde)
     worst = int(np.argmin(prods)) + 1

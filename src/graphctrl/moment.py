@@ -79,7 +79,7 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
     """Greedy left-to-right clustering: cut whenever the next gap is >= delta.
 
     The pair (delta, M) is validated against the windowed gap condition and
-    against the cluster-size bound (max_cluster_size); when not supplied both
+    against the cluster-size bound (_max_cluster_size); when not supplied both
     are estimated from the data.  Labels must be nonzero integers.
     """
     freqs = np.asarray(frequencies, dtype=float)
@@ -101,7 +101,7 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
     validate_gap_condition(freqs, delta, M)
 
     clusters = _greedy_clusters(freqs, delta)
-    limit = max_cluster_size(M)
+    limit = _max_cluster_size(M)
     for s, e in clusters:
         if e - s > limit:
             raise ValidationError(
@@ -111,7 +111,7 @@ def build_partition(frequencies, delta: float | None = None, M: int | None = Non
                             M=int(M), clusters=clusters)
 
 
-def max_cluster_size(M: int) -> int:
+def _max_cluster_size(M: int) -> int:
     """The cluster-size bound at window M: M - 1 for M >= 2, singletons for M = 1."""
     return 1 if M == 1 else M - 1
 
@@ -132,7 +132,7 @@ def estimate_gap_parameters(freqs: np.ndarray) -> tuple[float, int]:
     for M, d in deltas.items():
         if d < 0.5 * best or d <= 0:
             continue
-        if max(e - s for s, e in _greedy_clusters(freqs, d)) <= max_cluster_size(M):
+        if max(e - s for s, e in _greedy_clusters(freqs, d)) <= _max_cluster_size(M):
             return (d, M)
     return (best, max(deltas, key=deltas.get))
 
@@ -242,7 +242,7 @@ class TrigControl:
     terms: list[tuple[float, str, float]] = field(default_factory=list)  # (freq, "cos"|"sin", coeff)
 
     def __post_init__(self):
-        require_range("control horizon", self.horizon, ">")
+        require_range("control horizon", self.horizon, strict=True)
         require_finite("control constant", self.const)
         for _, kind, _ in self.terms:
             if kind not in ("cos", "sin"):
@@ -383,7 +383,7 @@ def check_trace_bounds(system: DividedDifferenceSystem, dtilde: float) -> TraceB
     The traces are row sums of the stacked blocks and of the stacked blocks
     at the nodes theta = sign(nu) nu^2; the rows are reported in cluster order.
     """
-    require_range("dtilde", dtilde, ">=")
+    require_range("dtilde", dtilde, strict=False)
     part = system.partition
     starts, traces, theta_traces, labels = [], [], [], []
     for rows, F in system.blocks:
@@ -452,7 +452,7 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
         raise ValidationError("lambdas and targets must have equal length")
     if K < 1:
         raise ValidationError("moment problem size must be >= 1")
-    require_range("horizon T", T, ">")
+    require_range("horizon T", T, strict=True)
     if abs(x[0].imag) > 1e-12 * max(1.0, abs(x[0])):
         raise ValidationError("x_1 must be real (tangent-space condition)")
     if np.any(np.diff(lam) <= 0):

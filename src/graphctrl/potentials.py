@@ -397,9 +397,9 @@ def analyze_coupling(B, basis: SpectralBasis, K: int, tol_res: float = 1e-10,
     """
     if K < 4:
         raise ValidationError("need at least 4 modes")
-    require_range("resonance tolerance", tol_res, ">=")
+    require_range("resonance tolerance", tol_res, strict=False)
     if floor is not None:
-        require_range("zero-element floor", floor, ">=")
+        require_range("zero-element floor", floor, strict=False)
     if isinstance(B, np.ndarray):
         col = np.asarray(B)[:K, 0].copy()
         diag = np.asarray(B).diagonal()[:K].copy()

@@ -4,9 +4,12 @@ library still accepts the argument lists that the benchmark passes.
 bench/tracing.py wraps functions of graphctrl by name, so deleting or renaming
 one of them would only show in a traced benchmark run.  Its source is
 executed here without importing it as a module, so no bytecode is written
-under bench/.
+under bench/.  The workloads' calls into the library are read from their
+sources with ast, and each one's argument list is bound to the signature it
+calls.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -41,38 +44,59 @@ def test_moment_solution_keeps_the_gated_field():
     assert "imag_moment_defect" in {f.name for f in dataclasses.fields(MomentSolution)}
 
 
-# The argument lists that bench/ passes to the library, by call site.  A parameter
-# removed or renamed under one of them would otherwise only break a benchmark run.
-BENCH_CALLS = [
-    ("dynamics", "GalerkinSystem", (), {"lam": None, "B": None}),
-    ("graph", "MetricGraph", (), {"edges": None, "bc": None, "topology": None}),
-    ("graph", "Edge", ("e1", 1.0, "v1", "c"), {}),
-    ("dynamics", "TrigControl", (), {"horizon": 1.0, "terms": []}),
-    ("dynamics", "lie_closure", (None,), {}),
-    ("dynamics", "resonant_transfer", (None, 1, 2, 0.01), {}),
-    ("dynamics", "propagate", (None, None, None), {"n_steps": 1}),
-    ("dynamics", "propagate_reversed", (None, None, None), {"n_steps": 1}),
-    ("spectrum", "solve_spectrum", (None, 1), {}),
-    ("potentials", "ControlOperator", (), {"per_edge": {}}),
-    ("potentials", "squared_shift_potential", (1.0,), {}),
-    ("potentials", "build_matrix", (None, None), {}),
-    ("potentials", "build_matrix", (None, None, 1), {}),
-    ("potentials", "analyze_coupling", (None, None, 4), {}),
-    ("potentials", "check_vertex_compatibility", (None, None), {}),
-    ("moment", "build_partition", (None, 1.0, 1), {}),
-    ("moment", "solve_moment", (None, None, 1.0), {"mode": "direct"}),
-    ("moment", "build_dd_system", (None, 1.0), {}),
-    ("moment", "check_trace_bounds", (None, 0.5), {}),
-    ("moment", "verify_biorthogonality", (None,), {}),
-    ("lowerbounds", "build_secular_product", (None,), {}),
-    ("lowerbounds", "fit_derivative_bound", (None, None), {}),
-    ("lowerbounds", "check_cos_lower_bound", (None, 1), {}),
-    ("cli", "dispatch", ([],), {}),
-]
+def bench_calls():
+    """(site, layer, name, positional count, keyword names) of every call in bench/wl_*.py
+    to a name imported from graphctrl, read from the sources with ast.
+
+    A module imported as ``from graphctrl import dynamics`` (or ``import
+    graphctrl.dynamics as dynamics``) is followed through ``dynamics.name(...)``; a
+    name imported as ``from graphctrl.graph import Edge`` (possibly under an alias)
+    through ``Edge(...)``.
+    """
+    calls = []
+    for path in sorted(TRACING.parent.glob("wl_*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules, names = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "graphctrl":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphctrl."):
+                layer = node.module.split(".", 1)[1]
+                names.update((a.asname or a.name, (layer, a.name)) for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname, a.name.split(".", 1)[1]) for a in node.names
+                               if a.asname and a.name.startswith("graphctrl."))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+                target = (modules[f.value.id], f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                target = names[f.id]
+            else:
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            calls.append((f"{path.name}:{node.lineno}", *target, len(node.args),
+                          tuple(k.arg for k in node.keywords)))
+    return calls
 
 
-@pytest.mark.parametrize("layer, name, args, kwargs", BENCH_CALLS,
-                         ids=[f"{layer}.{name}" for layer, name, _, _ in BENCH_CALLS])
-def test_benchmark_call_shapes_bind(layer, name, args, kwargs):
+BENCH_CALLS = bench_calls()
+
+
+def test_bench_calls_are_found():
+    # the calls that the benchmark's workloads make into the library, one per layer at least
+    assert {layer for _, layer, *_ in BENCH_CALLS} == {
+        "cli", "dynamics", "graph", "lowerbounds", "moment", "potentials", "spectrum"}
+    assert ("dynamics", "resonant_transfer", 4, ()) in {c[1:] for c in BENCH_CALLS}
+
+
+@pytest.mark.parametrize("site, layer, name, n_args, keywords", BENCH_CALLS,
+                         ids=[f"{site} {layer}.{name}" for site, layer, name, _, _ in BENCH_CALLS])
+def test_benchmark_call_shapes_bind(site, layer, name, n_args, keywords):
+    # a parameter removed or renamed under one of these calls would otherwise only
+    # break a benchmark run
     target = getattr(importlib.import_module(f"graphctrl.{layer}"), name)
-    inspect.signature(target).bind(*args, **kwargs)
+    inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))

@@ -93,6 +93,19 @@ def test_lowerbounds_command(problem, tmp_path):
     assert float(rows[0]["abs_Gprime"]) == pytest.approx(1 + SQRT2, rel=1e-6)
 
 
+@pytest.mark.parametrize("sample", ["interval_dirichlet", "star2_dirichlet", "star5_neumann"])
+def test_lowerbounds_with_one_mode_reads_slope_zero(sample, tmp_path):
+    # one mode fixes no slope; the summary keeps 0, the slope of the line through one point
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "lowerbounds", "--problem", str(SAMPLES / f"{sample}.json"),
+                     "--modes", "1"]) == EXIT_OK
+    doc = json.loads((out / "lowerbounds_summary.json").read_text())
+    assert (doc["raw_slope"], doc["dtilde_fit"], doc["worst_k"]) == (0.0, 0.0, 1)
+    rows = read_rows(out / "derivative_bound.csv")
+    assert len(rows) == 1
+    assert doc["constant"] == float(rows[0]["abs_Gprime"])
+
+
 def test_moment_solve_command(tmp_path):
     freqs = tmp_path / "f.csv"
     with open(freqs, "w", newline="") as fh:
