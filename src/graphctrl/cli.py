@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=int, default=1)
 
     p = sub.add_parser("liealg", parents=[problem], help="bracket-closure dimension report")
-    p.add_argument("--resonance-tol", dest="resonance_tol", type=float, default=1e-8)
+    p.add_argument("--resonance-tol", dest="resonance_tol", type=float, default=dynamics.RESONANCE_TOL)
 
     p = sub.add_parser("report", parents=[problem],
                        help="combined spectral / coupling / bound / transfer report")

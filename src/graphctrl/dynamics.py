@@ -3,13 +3,15 @@
 The state lives in the span of the first K eigenfunctions; the generator is
 Lambda + u(t) B with Lambda diagonal and B real symmetric.  A step is the
 Strang split step e^{-i Lambda dt/2} Q e^{-i u(t_mid) dt D} Q^T e^{-i Lambda dt/2}
-with B = Q D Q^T diagonalized once per call (Strang, SIAM J. Numer. Anal.
-1968): unitary, second order, O(K^2) work, and the kick factors are formed
-in blocks of steps, so memory does not grow with the step count.  A long
-single-frequency drive instead runs powers of its one-period map.  The
-window of that map starts where the drive is even, so the map is multiplied
-out from the steps of half a period, and the powers between records come
-from repeated squaring.
+with B = Q D Q^T (Strang, SIAM J. Numer. Anal. 1968): unitary, second order,
+O(K^2) work, and the kick factors are formed in blocks of steps, so memory
+does not grow with the step count.  A long single-frequency drive instead
+runs powers of its one-period map.  The window of that map starts where the
+drive is even, so the map is multiplied out from the steps of half a
+period, and the powers between records come from repeated squaring.  B is
+diagonalized for each stretch of steps: once per call on a fixed grid, and
+on the periodic path once for the map and once more for each of the
+stepped lead-in and remainder.
 
 Controls are a graphctrl.moment.TrigControl (imported here) or a
 piecewise-constant SampledControl; both give their moments, the integrals of
@@ -18,11 +20,12 @@ u(t) e^{i alpha t}, as one array over alpha.  Also here: the first-order
 lambda_1, used to validate moment controls; the bracket-closure dimension
 count behind the finite-dimensional controllability criterion; and resonant
 population-transfer synthesis.  A system may carry integer labels (lambda =
-c label^2); its transition frequencies then collide only when exactly equal.  The closure is counted in closed form from
-the graph of admissible pairs: su(c) on each connected component of c >= 2
-modes, with the bracket depth set by the largest distance between two
-connected modes; both come from boolean reachability products, so no
-bracket matrix is built.
+c label^2); its transition frequencies then collide only when exactly equal.
+
+The closure is counted in closed form from the graph of admissible pairs:
+su(c) on each connected component of c >= 2 modes, with the bracket depth
+set by the largest distance between two connected modes; both come from
+boolean reachability products, so no bracket matrix is built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ import numpy as np
 from . import potentials, spectrum
 from .errors import NumericalError, ValidationError, require_finite, require_integers, require_range
 from .moment import TrigControl, exp_inner
+
+RESONANCE_TOL = 1e-8   # transition frequencies this close, relative to max(1, max|lambda|), collide
 
 
 @dataclass
@@ -142,7 +147,9 @@ class Trajectory:
         return np.abs(self.states) ** 2
 
 
-# bench/tracing.py counts propagation steps here: every path passes all its midpoints
+# bench/tracing.py counts propagation steps here, as the number of midpoints passed: the
+# fixed grid passes all its midpoints, but the periodic path's map passes only those of
+# half a period, however many periods it runs
 def _step_matrices(lam, B, u_mids, dt):
     """Split-step factors: half = e^{-i lam dt/2}, and Q, D of B = Q diag(D) Q^T."""
     D, Q = np.linalg.eigh(B)
@@ -364,7 +371,8 @@ def _coupled_gaps(system: GalerkinSystem, resonance_tol: float):
     return j[coupled], k[coupled], np.abs(gap[coupled]), tol
 
 
-def admissible_pairs(system: GalerkinSystem, resonance_tol: float = 1e-8) -> list[tuple[int, int]]:
+def admissible_pairs(system: GalerkinSystem,
+                     resonance_tol: float = RESONANCE_TOL) -> list[tuple[int, int]]:
     """Coupled pairs (1-based, row-major) whose frequency collides with no other coupled pair.
 
     Float subtraction is monotone, so a gap collides with some other gap
@@ -411,7 +419,7 @@ def _pair_graph(n, pairs):
     return reach.argmax(axis=1), d + 1
 
 
-def lie_closure(system: GalerkinSystem, resonance_tol: float = 1e-8) -> LieClosureReport:
+def lie_closure(system: GalerkinSystem, resonance_tol: float = RESONANCE_TOL) -> LieClosureReport:
     """Dimension of the real Lie algebra generated by the admissible rotations.
 
     The generators are the skew-Hermitian pair matrices at phases 0 and pi/2
@@ -451,14 +459,15 @@ class TransferResult:
     boundary_population: float
 
 
-def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitude: float,
-                      resonance_tol: float = 1e-8) -> TransferResult:
+def resonant_transfer(system: GalerkinSystem, source: int, target: int,
+                      amplitude: float) -> TransferResult:
     """Population transfer source -> target (1-based) by a resonant pulse.
 
     u(t) = amplitude * cos(|lambda_m - lambda_n| t) over the first-order
     pulse duration pi / (amplitude |B_mn|); the reported fidelity is
     |<target, psi(T)>|.  An uncoupled or frequency-degenerate pair is refused;
-    comparing its gap with every coupled gap decides as admissible_pairs does.
+    comparing its gap with every coupled gap decides as admissible_pairs does
+    at RESONANCE_TOL.
     """
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
@@ -468,7 +477,7 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int, amplitud
         return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
     m, nn = source - 1, target - 1
     lo, hi = min(m, nn), max(m, nn)
-    j, k, gap, tol = _coupled_gaps(system, resonance_tol)
+    j, k, gap, tol = _coupled_gaps(system, RESONANCE_TOL)
     pair = np.flatnonzero((j == lo) & (k == hi))
     if pair.size == 0:
         raise ValidationError(f"modes {source} and {target} are uncoupled (|B_mn| = "

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-DEFAULT_QMAX = 10_000
-DEFAULT_RATIO_TOL = 1e-9
+RATIO_Q_MAX = 10_000    # the largest denominator q of the rational-ratio scan
+RATIO_TOL = 1e-9        # a ratio this close to some p/q is reported as rational
 
 
 class BoundaryCondition(enum.Enum):
@@ -136,38 +136,34 @@ class LengthSetReport:
 
     Genuine rational independence (or algebraic irrationality of ratios)
     cannot be decided from floating point data; the report only certifies
-    that no ratio L_k/L_j is within the scan's ``tol`` of a rational p/q
-    with q <= ``q_max``.
+    that no ratio L_k/L_j is within RATIO_TOL of a rational p/q with
+    q <= RATIO_Q_MAX.
     """
 
     rational_hits: list[tuple[int, int, int, int, float]]  # (k, j, p, q, residual), 1-based
     independence_flag: bool
 
 
-def check_length_set(lengths, q_max: int = DEFAULT_QMAX, tol: float = DEFAULT_RATIO_TOL) -> LengthSetReport:
+def check_length_set(lengths) -> LengthSetReport:
     """Scan all ratios L_k/L_j (k > j) for low-denominator rational values.
 
-    The best rational approximation with denominator <= q_max is obtained via
+    The best rational approximation with denominator <= RATIO_Q_MAX is obtained via
     the Stern-Brocot / continued-fraction expansion, which is equivalent to
-    an exhaustive scan over all p/q with q <= q_max.
+    an exhaustive scan over all p/q with q <= RATIO_Q_MAX.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.size == 0:
         raise ValidationError("lengths must be nonempty")
     if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0):
         raise ValidationError("lengths must be positive and finite")
-    if q_max < 1:
-        raise ValidationError("q_max must be >= 1")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
 
     hits = []
     for k in range(1, lengths.size):
         for j in range(k):
             r = lengths[k] / lengths[j]
-            frac = Fraction(r).limit_denominator(q_max)
+            frac = Fraction(r).limit_denominator(RATIO_Q_MAX)
             residual = abs(r - frac.numerator / frac.denominator)
-            if residual < tol:
+            if residual < RATIO_TOL:
                 hits.append((k + 1, j + 1, frac.numerator, frac.denominator, residual))
     return LengthSetReport(rational_hits=hits, independence_flag=not hits)
 
@@ -197,9 +193,10 @@ def _finite_number(value, context) -> float:
 def load_problem(path):
     """Load a problem file: returns (MetricGraph, ControlOperator, SolverSettings).
 
-    The file is JSON with top-level keys "graph", "control" and "solver"
-    (see README for the schema).  Star edges given center -> external are
-    reoriented so that coordinate 0 sits at the external vertex.
+    The file is JSON; only its top-level keys "graph", "control" and
+    "solver" are read (see README for the schema).  Star edges given
+    center -> external are reoriented so that coordinate 0 sits at the
+    external vertex.
     """
     from .potentials import ControlOperator  # deferred: potentials imports this module
 
@@ -215,6 +212,8 @@ def load_problem(path):
     bc = {}
     for vdoc in _require(gdoc, "vertices", "graph", list):
         vid = str(_require(vdoc, "id", "vertex"))
+        if vid in bc:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
         name = _require(vdoc, "bc", f"vertex {vid}")
         try:
             bc[vid] = BoundaryCondition(name)
@@ -261,7 +260,7 @@ def load_problem(path):
             raise ValidationError(f"control: {eid} must be a list of coefficients, got {coeffs!r}")
         per_edge[eid] = np.array([_finite_number(c, f"control: {eid} coefficient {q}")
                                   for q, c in enumerate(coeffs)], dtype=float)
-    control = ControlOperator(per_edge=per_edge, tag=str(doc.get("control_tag", "")))
+    control = ControlOperator(per_edge=per_edge)
 
     sdoc = doc.get("solver", {})
     if not isinstance(sdoc, dict):
@@ -274,22 +273,3 @@ def load_problem(path):
     if isinstance(num_modes, bool) or not isinstance(num_modes, int) or num_modes < 1:
         raise ValidationError(f"solver: 'num_modes' must be an integer >= 1, got {num_modes!r}")
     return graph, control, SolverSettings(num_modes=num_modes)
-
-
-def serialize_problem(graph: MetricGraph, control=None, settings: SolverSettings | None = None) -> dict:
-    """Inverse of load_problem, up to default filling."""
-    doc = {
-        "graph": {
-            "topology": graph.topology.value,
-            "edges": [{"id": e.eid, "length": e.length, "from": e.tail, "to": e.head}
-                      for e in graph.edges],
-            "vertices": [{"id": v, "bc": c.value} for v, c in graph.bc.items()],
-        },
-    }
-    if control is not None:
-        doc["control"] = {eid: list(map(float, coeffs)) for eid, coeffs in control.per_edge.items()}
-        if control.tag:
-            doc["control_tag"] = control.tag
-    if settings is not None:
-        doc["solver"] = {"num_modes": settings.num_modes}
-    return doc

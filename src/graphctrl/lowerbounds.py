@@ -2,16 +2,16 @@
 
 The expanded secular product
 
-    G(x) = sum_l w_l sigma_l(x L_l) prod_{j ≠ l} tau_j(x L_j)
+    G(x) = sum_l sigma_l(x L_l) prod_{j ≠ l} tau_j(x L_j)
 
 (tau = sin, sigma = cos on Dirichlet edges, where ``is_sin`` holds; tau =
-cos, sigma = -sin on Neumann edges; weights 2 for paired equal-length edges;
-all factors from ``spectrum.edge_factors``) is entire, real and bounded on
+cos, sigma = -sin on Neumann edges; all factors from
+``spectrum.edge_factors``) is entire, real and bounded on
 the real axis, and vanishes exactly on the sqrt-spectrum.  At a
 simple zero its derivative reduces to
 
-    |G'(sqrt(lambda))| = prod_l tau_l * sum_l w_l L_l / tau_l^2
-                       >= (min_l L_l) * sum_l w_l prod_{j ≠ l} |tau_j|,
+    |G'(sqrt(lambda))| = prod_l tau_l * sum_l L_l / tau_l^2
+                       >= (min_l L_l) * sum_l prod_{j ≠ l} |tau_j|,
 
 so fitted lower envelopes of |G'| at the computed roots play the role of
 the k^-(1+d) bounds that control the moment-problem regularity.  The
@@ -39,12 +39,11 @@ COS_BOUND_EPS = 0.1                  # the eps of the cosine bound |cos| omega^(
 class SecularProduct:
     lengths: np.ndarray
     is_sin: np.ndarray               # True on Dirichlet edges (tau = sin), False on Neumann
-    weights: np.ndarray
     _S: object = field(init=False, repr=False)
     _Sprime: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._S, self._Sprime = assemble_secular(self.lengths, self.is_sin, self.weights)
+        self._S, self._Sprime = assemble_secular(self.lengths, self.is_sin)
 
     def value(self, x):
         return self._S(x)
@@ -53,53 +52,37 @@ class SecularProduct:
         return self._Sprime(x)
 
     def derivative_at_root(self, x):
-        """-(prod tau) * sum w L / tau^2: the derivative when the bracket vanishes.
+        """-(prod tau) * sum L / tau^2: the derivative when the bracket vanishes.
 
         Valid exactly on the sqrt-spectrum (the complementary term carries
         the vanishing bracket as a factor there).
         """
         tau, _ = edge_factors(x, self.lengths, self.is_sin)
-        return -sum_in_order(self.weights * self.lengths * leave_one_out(tau[:, None, :]) / tau)
+        return -sum_in_order(self.lengths * leave_one_out(tau[:, None, :]) / tau)
 
     def envelope(self, x):
-        """(min_l L_l) * sum_l w_l prod_{j ≠ l} |tau_j|: lower bound for |G'| at roots."""
+        """(min_l L_l) * sum_l prod_{j ≠ l} |tau_j|: lower bound for |G'| at roots."""
         tau = np.abs(edge_factors(x, self.lengths, self.is_sin)[0])
-        return float(self.lengths.min()) * sum_in_order(self.weights * leave_one_out(tau[:, None, :]))
+        return float(self.lengths.min()) * sum_in_order(leave_one_out(tau[:, None, :]))
 
     @property
     def sup_bound(self) -> float:
         """Every summand is a product of unit-bounded factors."""
-        return float(self.weights.sum())
+        return float(self.lengths.size)
 
 
-def build_secular_product(graph: MetricGraph, pair_weights: bool = False) -> SecularProduct:
+def build_secular_product(graph: MetricGraph) -> SecularProduct:
     """Expanded pole-free secular product for a star (or interval) graph.
 
-    With pair_weights, equal-length same-condition edge pairs are collapsed
-    to a single factor of weight 2 (the paired-star chains); remaining edges
-    keep weight 1.  An interval is split at its midpoint into a two-edge
-    star, which reproduces the classical closed forms by angle addition
-    (D-D: sin(xL), mixed: cos(xL)) including the derivative scale.
+    An interval is split at its midpoint into a two-edge star, which
+    reproduces the classical closed forms by angle addition (D-D: sin(xL),
+    mixed: cos(xL)) including the derivative scale.
     """
     if graph.topology is Topology.INTERVAL:
         e = graph.edges[0]
         return SecularProduct(lengths=np.array([e.length / 2, e.length / 2]),
-                              is_sin=_is_sin(graph, (e.tail, e.head)), weights=np.array([1.0, 1.0]))
-    is_sin = _is_sin(graph, [e.tail for e in graph.edges])
-    lengths = graph.lengths
-    if not pair_weights:
-        return SecularProduct(lengths=lengths, is_sin=is_sin, weights=np.ones(lengths.size))
-    merged: list[tuple[float, bool, float]] = []
-    for L, k in zip(lengths, is_sin):
-        for i, (L2, k2, w) in enumerate(merged):
-            if k2 == k and abs(L - L2) <= 1e-12 * max(1.0, L):
-                merged[i] = (L2, k2, w + 1.0)
-                break
-        else:
-            merged.append((L, k, 1.0))
-    return SecularProduct(lengths=np.array([m[0] for m in merged]),
-                          is_sin=np.array([m[1] for m in merged]),
-                          weights=np.array([m[2] for m in merged]))
+                              is_sin=_is_sin(graph, (e.tail, e.head)))
+    return SecularProduct(lengths=graph.lengths, is_sin=_is_sin(graph, [e.tail for e in graph.edges]))
 
 
 @dataclass
@@ -111,17 +94,17 @@ class DerivativeBoundFit:
     values: np.ndarray       # min(|G'(sqrt lam)|, |G'(-sqrt lam)|) per mode
 
 
-def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis, K: int | None = None) -> DerivativeBoundFit:
-    """Fit |G'(+-sqrt(lambda_k))| >= C / k^(1+d) over the computed modes.
+def fit_derivative_bound(sp: SecularProduct, basis: SpectralBasis) -> DerivativeBoundFit:
+    """Fit |G'(+-sqrt(lambda_k))| >= C / k^(1+d) over the modes of the basis.
 
     Requires a simple spectrum; a vanishing derivative at a root flags a
     degenerate eigenvalue and is an error.
     """
-    K = len(basis) if K is None else min(K, len(basis))
-    lams = basis.eigenvalues[:K]
+    K = len(basis)
+    lams = basis.eigenvalues
     if np.any(np.diff(lams) <= 1e-9 * np.abs(lams[1:])):
         raise ValidationError("spectrum is not simple; derivative bound undefined")
-    omegas = basis.omegas[:K]
+    omegas = basis.omegas
     pos = np.abs(np.asarray(sp.derivative(omegas)))
     neg = np.abs(np.asarray(sp.derivative(-omegas)))
     vals = np.minimum(pos, neg)

@@ -421,8 +421,7 @@ class MomentSolution:
         return float(np.max(np.abs(self.residuals)))
 
 
-def solve_moment(lambdas, x, T: float, mode: str = "direct",
-                 delta: float | None = None, M: int | None = None) -> MomentSolution:
+def solve_moment(lambdas, x, T: float, mode: str = "direct") -> MomentSolution:
     """Real control u on (0, T) with integral of u e^{i (lambda_k - lambda_1) t} = x_k.
 
     The control is represented over the real dictionary {1} U {cos, sin} at
@@ -465,7 +464,7 @@ def solve_moment(lambdas, x, T: float, mode: str = "direct",
     if mode == "direct":
         (a, b), cond = _solve_direct(cos_gram, sin_gram, y)
     else:
-        (a, b), cond = _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M)
+        (a, b), cond = _solve_dd(alpha, cos_gram, sin_gram, y, T)
     # the gate runs before the control is built: a non-finite coefficient is a numerical
     # failure (exit 3), which TrigControl would report as invalid input
     residuals = -y
@@ -547,16 +546,16 @@ def _solve_direct(cos_gram, sin_gram, y):
         raise NumericalError(f"moment system singular: {exc}")
 
 
-def _solve_dd(alpha, cos_gram, sin_gram, y, T, delta, M):
+def _solve_dd(alpha, cos_gram, sin_gram, y, T):
     """The two centred Grams solved in divided-difference coordinates.
 
     With coefficients a = W z for a real block-diagonal W, G a = b becomes
     (W^T G W) z = W^T b, solved with Jacobi (unit-diagonal) scaling, one per
     Gram; the condition number is the frame-bound ratio of the two scaled
-    families together.  W comes from the clusters of alpha (_half_blocks)
-    and is applied by stacked blocks, never formed.
+    families together.  W comes from the clusters of alpha at the estimated
+    (delta, M) (_half_blocks) and is applied by stacked blocks, never formed.
     """
-    halves = _half_blocks(build_partition(alpha, delta, M), T)
+    halves = _half_blocks(build_partition(alpha), T)
     scaled = []
     for G, blocks in zip((cos_gram, sin_gram), halves):
         H = _congruence(blocks, G)

@@ -5,7 +5,7 @@ external vertex is Dirichlet, a * cos(omega x) on Neumann edges, with
 omega = sqrt(lambda).  Vertex conditions at the center reduce the problem to
 a scalar secular function
 
-    S(x) = sum_l w_l * sigma_l(x L_l) * prod_{j ≠ l} tau_j(x L_j)
+    S(x) = sum_l sigma_l(x L_l) * prod_{j ≠ l} tau_j(x L_j)
 
 with tau = sin, sigma = cos on Dirichlet edges (where the boolean edge kind
 ``is_sin`` holds) and tau = cos, sigma = -sin on Neumann edges; every caller
@@ -162,11 +162,10 @@ def loglog_fit(ks, vals):
     return float(sol[0]), float(sol[1]), float(np.sqrt(np.mean((y - A @ sol) ** 2)))
 
 
-def assemble_secular(lengths, is_sin, weights):
+def assemble_secular(lengths, is_sin):
     """Return vectorized callables (S, S') for the pole-free secular function."""
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
-    weights = np.asarray(weights, dtype=float)
     is_sin = np.asarray(is_sin, dtype=bool)
     own = np.eye(n, dtype=bool)
     # the terms of S' in the order they are added: for each l the sigma_l'
@@ -175,15 +174,15 @@ def assemble_secular(lengths, is_sin, weights):
 
     def S(x):
         tau, sigma = edge_factors(x, lengths, is_sin)
-        total = sum_in_order(weights * sigma * leave_one_out(tau[:, None, :]))
+        total = sum_in_order(sigma * leave_one_out(tau[:, None, :]))
         return total[0] if np.isscalar(x) else total
 
     def Sprime(x):
         tau, sigma = edge_factors(x, lengths, is_sin)
         # Q[:, l, m] = prod_{j ≠ l, m} tau_j, and prod_{j ≠ l} tau_j where m = l
         Q = leave_one_out(np.where(own, 1.0, tau[:, None, :])[:, :, None, :])
-        terms = (weights * sigma)[:, :, None] * (lengths * sigma)[:, None, :] * Q
-        terms[:, own] = weights * (-lengths * tau) * Q[:, own]
+        terms = sigma[:, :, None] * (lengths * sigma)[:, None, :] * Q
+        terms[:, own] = (-lengths * tau) * Q[:, own]
         total = sum_in_order(terms[:, order[0], order[1]].reshape(len(tau), n * n))
         return total[0] if np.isscalar(x) else total
 
@@ -566,15 +565,13 @@ def _scaled_family(num_modes, lengths, loop: bool) -> SpectralBasis:
 
 @dataclass
 class SpectralHypothesesReport:
-    weyl: tuple[float, float]
-    gap: tuple[int, float]
     simplicity: bool
     center_decay_exponent: float
 
 
 def validate_spectral_hypotheses(basis: SpectralBasis) -> SpectralHypothesesReport | None:
-    """Two-sided k^2 growth, sqrt-gap parameters, simplicity, center decay; None below
-    MIN_HYPOTHESIS_MODES modes."""
+    """Simplicity and center decay; None below MIN_HYPOTHESIS_MODES modes.  The two-sided
+    k^2 growth and the sqrt-gap parameters are the basis' weyl_report and gap_report."""
     if len(basis) < MIN_HYPOTHESIS_MODES:
         return None
     lams = basis.eigenvalues
@@ -582,5 +579,4 @@ def validate_spectral_hypotheses(basis: SpectralBasis) -> SpectralHypothesesRepo
     simple = bool(np.all(rel > 1e-9))
     centers = np.abs(basis.center_values)
     p_fit = -loglog_fit(np.arange(1, len(basis) + 1), centers)[0]
-    return SpectralHypothesesReport(weyl=basis.weyl_report, gap=basis.gap_report,
-                                    simplicity=simple, center_decay_exponent=p_fit)
+    return SpectralHypothesesReport(simplicity=simple, center_decay_exponent=p_fit)

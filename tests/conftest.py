@@ -375,13 +375,10 @@ def assert_fills_slots(omegas, slots, point_rel=1e-9):
 # for the leave-one-out products in graphctrl.spectrum and graphctrl.lowerbounds:
 # those must agree with these bit for bit.
 
-def assemble_secular_reference(lengths, is_sin, weights=None):
-    """(S, S') of sum_l w_l sigma_l(x L_l) prod_{j != l} tau_j(x L_j), term by term."""
+def assemble_secular_reference(lengths, is_sin):
+    """(S, S') of sum_l sigma_l(x L_l) prod_{j != l} tau_j(x L_j), term by term."""
     lengths = np.asarray(lengths, dtype=float)
     n = lengths.size
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
     is_sin = np.asarray(is_sin, dtype=bool)
 
     def parts(x):
@@ -401,7 +398,7 @@ def assemble_secular_reference(lengths, is_sin, weights=None):
         total = np.zeros(tau.shape[0])
         for l in range(n):
             others = [j for j in range(n) if j != l]
-            total += weights[l] * sigma[:, l] * np.prod(tau[:, others], axis=1)
+            total += sigma[:, l] * np.prod(tau[:, others], axis=1)
         return total[0] if scalar else total
 
     def Sprime(x):
@@ -410,10 +407,10 @@ def assemble_secular_reference(lengths, is_sin, weights=None):
         total = np.zeros(tau.shape[0])
         for l in range(n):
             others = [j for j in range(n) if j != l]
-            total += weights[l] * dsigma[:, l] * np.prod(tau[:, others], axis=1)
+            total += dsigma[:, l] * np.prod(tau[:, others], axis=1)
             for m in others:
                 rest = [j for j in range(n) if j != l and j != m]
-                total += weights[l] * sigma[:, l] * dtau[:, m] * np.prod(tau[:, rest], axis=1)
+                total += sigma[:, l] * dtau[:, m] * np.prod(tau[:, rest], axis=1)
         return total[0] if scalar else total
 
     return S, Sprime
@@ -429,23 +426,23 @@ def _edge_factors_reference(lengths, is_sin, x):
     return tau, sigma
 
 
-def derivative_at_root_reference(lengths, is_sin, weights, x):
-    """-sum_l w_l L_l prod_{j != l} tau_j / tau_l."""
+def derivative_at_root_reference(lengths, is_sin, x):
+    """-sum_l L_l prod_{j != l} tau_j / tau_l."""
     tau, _ = _edge_factors_reference(lengths, is_sin, x)
     total = np.zeros(tau.shape[0])
     for l in range(len(lengths)):
         others = [j for j in range(len(lengths)) if j != l]
-        total += weights[l] * lengths[l] * np.prod(tau[:, others], axis=1) / tau[:, l]
+        total += lengths[l] * np.prod(tau[:, others], axis=1) / tau[:, l]
     return -total
 
 
-def envelope_reference(lengths, is_sin, weights, x):
-    """(min_l L_l) sum_l w_l prod_{j != l} |tau_j|."""
+def envelope_reference(lengths, is_sin, x):
+    """(min_l L_l) sum_l prod_{j != l} |tau_j|."""
     tau = np.abs(_edge_factors_reference(lengths, is_sin, x)[0])
     total = np.zeros(tau.shape[0])
     for l in range(len(lengths)):
         others = [j for j in range(len(lengths)) if j != l]
-        total += weights[l] * np.prod(tau[:, others], axis=1)
+        total += np.prod(tau[:, others], axis=1)
     return float(np.min(lengths)) * total
 
 

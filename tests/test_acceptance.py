@@ -156,7 +156,7 @@ def test_criterion_08_derivative_lower_bound():
         g = star([1.0, SQRT2])
         basis = solve_spectrum(g, 200)
         sp = build_secular_product(g)
-        fit = fit_derivative_bound(sp, basis, 200)
+        fit = fit_derivative_bound(sp, basis)
         pos = np.abs(sp.derivative(basis.omegas))
         neg = np.abs(sp.derivative(-basis.omegas))
         scaled = np.minimum(pos, neg) * np.arange(1, 201) ** 1.1

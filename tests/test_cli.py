@@ -298,6 +298,17 @@ def test_validation_exit_code(tmp_path):
                      "--problem", str(bad)]) == EXIT_VALIDATION
 
 
+def test_duplicate_vertex_id_exits_2(tmp_path, capsys):
+    # v1 listed as "D" and again as "N" solved as Neumann and exited 0
+    doc = json.loads(SAMPLES.joinpath("star2_dirichlet.json").read_text())
+    doc["graph"]["vertices"].append({"id": "v1", "bc": "N"})
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps(doc))
+    assert dispatch(["--out-dir", str(tmp_path / "o"), "spectrum",
+                     "--problem", str(bad)]) == EXIT_VALIDATION
+    assert "duplicate vertex id 'v1'" in capsys.readouterr().err
+
+
 def test_threads_flag_removed(problem, tmp_path):
     # a BLAS thread cap only works when set in the environment before numpy loads
     assert dispatch(["--threads", "2", "--out-dir", str(tmp_path / "o"), "spectrum",

@@ -811,7 +811,7 @@ def test_transfer_lists_the_reference_colliders():
     # every coupled pair that is not admissible is refused with the pairs it
     # collides with, by eigenvalue and by integer label
     rng = np.random.default_rng(21)
-    tol, refused = 1e-8, 0
+    tol, refused = dynamics.RESONANCE_TOL, 0
     for _ in range(100):
         base = random_pair_system(rng, tol)
         labels = [int(v) for v in rng.integers(1, 8, base.dim)]
@@ -827,7 +827,7 @@ def test_transfer_lists_the_reference_colliders():
                 assert expected
                 source, target = (j, k) if rng.random() < 0.5 else (k, j)
                 with pytest.raises(ValidationError) as exc:
-                    resonant_transfer(system, source, target, 0.01, tol)
+                    resonant_transfer(system, source, target, 0.01)
                 assert str(exc.value).endswith(f"colliding pairs: {expected}")
                 refused += 1
     assert refused > 100
@@ -840,7 +840,7 @@ def test_transfer_refuses_exactly_the_inadmissible_pairs(monkeypatch):
         return dynamics.Trajectory(np.zeros(1), psi0[None, :], 0)
     monkeypatch.setattr(dynamics, "propagate", stub)
     rng = np.random.default_rng(23)
-    tol, outcomes = 1e-8, Counter()
+    tol, outcomes = dynamics.RESONANCE_TOL, Counter()
     for _ in range(60):
         base = random_pair_system(rng, tol)
         floor = 1e-12 * max(1.0, float(np.abs(base.B).max()))
@@ -852,7 +852,7 @@ def test_transfer_refuses_exactly_the_inadmissible_pairs(monkeypatch):
                 coupled = abs(system.B[j - 1, k - 1]) > floor
                 source, target = (j, k) if rng.random() < 0.5 else (k, j)
                 try:
-                    resonant_transfer(system, source, target, 0.01, tol)
+                    resonant_transfer(system, source, target, 0.01)
                     outcome = "accepted"
                 except ValidationError as exc:
                     outcome = "degenerate" if "frequency-degenerate" in str(exc) else "uncoupled"

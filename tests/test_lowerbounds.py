@@ -88,9 +88,9 @@ def test_complex_plane_growth_envelope(star2_irrational):
     rng = np.random.default_rng(9)
     zs = rng.uniform(-8, 8, size=60) + 1j * rng.uniform(-8, 8, size=60)
     for z in zs:
-        val = sum(w * np.cos(z * sp.lengths[l])
+        val = sum(np.cos(z * sp.lengths[l])
                   * np.prod([np.sin(z * sp.lengths[j]) for j in range(2) if j != l])
-                  for l, w in enumerate(sp.weights))
+                  for l in range(2))
         assert abs(val) <= sp.sup_bound * math.exp(total * abs(z)) * (1 + 1e-12)
 
 
@@ -114,7 +114,6 @@ def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
     closed-form zeros."""
     lengths = np.array(data.draw(st.lists(st.sampled_from(LENGTH_CHOICES), min_size=n, max_size=n)))
     is_sin = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    weights = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n)))
     rng = np.random.default_rng(seed)
     zeros = np.concatenate([(np.arange(1, 6) - (0.0 if s else 0.5)) * PI / L
                             for L, s in zip(lengths, is_sin)])
@@ -122,15 +121,15 @@ def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
                            zeros, np.nextafter(zeros, np.inf), -zeros])
     x = np.concatenate([[0.0, -0.0], away])
 
-    S, Sprime = assemble_secular(lengths, is_sin, weights)
-    S_ref, Sprime_ref = assemble_secular_reference(lengths, is_sin, weights)
+    S, Sprime = assemble_secular(lengths, is_sin)
+    S_ref, Sprime_ref = assemble_secular_reference(lengths, is_sin)
     assert_same_bits(S(x), S_ref(x))
     assert_same_bits(Sprime(x), Sprime_ref(x))
-    sp = SecularProduct(lengths=lengths, is_sin=is_sin, weights=weights)
-    assert_same_bits(sp.envelope(x), envelope_reference(lengths, is_sin, weights, x))
+    sp = SecularProduct(lengths=lengths, is_sin=is_sin)
+    assert_same_bits(sp.envelope(x), envelope_reference(lengths, is_sin, x))
     # derivative_at_root divides by tau_l, so it is compared away from x = 0
     assert_same_bits(sp.derivative_at_root(away),
-                     derivative_at_root_reference(lengths, is_sin, weights, away))
+                     derivative_at_root_reference(lengths, is_sin, away))
     i1 = [j for j in range(n) if not is_sin[j]]
     i2 = [j for j in range(n) if is_sin[j]]
     assert_same_bits(mixed_product_sum(lengths, i1, i2, x), mixed_product_sum_reference(lengths, i1, x))
@@ -138,13 +137,6 @@ def test_secular_sums_match_reference_loops_bitwise(n, data, seed):
     grid = grid[grid > 0.5 * PI * float(np.max(1.0 / lengths))]
     bound = diophantine_products(lengths, i1, i2, grid).product_bound
     assert_same_bits(bound, product_bound_reference(lengths, i1, grid))
-
-
-def test_paired_weights():
-    g = star([1.0, 1.0, SQRT2, SQRT2])
-    sp = build_secular_product(g, pair_weights=True)
-    assert sorted(sp.weights.tolist()) == [2.0, 2.0]
-    assert sp.lengths.size == 2
 
 
 # -- derivative bound fits ----------------------------------------------------

@@ -244,13 +244,16 @@ def test_horizon_hypothesis_enforced():
 
 
 def test_preconditioned_solve_enforces_horizon():
-    # the shifted frequencies (0, 1.5, 3, 3.4) cluster as {0}, {1.5}, {3, 3.4} for delta = 1,
-    # M = 3, so the window needs T >= 2 pi
+    # the shifted frequencies (0, 1.5, 3, 3.4) have the estimated (delta, M) = (1.133..., 3),
+    # clusters {0}, {1.5}, {3, 3.4}, so the window needs T >= 2 pi / delta = 5.54
     lam = [0.0, 1.5, 3.0, 3.4]
     x = [1.0, 0.5j, 0.0, 0.25]
+    part = build_partition(lam)
+    assert (part.M, part.clusters) == (3, [(0, 1), (1, 2), (2, 4)])
+    assert 5.0 < 2 * math.pi / part.delta < 8.0
     with pytest.raises(ValidationError, match="T > 2 pi / delta"):
-        solve_moment(lam, x, 5.0, mode="dd_preconditioned", delta=1.0, M=3)
-    sol = solve_moment(lam, x, 8.0, mode="dd_preconditioned", delta=1.0, M=3)
+        solve_moment(lam, x, 5.0, mode="dd_preconditioned")
+    sol = solve_moment(lam, x, 8.0, mode="dd_preconditioned")
     assert sol.max_residual < 1e-10
 
 

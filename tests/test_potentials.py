@@ -11,8 +11,8 @@ from graphctrl.errors import ValidationError
 from graphctrl.potentials import (ControlOperator, analyze_coupling, build_exchange_matrix,
                                   build_matrix, check_vertex_compatibility,
                                   degree6_neumann_potential, find_resonant_quadruples,
-                                  matrix_element, mode_overlap_integral, squared_shift_potential,
-                                  trig_moments)
+                                  matching_gaps, matrix_element, mode_overlap_integral, pair_gaps,
+                                  squared_shift_potential, trig_moments)
 from graphctrl.spectrum import explicit_subsystem, solve_spectrum
 
 from conftest import (degree6_neumann_cos_integral, find_resonant_quadruples_reference, interval,
@@ -462,3 +462,18 @@ def test_constant_potential_fails_center_condition(star3_equilateral):
     rep = check_vertex_compatibility(op, star3_equilateral)
     assert not rep.preserves_h2
     assert rep.vanishing_order == 0
+
+
+def test_matching_gaps_memory_bound(star2_irrational):
+    # K = 1000 gives 499 500 gaps and 664 395 matches, 10.1 MiB of indices; with every
+    # sorted and candidate-sized intermediate held to the end the peak was 4.4 times that
+    mu = solve_spectrum(star2_irrational, 1000).eigenvalues
+    gap = pair_gaps(mu)[2]
+    tracemalloc.start()
+    try:
+        first, second = matching_gaps(gap, 1e-10 * float(mu.max()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.size == 664_395
+    assert peak < 3.2 * (first.nbytes + second.nbytes)
