@@ -11,7 +11,11 @@ drive is even, so the map is multiplied out from the steps of half a
 period, and the powers between records come from repeated squaring.  B is
 diagonalized for each stretch of steps: once per call on a fixed grid, and
 on the periodic path once for the map and once more for each of the
-stepped lead-in and remainder.
+stepped lead-in and remainder.  The free step, the period map and its power
+between records are projected to the nearest unitary by Newton-Schulz steps
+(Higham, Functions of Matrices, SIAM 2008, section 8.3): one step of two K x K
+products on every input here, in place of an SVD that costs 10-30 of them;
+a defect max|U^H U - I| that is not finite or above 0.5 raises NumericalError.
 
 Controls are a graphctrl.moment.TrigControl (imported here) or a
 piecewise-constant SampledControl; both give their moments, the integrals of
@@ -158,7 +162,9 @@ def _step_matrices(lam, B, u_mids, dt):
 
 def _free_step(half, Q):
     """W = Q^T e^{-i Lambda dt} Q projected to the nearest unitary (else the norm
-    drifts ~10x faster over long grids); W is complex symmetric up to rounding."""
+    drifts ~10x faster over long grids); W is complex symmetric up to rounding.
+    Its defect max|W^H W - I| is about 1e-15, so _polar_unitary takes one
+    Newton-Schulz step: two K x K products."""
     return _polar_unitary((Q.T * half**2) @ Q)
 
 
@@ -168,13 +174,17 @@ def _kick_steps(a, W, D, u_mids, dt, rec_every=0):
     Returns the final a and (step, a) after every rec_every-th and the last
     step.  The kicks are formed _KICK_BLOCK steps at a time.
     """
-    recorded, n = [], len(u_mids)
+    recorded, n, Wt = [], len(u_mids), W.T
     for start in range(0, n, _KICK_BLOCK):
         kicks = np.exp(-1j * dt * np.multiply.outer(u_mids[start:start + _KICK_BLOCK], D))
-        for step, kick in enumerate(kicks, start=start + 1):
-            a = (kick * a) @ W.T
-            if rec_every and (step % rec_every == 0 or step == n):
-                recorded.append((step, a))
+        if not rec_every:
+            for kick in kicks:
+                a = (kick * a).dot(Wt)
+        else:
+            for step, kick in enumerate(kicks, start=start + 1):
+                a = (kick * a).dot(Wt)
+                if step % rec_every == 0 or step == n:
+                    recorded.append((step, a))
     return a, recorded
 
 
@@ -182,17 +192,47 @@ def _split_evolve(lam, B, u_mids, dt, psi, rec_every=0):
     """Apply the split steps with control midpoints u_mids to psi (a state, or rows of states).
 
     Returns the final psi and (step, state) after every rec_every-th and the
-    last step; the steps run on a = Q^T half psi.
+    last step; the steps run on a = Q^T half psi, and the recorded a are
+    mapped back in one product.
     """
     half, Q, D = _step_matrices(lam, B, u_mids, dt)
     a, recorded = _kick_steps((half * psi) @ Q, _free_step(half, Q), D, u_mids, dt, rec_every)
-    return half.conj() * (a @ Q.T), [(step, half.conj() * (r @ Q.T)) for step, r in recorded]
+    back = half.conj()
+    states = back * (np.array([r for _, r in recorded]).reshape(-1, *a.shape) @ Q.T)
+    return back * (a @ Q.T), [(step, state) for (step, _), state in zip(recorded, states)]
+
+
+_POLAR_TOL = 1e-8          # a Newton-Schulz step from this defect leaves one of O(1e-16)
+_POLAR_MAX_STEPS = 50      # from a defect of 0.5 about 6 steps suffice; a singular U never converges
 
 
 def _polar_unitary(U):
-    """Nearest unitary; absorbs the roundoff of long step products."""
-    w, _, vt = np.linalg.svd(U)
-    return w @ vt
+    """Nearest unitary (the polar factor of U); absorbs the roundoff of long step products.
+
+    Newton-Schulz steps U <- U (3I - U^H U) / 2 (Higham, Functions of
+    Matrices, SIAM 2008, section 8.3), written U - U E / 2 with the defect
+    E = U^H U - I: two K x K products per step in place of an SVD.  A step
+    from defect delta = max|E| leaves O(delta^2); steps repeat while delta
+    is above _POLAR_TOL, and every input here (a free step, a period map,
+    a power of it) has delta between 1e-15 and 1e-12, so one step is
+    enough.  NumericalError when delta is not finite or above 0.5, where
+    the iteration stops converging, or when it has not converged after
+    _POLAR_MAX_STEPS steps.
+    """
+    diag = np.s_[::U.shape[0] + 1]
+    for _ in range(_POLAR_MAX_STEPS):
+        E = U.conj().T @ U
+        E.flat[diag] -= 1.0
+        delta = float(np.abs(E).max())
+        if not delta <= 0.5:
+            raise NumericalError(f"unitary projection needs a finite defect max|U^H U - I| "
+                                 f"of at most 0.5, got {delta:.3g}")
+        E *= 0.5
+        U = U - U @ E
+        if delta <= _POLAR_TOL:
+            return U
+    raise NumericalError(f"unitary projection has not converged: defect {delta:.3g} after "
+                         f"{_POLAR_MAX_STEPS} Newton-Schulz steps")
 
 
 def _require_steps(n_steps) -> int:
@@ -246,7 +286,10 @@ def _period_map(system, control, period, t0, n_per_period):
     symmetric and unitary, the whole window is the time-symmetric composition
     W X^T conj(W) X (McLachlan & Quispel, Acta Numerica 2002): u is evaluated
     and multiplied out at h midpoints only.  The map is projected to the
-    nearest unitary: its roundoff would otherwise grow into a norm drift.
+    nearest unitary, its roundoff would otherwise grow into a norm drift: its
+    defect is about 1e-15, so that is one Newton-Schulz step of two K x K
+    products (_polar_unitary), which raises NumericalError only on a
+    non-finite map or one with defect above 0.5.
     """
     dt = period / n_per_period
     u_mids = control(t0 + (np.arange(n_per_period // 2) + 0.5) * dt)

@@ -15,7 +15,7 @@ from graphctrl.dynamics import (GalerkinSystem, SampledControl, TrigControl, _fr
                                 admissible_pairs, choose_step_count, first_order_prediction, lie_closure,
                                 linearized_response, propagate, propagate_reversed,
                                 resonant_pulse, resonant_transfer, subsystem_transfer_demo)
-from graphctrl.errors import ValidationError
+from graphctrl.errors import NumericalError, ValidationError
 from graphctrl.graph import load_problem
 from graphctrl.moment import solve_moment
 from graphctrl.potentials import (ControlOperator, analyze_coupling, build_matrix,
@@ -242,6 +242,67 @@ def test_long_propagation_memory_and_drift():
     # the unitary projection of the free step keeps the drift at rounding level
     # (1.5e-11 here without it)
     assert traj.steps == 20000 and traj.norm_drift < 5e-12
+
+
+def svd_polar_factor(U):
+    """The nearest unitary to U by the SVD U = W S V^H: W V^H."""
+    w, _, vt = np.linalg.svd(U)
+    return w @ vt
+
+
+def projected_inputs(monkeypatch, K):
+    """Every matrix _period_map projects, and the power M^31 of the map it returns,
+    on star2_dirichlet under a resonant pulse between modes 1 and 2."""
+    _, system = sample_system("star2_dirichlet", K)
+    u = resonant_pulse(0.01, system.lam[1] - system.lam[0], 500.0)
+    inputs, project = [], dynamics._polar_unitary
+    monkeypatch.setattr(dynamics, "_polar_unitary", lambda U: inputs.append(U) or project(U))
+    M = _period_map(system, u, u.period, u.even_time, 1024)
+    return inputs + [np.linalg.matrix_power(M, 31)]
+
+
+@pytest.mark.parametrize("K, which", [(30, 0), (60, 1), (60, 2)],
+                         ids=["free step K=30", "period map K=60", "map power 31 K=60"])
+def test_polar_unitary_matches_the_svd_polar_factor(monkeypatch, K, which):
+    U = projected_inputs(monkeypatch, K)[which]
+    eye = np.eye(K)
+    assert 0 < np.max(np.abs(U.conj().T @ U - eye)) <= 1e-12
+    P = _polar_unitary(U)
+    assert np.max(np.abs(P - svd_polar_factor(U))) <= 1e-14
+    assert np.max(np.abs(P.conj().T @ P - eye)) <= 1e-14
+
+
+def test_polar_unitary_converges_from_a_large_defect():
+    # defect 0.36: several Newton-Schulz steps, each about squaring it
+    rng = np.random.default_rng(3)
+    U = svd_polar_factor(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    A = U @ np.diag(np.linspace(0.8, 1.15, 8))
+    P = _polar_unitary(A)
+    assert np.max(np.abs(P - svd_polar_factor(A))) <= 1e-14
+    assert np.max(np.abs(P.conj().T @ P - np.eye(8))) <= 1e-14
+
+
+@pytest.mark.parametrize("U", [np.full((4, 4), np.nan), 2 * np.eye(4), np.eye(4) - 0.25],
+                         ids=["nan", "2I", "singular"])
+def test_polar_unitary_raises_outside_its_convergence_region(U):
+    # I - v v^T with v = (1, 1, 1, 1) / 2 has defect 0.25 but is a fixed point of the step
+    with pytest.raises(NumericalError, match="defect"):
+        _polar_unitary(U)
+
+
+def test_propagation_calls_no_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    system = interval_system()
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05)])
+    traj = propagate(system, psi0, u, n_steps=256)
+    assert traj.norm_drift < 1e-13
+    assert dynamics.step_doubling_error(system, psi0, u, traj) < 1e-6
+    assert resonant_transfer(two_level(), 1, 2, 0.05).fidelity > 0.999
 
 
 @pytest.mark.parametrize("make", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphctrl.errors import ValidationError
-from graphctrl.graph import (BoundaryCondition as BC, Edge, MetricGraph, Topology,
+from graphctrl.graph import (RATIO_TOL, BoundaryCondition as BC, Edge, MetricGraph, Topology,
                              check_length_set, load_problem)
 
 from conftest import interval, star
@@ -135,6 +135,17 @@ def test_check_length_set_irrational_pair():
 def test_check_length_set_equal_lengths():
     rep = check_length_set([1.0, 1.0])
     assert (2, 1, 1, 1) in [h[:4] for h in rep.rational_hits]
+
+
+def test_check_length_set_does_not_depend_on_the_order():
+    # from a seeded scan (default_rng(0), pairs uniform on [0.1, 10]): a scan of
+    # L_k/L_j with q <= RATIO_Q_MAX and p unbounded flags this pair as (b, a) only
+    a, b = 8.892371374525881, 2.3361073413315117
+    (hit,) = check_length_set([a, b]).rational_hits
+    (reverse,) = check_length_set([b, a]).rational_hits
+    assert hit[:4] == (2, 1, 9028, 34365) and reverse[:4] == (2, 1, 34365, 9028)
+    assert hit[4] == reverse[4] < RATIO_TOL
+    assert abs(b / a - 9028 / 34365) < RATIO_TOL
 
 
 @settings(max_examples=25)
