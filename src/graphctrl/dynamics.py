@@ -14,8 +14,9 @@ on the periodic path once for the map and once more for each of the
 stepped lead-in and remainder.  The free step, the period map and its power
 between records are projected to the nearest unitary by Newton-Schulz steps
 (Higham, Functions of Matrices, SIAM 2008, section 8.3): one step of two K x K
-products on every input here, in place of an SVD that costs 10-30 of them;
-a defect max|U^H U - I| that is not finite or above 0.5 raises NumericalError.
+products on every input here, in place of an SVD that costs about 10-33 of
+them; a defect ||U^H U - I||_F that is not finite or above 0.5 raises
+NumericalError.
 
 Controls are a graphctrl.moment.TrigControl (imported here) or a
 piecewise-constant SampledControl; both give their moments, the integrals of
@@ -163,7 +164,7 @@ def _step_matrices(lam, B, u_mids, dt):
 def _free_step(half, Q):
     """W = Q^T e^{-i Lambda dt} Q projected to the nearest unitary (else the norm
     drifts ~10x faster over long grids); W is complex symmetric up to rounding.
-    Its defect max|W^H W - I| is about 1e-15, so _polar_unitary takes one
+    Its defect ||W^H W - I||_F is about 1e-14, so _polar_unitary takes one
     Newton-Schulz step: two K x K products."""
     return _polar_unitary((Q.T * half**2) @ Q)
 
@@ -177,14 +178,10 @@ def _kick_steps(a, W, D, u_mids, dt, rec_every=0):
     recorded, n, Wt = [], len(u_mids), W.T
     for start in range(0, n, _KICK_BLOCK):
         kicks = np.exp(-1j * dt * np.multiply.outer(u_mids[start:start + _KICK_BLOCK], D))
-        if not rec_every:
-            for kick in kicks:
-                a = (kick * a).dot(Wt)
-        else:
-            for step, kick in enumerate(kicks, start=start + 1):
-                a = (kick * a).dot(Wt)
-                if step % rec_every == 0 or step == n:
-                    recorded.append((step, a))
+        for step, kick in enumerate(kicks, start=start + 1):
+            a = (kick * a).dot(Wt)
+            if rec_every and (step % rec_every == 0 or step == n):
+                recorded.append((step, a))
     return a, recorded
 
 
@@ -211,21 +208,24 @@ def _polar_unitary(U):
 
     Newton-Schulz steps U <- U (3I - U^H U) / 2 (Higham, Functions of
     Matrices, SIAM 2008, section 8.3), written U - U E / 2 with the defect
-    E = U^H U - I: two K x K products per step in place of an SVD.  A step
-    from defect delta = max|E| leaves O(delta^2); steps repeat while delta
-    is above _POLAR_TOL, and every input here (a free step, a period map,
-    a power of it) has delta between 1e-15 and 1e-12, so one step is
-    enough.  NumericalError when delta is not finite or above 0.5, where
-    the iteration stops converging, or when it has not converged after
+    E = U^H U - I: two K x K products per step in place of an SVD.  The
+    defect is measured as delta = ||E||_F, which bounds the spectral norm
+    ||E||_2 that decides convergence (the largest entry of E can be K times
+    smaller than ||E||_2).  A step from delta leaves O(delta^2); steps
+    repeat while delta is above _POLAR_TOL, and every input here (a free
+    step, a period map, a power of it) has delta between 1e-14 and 1e-12, so
+    one step is enough.  With delta <= 0.5 every singular value of U lies in
+    [0.70, 1.23], where the iteration converges; NumericalError when delta
+    is not finite or above 0.5, or when it has not converged after
     _POLAR_MAX_STEPS steps.
     """
     diag = np.s_[::U.shape[0] + 1]
     for _ in range(_POLAR_MAX_STEPS):
         E = U.conj().T @ U
         E.flat[diag] -= 1.0
-        delta = float(np.abs(E).max())
+        delta = float(np.linalg.norm(E))
         if not delta <= 0.5:
-            raise NumericalError(f"unitary projection needs a finite defect max|U^H U - I| "
+            raise NumericalError(f"unitary projection needs a finite defect ||U^H U - I||_F "
                                  f"of at most 0.5, got {delta:.3g}")
         E *= 0.5
         U = U - U @ E
@@ -287,9 +287,9 @@ def _period_map(system, control, period, t0, n_per_period):
     W X^T conj(W) X (McLachlan & Quispel, Acta Numerica 2002): u is evaluated
     and multiplied out at h midpoints only.  The map is projected to the
     nearest unitary, its roundoff would otherwise grow into a norm drift: its
-    defect is about 1e-15, so that is one Newton-Schulz step of two K x K
-    products (_polar_unitary), which raises NumericalError only on a
-    non-finite map or one with defect above 0.5.
+    defect ||M^H M - I||_F is about 1e-13, so that is one Newton-Schulz step of
+    two K x K products (_polar_unitary), which raises NumericalError only on
+    a non-finite map or one with defect above 0.5.
     """
     dt = period / n_per_period
     u_mids = control(t0 + (np.arange(n_per_period // 2) + 0.5) * dt)

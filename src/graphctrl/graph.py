@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-RATIO_Q_MAX = 10_000    # the largest denominator q of the rational-ratio scan
-RATIO_TOL = 1e-9        # a ratio this close to some p/q is reported as rational
+RATIO_Q_MAX = 10_000    # the largest denominator of the larger-to-smaller ratio in the scan
+RATIO_TOL = 1e-9        # a larger-to-smaller ratio this close to some P/Q is reported as rational
 
 
 class BoundaryCondition(enum.Enum):
@@ -140,7 +140,7 @@ class LengthSetReport:
     a rational with denominator <= RATIO_Q_MAX.
     """
 
-    rational_hits: list[tuple[int, int, int, int, float]]  # (k, j, p, q, residual), 1-based
+    rational_hits: list[tuple[int, int, int, int, float]]  # (k, j, p, q, |r - P/Q|), 1-based
     independence_flag: bool
 
 

@@ -273,19 +273,23 @@ def test_polar_unitary_matches_the_svd_polar_factor(monkeypatch, K, which):
 
 
 def test_polar_unitary_converges_from_a_large_defect():
-    # defect 0.36: several Newton-Schulz steps, each about squaring it
+    # Frobenius defect 0.497, just inside the guard: several Newton-Schulz steps, each
+    # about squaring it
     rng = np.random.default_rng(3)
     U = svd_polar_factor(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    A = U @ np.diag(np.linspace(0.8, 1.15, 8))
+    A = U @ np.diag(np.linspace(0.85, 1.12, 8))
     P = _polar_unitary(A)
     assert np.max(np.abs(P - svd_polar_factor(A))) <= 1e-14
     assert np.max(np.abs(P.conj().T @ P - np.eye(8))) <= 1e-14
 
 
-@pytest.mark.parametrize("U", [np.full((4, 4), np.nan), 2 * np.eye(4), np.eye(4) - 0.25],
-                         ids=["nan", "2I", "singular"])
+@pytest.mark.parametrize("U", [np.full((4, 4), np.nan), 2 * np.eye(4), np.eye(4) - 0.25,
+                               np.eye(16) + 1 / 16],
+                         ids=["nan", "2I", "singular", "rank-one"])
 def test_polar_unitary_raises_outside_its_convergence_region(U):
-    # I - v v^T with v = (1, 1, 1, 1) / 2 has defect 0.25 but is a fixed point of the step
+    # I - v v^T with v = (1, 1, 1, 1) / 2 is a fixed point of the step; I + v v^T with
+    # v = (1, ..., 1) / 4 has a singular value 2, which the step maps to the fixed point -1.
+    # Their largest defect entries are only 0.25 and 0.19, their Frobenius defects 1 and 3.
     with pytest.raises(NumericalError, match="defect"):
         _polar_unitary(U)
 
