@@ -9,13 +9,13 @@ does not grow with the step count.  A long single-frequency drive instead
 runs powers of its one-period map.  The window of that map starts where the
 drive is even, so the map is multiplied out from the steps of half a
 period, and the powers between records come from repeated squaring.  B is
-diagonalized for each stretch of steps: once per call on a fixed grid, and
-on the periodic path once for the map and once more for each of the
-stepped lead-in and remainder.  The free step, the period map and its power
-between records are projected to the nearest unitary by Newton-Schulz steps
-(Higham, Functions of Matrices, SIAM 2008, section 8.3): one step of two K x K
-products on every input here, in place of an SVD that costs about 10-33 of
-them; a defect ||U^H U - I||_F that is not finite or above 0.5 raises
+diagonalized once per system, on first use (GalerkinSystem.eig, kept with
+the immutable system), and every stretch of steps shares that
+factorization; the kick phases come from real cos and sin.  The free step,
+the period map and its power between records are projected to the nearest
+unitary by Newton-Schulz steps (Higham, Functions of Matrices, SIAM 2008,
+section 8.3): one step of two K x K products on every input here, in place
+of an SVD that costs about 10-33 of them; a defect ||U^H U - I||_F that is not finite or above 0.5 raises
 NumericalError.
 
 Controls are a graphctrl.moment.TrigControl (imported here) or a
@@ -35,6 +35,7 @@ boolean reachability products, so no bracket matrix is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,30 +48,50 @@ from .moment import TrigControl, exp_inner
 RESONANCE_TOL = 1e-8   # transition frequencies this close, relative to max(1, max|lambda|), collide
 
 
-@dataclass
+def _read_only(a):
+    """A read-only view of a: no copy, and a itself keeps its own flag."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class GalerkinSystem:
+    """Lambda + u(t) B on the first K modes.  Immutable: lam, B and int_labels are
+    read-only views and cannot be rebound, so the factorization eig, computed
+    on first use and kept, always belongs to B."""
+
     lam: np.ndarray        # ascending real eigenvalues
     B: np.ndarray          # real symmetric coupling matrix
     int_labels: np.ndarray | None = None   # K integers when lam = scale * label^2, else None
 
     def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        require_finite("eigenvalues", self.lam)
-        require_finite("coupling matrix", self.B)
-        K = self.lam.size
-        if self.B.shape != (K, K):
+        lam = _read_only(np.asarray(self.lam, dtype=float))
+        B = _read_only(np.asarray(self.B, dtype=float))
+        require_finite("eigenvalues", lam)
+        require_finite("coupling matrix", B)
+        K = lam.size
+        if B.shape != (K, K):
             raise ValidationError("coupling matrix shape must match the eigenvalue count")
-        if not np.allclose(self.B, self.B.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(self.B).max()))):
+        if not np.allclose(B, B.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(B).max()))):
             raise ValidationError("coupling matrix must be symmetric")
-        if np.any(np.diff(self.lam) < 0):
+        if np.any(np.diff(lam) < 0):
             raise ValidationError("eigenvalues must be sorted ascending")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "B", B)
         if self.int_labels is not None:
-            self.int_labels = require_integers("integer labels", self.int_labels, K)
+            object.__setattr__(self, "int_labels", _read_only(
+                require_integers("integer labels", self.int_labels, K)))
 
     @property
     def dim(self) -> int:
         return self.lam.size
+
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, Q) with B = Q diag(D) Q^T, read-only: one eigh per system."""
+        D, Q = np.linalg.eigh(self.B)
+        return _read_only(D), _read_only(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +173,15 @@ class Trajectory:
         return np.abs(self.states) ** 2
 
 
-# bench/tracing.py counts propagation steps here, as the number of midpoints passed: the
+# Every stretch of steps takes its factors here, from the system's one factorization
+# (GalerkinSystem.eig).  bench/tracing.py wraps this function by its four positional
+# parameters and counts propagation steps as the number of midpoints u_mids passed: the
 # fixed grid passes all its midpoints, but the periodic path's map passes only those of
 # half a period, however many periods it runs
-def _step_matrices(lam, B, u_mids, dt):
-    """Split-step factors: half = e^{-i lam dt/2}, and Q, D of B = Q diag(D) Q^T."""
-    D, Q = np.linalg.eigh(B)
+def _step_matrices(lam, factors, u_mids, dt):
+    """Split-step factors: half = e^{-i lam dt/2}, and Q, D of B = Q diag(D) Q^T,
+    with factors = (D, Q)."""
+    D, Q = factors
     return np.exp(-0.5j * dt * lam), Q, D
 
 
@@ -169,6 +193,19 @@ def _free_step(half, Q):
     return _polar_unitary((Q.T * half**2) @ Q)
 
 
+def _kicks(u, D, dt):
+    """The kick block e^{-i dt outer(u, D)}, from real cos and sin of theta = -dt outer(u, D).
+
+    Bit for bit np.exp(-1j * dt * outer(u, D)), at under half the cost.  That
+    complex product gives a zero phase as +0.0, so + 0.0 turns theta = -0.0
+    into +0.0 and sin gives the same imaginary zero.
+    """
+    theta = -dt * np.multiply.outer(u, D) + 0.0
+    kicks = np.empty(theta.shape, dtype=complex)
+    kicks.real, kicks.imag = np.cos(theta), np.sin(theta)
+    return kicks
+
+
 def _kick_steps(a, W, D, u_mids, dt, rec_every=0):
     """Split steps a <- W (kick * a) on rows a in B's eigenbasis, kick = e^{-i u dt D}.
 
@@ -177,22 +214,22 @@ def _kick_steps(a, W, D, u_mids, dt, rec_every=0):
     """
     recorded, n, Wt = [], len(u_mids), W.T
     for start in range(0, n, _KICK_BLOCK):
-        kicks = np.exp(-1j * dt * np.multiply.outer(u_mids[start:start + _KICK_BLOCK], D))
-        for step, kick in enumerate(kicks, start=start + 1):
+        for step, kick in enumerate(_kicks(u_mids[start:start + _KICK_BLOCK], D, dt), start=start + 1):
             a = (kick * a).dot(Wt)
             if rec_every and (step % rec_every == 0 or step == n):
                 recorded.append((step, a))
     return a, recorded
 
 
-def _split_evolve(lam, B, u_mids, dt, psi, rec_every=0):
-    """Apply the split steps with control midpoints u_mids to psi (a state, or rows of states).
+def _split_evolve(lam, factors, u_mids, dt, psi, rec_every=0):
+    """Apply the split steps with control midpoints u_mids to psi (a state, or rows of
+    states); factors = (D, Q) are the system's eig.
 
     Returns the final psi and (step, state) after every rec_every-th and the
     last step; the steps run on a = Q^T half psi, and the recorded a are
     mapped back in one product.
     """
-    half, Q, D = _step_matrices(lam, B, u_mids, dt)
+    half, Q, D = _step_matrices(lam, factors, u_mids, dt)
     a, recorded = _kick_steps((half * psi) @ Q, _free_step(half, Q), D, u_mids, dt, rec_every)
     back = half.conj()
     states = back * (np.array([r for _, r in recorded]).reshape(-1, *a.shape) @ Q.T)
@@ -272,7 +309,7 @@ def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
     dt = T / n
     rec_every = max(1, n // max(record - 1, 1))
     t_mid = (np.arange(n) + 0.5) * dt
-    _, recorded = _split_evolve(system.lam, system.B, control(t_mid), dt, psi0, rec_every)
+    _, recorded = _split_evolve(system.lam, system.eig, control(t_mid), dt, psi0, rec_every)
     return Trajectory(np.array([0.0] + [s * dt for s, _ in recorded]),
                       np.array([psi0] + [state for _, state in recorded]), n)
 
@@ -293,7 +330,7 @@ def _period_map(system, control, period, t0, n_per_period):
     """
     dt = period / n_per_period
     u_mids = control(t0 + (np.arange(n_per_period // 2) + 0.5) * dt)
-    half, Q, D = _step_matrices(system.lam, system.B, u_mids, dt)
+    half, Q, D = _step_matrices(system.lam, system.eig, u_mids, dt)
     W = _free_step(half, Q)
     W = (W + W.T) / 2    # exactly symmetric, so X^T is the mirrored half; still unitary to O(eps^2)
     Xt, _ = _kick_steps(np.eye(system.dim, dtype=complex), W, D, u_mids, dt)
@@ -309,14 +346,14 @@ def _propagate_periodic(system, psi0, control, period, record, n_per_period=1024
     from repeated squaring, is projected to the nearest unitary and is applied
     once per record; M^(n_periods mod r) is applied once for the final state.
     """
-    lam, B, T = system.lam, system.B, control.horizon
+    lam, eig, T = system.lam, system.eig, control.horizon
     t0 = control.even_time
     M = _period_map(system, control, period, t0, n_per_period)
 
     def step_through(start, length, psi):
         n = max(8, int(n_per_period * length / period))
         dts = length / n
-        return _split_evolve(lam, B, control(start + (np.arange(n) + 0.5) * dts), dts, psi)[0], n
+        return _split_evolve(lam, eig, control(start + (np.arange(n) + 0.5) * dts), dts, psi)[0], n
 
     times, states, psi, steps = [0.0], [psi0], psi0, 0
     if t0 > 0:
@@ -366,7 +403,7 @@ def propagate_reversed(system: GalerkinSystem, psi0, control, n_steps: int) -> n
     T = control.horizon
     dt = T / n_steps
     t_mid = T - (np.arange(n_steps) + 0.5) * dt   # u(T - t) on the forward grid
-    return _split_evolve(-system.lam, system.B, -np.asarray(control(t_mid)), dt, psi0)[0]
+    return _split_evolve(-system.lam, system.eig, -np.asarray(control(t_mid)), dt, psi0)[0]
 
 
 def linearized_response(system: GalerkinSystem, control) -> np.ndarray:

@@ -16,9 +16,11 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphctrl.moment import MomentSolution
+from graphctrl import dynamics
+from graphctrl.moment import MomentSolution, TrigControl
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,6 +39,21 @@ def test_traced_library_names_resolve():
     missing = [f"graphctrl.{layer}.{name}" for layer, name in wanted
                if not callable(getattr(importlib.import_module(f"graphctrl.{layer}"), name, None))]
     assert missing == []
+
+
+def test_tracer_counts_fixed_grid_steps():
+    # the tracer wraps dynamics._step_matrices by its positional parameters; a changed
+    # hook would otherwise only show in a run with --trace 1
+    tracer = load_tracing().Tracer()
+    system = dynamics.GalerkinSystem(lam=np.array([0.0, 3.0, 8.0]), B=np.ones((3, 3)))
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    u = TrigControl(horizon=1.0, terms=[(3.0, "cos", 0.2)])
+    tracer.install()
+    try:
+        dynamics.propagate(system, psi0, u, n_steps=64)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["dynamics.propagate.steps"] == 64
 
 
 def test_moment_solution_keeps_the_gated_field():

@@ -23,6 +23,13 @@ largest relative and largest absolute change of its float values (a float
 near zero that moves by rounding reads as a large relative change), and
 fails if any key, list length, string, integer, CSV header, exit code or
 stderr differs.
+
+The digests are pinned at the default BLAS threading, with no thread
+variable set (two threads on the 2-core host where they were pinned).
+Under OPENBLAS_NUM_THREADS=1, ``report star5_neumann`` (K = 126) moves in
+its last digits: the transfer fidelity 0.999991329211197 becomes
+0.9999913292111965 and norm_drift goes from 3.386e-14 to 3.442e-14.  So
+compare digests with the test command as written, unpinned.
 """
 
 import hashlib

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -166,11 +167,11 @@ def test_half_period_map_matches_full_product(monkeypatch, terms):
     P, t0, n = u.period, u.even_time, 1024
     dt = P / n
     mids = u(t0 + (np.arange(n) + 0.5) * dt)
-    rows, _ = _split_evolve(system.lam, system.B, mids, dt, np.eye(6, dtype=complex))
+    rows, _ = _split_evolve(system.lam, system.eig, mids, dt, np.eye(6, dtype=complex))
     full = _polar_unitary(rows.T)
     # all 1024 steps with the map's exactly symmetric free step: equal up to rounding
     # (2.5e-13 apart with the free step left as projected, its asymmetry repeated 512 times)
-    half, Q, D = _step_matrices(system.lam, system.B, mids, dt)
+    half, Q, D = _step_matrices(system.lam, system.eig, mids, dt)
     W = _free_step(half, Q)
     W = (W + W.T) / 2
     a, _ = _kick_steps(np.eye(6, dtype=complex), W, D, mids, dt)
@@ -179,8 +180,8 @@ def test_half_period_map_matches_full_product(monkeypatch, terms):
     stepped = []
     step_matrices = dynamics._step_matrices
     monkeypatch.setattr(dynamics, "_step_matrices",
-                        lambda lam, B, u_mids, dt: stepped.append(len(u_mids)) or
-                        step_matrices(lam, B, u_mids, dt))
+                        lambda lam, factors, u_mids, dt: stepped.append(len(u_mids)) or
+                        step_matrices(lam, factors, u_mids, dt))
     M = _period_map(system, u, P, t0, n)
     assert stepped == [n // 2]
     assert np.max(np.abs(M - full)) <= 1e-12
@@ -307,6 +308,52 @@ def test_propagation_calls_no_svd(monkeypatch):
     assert traj.norm_drift < 1e-13
     assert dynamics.step_doubling_error(system, psi0, u, traj) < 1e-6
     assert resonant_transfer(two_level(), 1, 2, 0.05).fidelity > 0.999
+
+
+def test_one_factorization_per_system(monkeypatch):
+    # every stretch of steps shares the system's eig: B is diagonalized once, on first use
+    system, transfer_system = interval_system(), interval_system(6)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    psi0 = np.zeros(8, dtype=complex)
+    psi0[0] = 1.0
+    u = TrigControl(horizon=1.0, terms=[(3 * PI**2, "cos", 0.05)])
+    traj = propagate(system, psi0, u)
+    dynamics.step_doubling_error(system, psi0, u, traj)
+    assert calls == [(8, 8)]
+    propagate(system, psi0, u, n_steps=64)
+    propagate_reversed(system, psi0, u, 64)
+    assert calls == [(8, 8)]
+    # the period map and the stepped remainder share one factorization
+    res = resonant_transfer(transfer_system, 1, 2, 0.5)
+    assert res.control.horizon > 8 * res.control.period
+    assert calls == [(8, 8), (6, 6)]
+
+
+def test_galerkin_system_is_immutable():
+    lam, B = np.array([0.0, 1.0, 4.0]), np.eye(3)
+    system = GalerkinSystem(lam=lam, B=B, int_labels=[0, 1, 2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.B = np.zeros((3, 3))
+    for values in (system.lam, system.B, system.int_labels, *system.eig):
+        with pytest.raises(ValueError, match="read-only"):
+            values[(0,) * values.ndim] = 1
+    # views, not copies, and the caller's arrays stay writeable
+    assert np.shares_memory(system.lam, lam) and np.shares_memory(system.B, B)
+    assert lam.flags.writeable and B.flags.writeable
+
+
+def test_kicks_match_complex_exp_bit_for_bit():
+    # real cos and sin give the same bits as the complex exponential, signed zeros included
+    rng = np.random.default_rng(26)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, PI, -PI, 1e6, -1e6])
+    for decade in range(-9, 10):
+        u = np.concatenate([special, rng.normal(size=40) * 10.0 ** decade])
+        D = np.concatenate([special, rng.normal(size=30) * 10.0 ** rng.uniform(-3, 3)])
+        for dt in (1e-4, 0.37, 2.0):
+            expected = np.exp(-1j * dt * np.multiply.outer(u, D))
+            assert np.array_equal(dynamics._kicks(u, D, dt).view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("make", [
