@@ -196,7 +196,7 @@ def _free_step(half, Q):
 def _kicks(u, D, dt):
     """The kick block e^{-i dt outer(u, D)}, from real cos and sin of theta = -dt outer(u, D).
 
-    Bit for bit np.exp(-1j * dt * outer(u, D)), at under half the cost.  That
+    Bit for bit np.exp(-1j * dt * outer(u, D)), at about half the cost.  That
     complex product gives a zero phase as +0.0, so + 0.0 turns theta = -0.0
     into +0.0 and sin gives the same imaginary zero.
     """
