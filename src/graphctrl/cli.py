@@ -1,7 +1,9 @@
 """Command-line front end: spectra, checker reports, moment solves, dynamics.
 
 Every command writes its data files plus a manifest.json recording the
-command, input digests, settings and produced files.  CSV rows are streamed
+command, input digests, settings and produced files.  A run that fails with
+exit 2 or 3 still writes the manifest, with its exit code, the error message
+and the data files written before the failure.  CSV rows are streamed
 from whole columns with floats as %.17g, so every double round-trips.  JSON
 has the json module's indent=2, sort_keys=True layout, written by one writer
 that formats each scalar with the C-level string, float and int encoders; a
@@ -40,11 +42,15 @@ _JSON_FORMATS = {"i": "%d", "u": "%d", "f": "%r"}
 _RECORD_CHUNK = 4096     # records formatted per write of a streamed Records list
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> str | None:
+    """The file's digest; None when it cannot be read (a failed run names it in its error)."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                h.update(chunk)
+    except OSError:
+        return None
     return h.hexdigest()
 
 
@@ -97,15 +103,23 @@ class Runner:
             csv.writer(fh).writerow(header)
             fh.writelines(template % r for r in zip(*(c.tolist() for c in columns), strict=True))
 
-    def finish(self):
+    def finish(self, failure: tuple[int, str] | None):
+        """Write manifest.json; failure is (exit code, message) of a failed run, else None.
+
+        A non-finite setting, which its command rejected, is echoed as its
+        text, since JSON has no NaN or infinity.
+        """
         manifest = {
             "command": self.command,
             "tool_version": __version__,
             "inputs": {str(p): _sha256(p) for p in self.inputs},
-            "settings": self.settings,
+            "settings": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                         for k, v in self.settings.items()},
             "outputs": sorted(self.outputs),
             "wall_time_s": round(time.monotonic() - self.t0, 6),
         }
+        if failure is not None:
+            manifest["exit_code"], manifest["error"] = failure
         self.write_json("manifest.json", manifest)
 
 
@@ -496,13 +510,15 @@ def dispatch(argv) -> int:
     runner = Runner(args.command, Path(args.out_dir), inputs, settings)
     try:
         _HANDLERS[args.command](args, runner)
-        runner.finish()
+        runner.finish(None)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        runner.finish((EXIT_VALIDATION, str(exc)))
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        runner.finish((EXIT_NUMERICAL, str(exc)))
         return EXIT_NUMERICAL
 
 

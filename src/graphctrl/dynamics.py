@@ -8,7 +8,13 @@ O(K^2) work, and the kick factors are formed in blocks of steps, so memory
 does not grow with the step count.  A long single-frequency drive instead
 runs powers of its one-period map.  The window of that map starts where the
 drive is even, so the map is multiplied out from the steps of half a
-period, and the powers between records come from repeated squaring.  B is
+period, and the powers between records come from repeated squaring.
+propagate takes 1024 steps per period there, because simulate writes whole
+states.  A resonant transfer reports only populations (the fidelity, the
+boundary population, the norm drift), so it chooses its steps per period by
+Strang step doubling on those: 256 after a coarse run at 128, then 512 and
+1024 while the estimate max |p_n - p_{n/2}| / 3 over the recorded
+populations is above POPULATION_TOL, with 1024 accepted at the cap.  B is
 diagonalized once per system, on first use (GalerkinSystem.eig, kept with
 the immutable system), and every stretch of steps shares that
 factorization; the kick phases come from real cos and sin.  The free step,
@@ -46,6 +52,7 @@ from .errors import NumericalError, ValidationError, require_finite, require_int
 from .moment import TrigControl, exp_inner
 
 RESONANCE_TOL = 1e-8   # transition frequencies this close, relative to max(1, max|lambda|), collide
+POPULATION_TOL = 1e-6  # a transfer's step-doubling bound on every population it records
 
 
 def _read_only(a):
@@ -152,6 +159,8 @@ class SampledControl:
 # propagation
 
 _KICK_BLOCK = 512   # steps whose kick factors are held in memory at once
+_RECORDS = 129      # states a propagation records by default
+_PERIOD_STEPS = 1024   # propagate's steps per drive period on the periodic path
 
 
 @dataclass
@@ -289,22 +298,29 @@ def choose_step_count(system: GalerkinSystem, control, horizon: float, n_steps: 
     return max(512, n_osc, n_comm)
 
 
+def _runs_periodic(control) -> bool:
+    """A single-frequency drive longer than 8 periods runs powers of its period map."""
+    return control.period is not None and control.horizon > 8 * control.period
+
+
 def propagate(system: GalerkinSystem, psi0, control, n_steps: int | None = None,
-              record: int = 129) -> Trajectory:
+              record: int = _RECORDS) -> Trajectory:
     """Unitary propagation of i psi' = (Lambda + u(t) B) psi by Strang split steps.
 
     An explicit n_steps runs that fixed grid.  Otherwise a single-frequency
-    drive longer than 8 periods takes the periodic path and other controls
-    get choose_step_count steps.
+    drive longer than 8 periods takes the periodic path at _PERIOD_STEPS steps
+    per period (the states are the output, and fewer steps would move them:
+    on star5 at K = 60, 256 steps per period leave a state error of 6e-5
+    against 4e-6 at 1024), and other controls get choose_step_count steps.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_finite("initial state", psi0)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
         raise ValidationError("initial state must be normalized")
-    T, period = control.horizon, control.period
-    if n_steps is None and period is not None and T > 8 * period:
-        return _propagate_periodic(system, psi0, control, period, record)
+    if n_steps is None and _runs_periodic(control):
+        return _propagate_periodic(system, psi0, control, control.period, record, _PERIOD_STEPS)
 
+    T = control.horizon
     n = choose_step_count(system, control, T, n_steps)
     dt = T / n
     rec_every = max(1, n // max(record - 1, 1))
@@ -337,7 +353,7 @@ def _period_map(system, control, period, t0, n_per_period):
     return _polar_unitary(half.conj()[:, None] * (Q @ (W @ Xt @ W.conj() @ Xt.T) @ Q.T) * half)
 
 
-def _propagate_periodic(system, psi0, control, period, record, n_per_period=1024):
+def _propagate_periodic(system, psi0, control, period, record, n_per_period):
     """Powers of the one-period map: a transfer runs thousands of periods, too many to step.
 
     The period window starts at t0 = control.even_time, where u is even
@@ -537,6 +553,37 @@ class TransferResult:
     fidelity: float
     norm_drift: float
     boundary_population: float
+    period_steps: int | None        # steps per drive period chosen; None on the fixed grid
+    error_estimate: float | None    # the step-doubling estimate that accepted them
+
+
+# a coarse run, then the steps per period tried in turn; the last is the cap
+_TRANSFER_PERIOD_STEPS = (128, 256, 512, _PERIOD_STEPS)
+
+
+def _transfer_trajectory(system, psi0, control):
+    """The trajectory of a transfer pulse and the step-doubling estimate e of its populations.
+
+    A transfer reports populations only, so on the periodic path it takes
+    the fewest steps per period n whose e = max |p_n - p_{n/2}| / 3, over
+    every recorded time and mode, is at most POPULATION_TOL: n = 256 after a
+    coarse run at 128, then 512 and 1024 while e is larger, and 1024 (what
+    propagate takes) is accepted whatever e.  Every run shares the system's
+    one eig.  A pulse of at most 8 periods takes propagate's fixed grid and
+    has no estimate (None).
+    """
+    if not _runs_periodic(control):
+        return propagate(system, psi0, control), None
+    run = functools.partial(_propagate_periodic, system, psi0, control, control.period, _RECORDS)
+    coarse = run(_TRANSFER_PERIOD_STEPS[0]).populations()
+    for n in _TRANSFER_PERIOD_STEPS[1:]:
+        traj = run(n)
+        pops = traj.populations()
+        err = float(np.max(np.abs(pops - coarse))) / 3.0
+        if err <= POPULATION_TOL:
+            break
+        coarse = pops
+    return traj, err
 
 
 def resonant_transfer(system: GalerkinSystem, source: int, target: int,
@@ -545,16 +592,18 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int,
 
     u(t) = amplitude * cos(|lambda_m - lambda_n| t) over the first-order
     pulse duration pi / (amplitude |B_mn|); the reported fidelity is
-    |<target, psi(T)>|.  An uncoupled or frequency-degenerate pair is refused;
-    comparing its gap with every coupled gap decides as admissible_pairs does
-    at RESONANCE_TOL.
+    |<target, psi(T)>|.  The steps per period are chosen by step doubling on
+    the recorded populations (_transfer_trajectory).  An uncoupled or
+    frequency-degenerate pair is refused; comparing its gap with every
+    coupled gap decides as admissible_pairs does at RESONANCE_TOL.
     """
     K = system.dim
     if not (1 <= source <= K and 1 <= target <= K):
         raise ValidationError("mode index out of range")
     require_range("transfer amplitude", amplitude, strict=True)
     if source == target:
-        return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0)
+        return TransferResult(control=None, fidelity=1.0, norm_drift=0.0, boundary_population=0.0,
+                              period_steps=None, error_estimate=None)
     m, nn = source - 1, target - 1
     lo, hi = min(m, nn), max(m, nn)
     j, k, gap, tol = _coupled_gaps(system, RESONANCE_TOL)
@@ -574,12 +623,13 @@ def resonant_transfer(system: GalerkinSystem, source: int, target: int,
     u = resonant_pulse(amplitude, omega, T)
     psi0 = np.zeros(K, dtype=complex)
     psi0[m] = 1.0
-    traj = propagate(system, psi0, u)
+    traj, err = _transfer_trajectory(system, psi0, u)
     pops = traj.populations()
     boundary = float(pops[:, -2:].max()) if K >= max(source, target) + 3 else 0.0
     fid = float(abs(traj.final[nn]))
     return TransferResult(control=u, fidelity=fid, norm_drift=traj.norm_drift,
-                          boundary_population=boundary)
+                          boundary_population=boundary, period_steps=traj.period_steps,
+                          error_estimate=err)
 
 
 @dataclass

@@ -51,6 +51,18 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def failure_manifest(out, code):
+    """The strict-JSON manifest of a run that failed with exit code before writing any data file."""
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["exit_code"] == code and manifest["outputs"] == []
+    return manifest
+
+
 def test_spectrum_command(problem, tmp_path):
     out = tmp_path / "out"
     assert dispatch(["--out-dir", str(out), "spectrum", "--problem", str(problem),
@@ -162,7 +174,7 @@ def test_simulate_bad_control_exit_code(problem, tmp_path, capsys, control, mess
     assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem),
                      "--modes", "6", "--control", str(path)]) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert message in failure_manifest(out, EXIT_VALIDATION)["error"]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "check-assumptions", "lowerbounds", "simulate",
@@ -177,7 +189,7 @@ def test_modes_below_one_exit_code(problem, tmp_path, capsys, command, modes):
         args += ["--control", str(control)]
     assert dispatch(args) == EXIT_VALIDATION
     assert "--modes must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert failure_manifest(tmp_path / "o", EXIT_VALIDATION)["settings"]["modes"] == int(modes)
 
 
 def test_simulate_error_estimate_bounds_true_error(tmp_path):
@@ -253,6 +265,21 @@ def test_report_records_a_refused_transfer_demo(tmp_path):
     assert "modes 1 and 2 are uncoupled" in doc["transfer_demo"]["error"]
 
 
+def test_failed_run_manifest_lists_the_files_written_before_the_failure(problem, tmp_path,
+                                                                        monkeypatch):
+    # spectrum writes spectrum.csv before the length scan, here made to fail
+    def fail(lengths):
+        raise NumericalError("length scan failed")
+    monkeypatch.setattr("graphctrl.cli.check_length_set", fail)
+    out = tmp_path / "out"
+    assert dispatch(["--out-dir", str(out), "spectrum", "--problem", str(problem),
+                     "--modes", "6"]) == EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (EXIT_NUMERICAL, "length scan failed")
+    assert manifest["outputs"] == ["spectrum.csv"] == [p.name for p in out.glob("*.csv")]
+    assert manifest["command"] == "spectrum" and manifest["settings"]["modes"] == 6
+
+
 @pytest.mark.parametrize("command, flag", [("liealg", "--resonance-tol"),
                                            ("check-assumptions", "--tol-res"),
                                            ("check-assumptions", "--floor"),
@@ -260,12 +287,15 @@ def test_report_records_a_refused_transfer_demo(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_bad_tolerance_or_amplitude_exit_code(problem, tmp_path, capsys, command, flag, value):
     # each was accepted with exit 0 and a silently different report; --floor
-    # nan or inf wrote assumptions.json and then exited 3 on the manifest
+    # nan or inf wrote assumptions.json and then exited 3 on the manifest.  The
+    # manifest of the failed run echoes a non-finite value as its text
     out = tmp_path / "out"
     assert dispatch(["--out-dir", str(out), command, "--problem", str(problem),
                      "--modes", "8", flag, value]) == EXIT_VALIDATION
     assert "must be finite" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    manifest = failure_manifest(out, EXIT_VALIDATION)
+    assert "must be finite" in manifest["error"]
+    assert str(manifest["settings"][flag[2:].replace("-", "_")]) == repr(float(value))
 
 
 @pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
@@ -404,7 +434,7 @@ def test_moment_solve_residual_gate_exit_code(tmp_path, capsys, mode):
     assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
                      "--target", str(target), "--T", "4.0", "--mode", mode]) == EXIT_NUMERICAL
     assert "moment residual" in capsys.readouterr().err
-    assert not (out / "control.csv").exists()
+    assert "moment residual" in failure_manifest(out, EXIT_NUMERICAL)["error"]
 
 
 @pytest.mark.parametrize("mode", ["direct", "dd_preconditioned"])
@@ -640,7 +670,7 @@ def test_simulate_initial_out_of_range_exit_code(problem, tmp_path, capsys, init
     assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem), "--modes", "8",
                      "--control", str(control), "--initial", initial]) == EXIT_VALIDATION
     assert "--initial must be a mode in 1..8" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    failure_manifest(out, EXIT_VALIDATION)
 
 
 @pytest.mark.parametrize("which, extra_row", [
@@ -663,7 +693,9 @@ def test_moment_solve_bad_input_file_exit_code(tmp_path, capsys, which, extra_ro
     assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(files["freqs"]),
                      "--target", str(files["target"]), "--T", "1.0"]) == EXIT_VALIDATION
     assert f"{which} file {bad}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    # a missing input has no digest
+    inputs = failure_manifest(out, EXIT_VALIDATION)["inputs"]
+    assert (inputs[str(bad)] is None) == (extra_row is None)
 
 
 @pytest.mark.parametrize("which, value, message", [
@@ -680,7 +712,7 @@ def test_moment_solve_non_finite_input_exit_code(tmp_path, capsys, which, value,
     assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
                      "--target", str(target), "--T", "1.0"]) == EXIT_VALIDATION
     assert f"{message} is not finite" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    failure_manifest(out, EXIT_VALIDATION)
 
 
 def test_dispatch_in_one_process_matches_fresh_processes(problem, tmp_path, capfd, monkeypatch):
@@ -724,7 +756,7 @@ def test_moment_solve_samples_below_two_exit_code(tmp_path, capsys, samples):
     assert dispatch(["--out-dir", str(out), "moment-solve", "--freqs", str(freqs),
                      "--target", str(target), "--T", "1.0", "--samples", samples]) == EXIT_VALIDATION
     assert "--samples must be >= 2" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    failure_manifest(out, EXIT_VALIDATION)
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not_json"])
@@ -736,4 +768,4 @@ def test_simulate_unreadable_control_file_exit_code(problem, tmp_path, capsys, c
     assert dispatch(["--out-dir", str(out), "simulate", "--problem", str(problem), "--modes", "6",
                      "--control", str(control)]) == EXIT_VALIDATION
     assert f"control file {control}" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    failure_manifest(out, EXIT_VALIDATION)

@@ -325,9 +325,11 @@ def test_one_factorization_per_system(monkeypatch):
     propagate(system, psi0, u, n_steps=64)
     propagate_reversed(system, psi0, u, 64)
     assert calls == [(8, 8)]
-    # the period map and the stepped remainder share one factorization
+    # every run the transfer's step choice takes, with its period map and stepped
+    # remainder, shares one factorization
     res = resonant_transfer(transfer_system, 1, 2, 0.5)
     assert res.control.horizon > 8 * res.control.period
+    assert res.period_steps is not None
     assert calls == [(8, 8), (6, 6)]
 
 
@@ -950,7 +952,11 @@ def test_transfer_refuses_exactly_the_inadmissible_pairs(monkeypatch):
     # accepted transfers run on a stub propagation that returns the initial state
     def stub(system, psi0, control):
         return dynamics.Trajectory(np.zeros(1), psi0[None, :], 0)
+
+    def stub_periodic(system, psi0, control, period, record, n_per_period):
+        return dynamics.Trajectory(np.zeros(1), psi0[None, :], 0, n_per_period)
     monkeypatch.setattr(dynamics, "propagate", stub)
+    monkeypatch.setattr(dynamics, "_propagate_periodic", stub_periodic)
     rng = np.random.default_rng(23)
     tol, outcomes = dynamics.RESONANCE_TOL, Counter()
     for _ in range(60):
@@ -972,6 +978,59 @@ def test_transfer_refuses_exactly_the_inadmissible_pairs(monkeypatch):
                                    "accepted" if (j, k) in admissible else "degenerate")
                 outcomes[outcome] += 1
     assert min(outcomes.values()) > 50
+
+
+def transfer_pulse(system, amplitude):
+    """The 1 -> 2 pulse of resonant_transfer and its initial state."""
+    u = resonant_pulse(amplitude, system.lam[1] - system.lam[0],
+                       PI / (amplitude * abs(system.B[0, 1])))
+    psi0 = np.zeros(system.dim, dtype=complex)
+    psi0[0] = 1.0
+    return u, psi0
+
+
+@pytest.mark.parametrize("name", ["star2_dirichlet", "star5_neumann"])
+def test_transfer_populations_within_tolerance_of_fine_maps(name):
+    # the accepted run's populations at every recorded time, and the fidelity, against
+    # period maps of 4096 steps; star5 is the case where 256 steps are furthest off (2.8e-7)
+    _, system = sample_system(name, 60)
+    u, psi0 = transfer_pulse(system, 0.01)
+    tol = dynamics.POPULATION_TOL
+    traj, err = dynamics._transfer_trajectory(system, psi0, u)
+    assert traj.period_steps == 256 and err <= tol
+    fine = _propagate_periodic(system, psi0, u, u.period, 129, 4096)
+    assert np.array_equal(traj.times, fine.times)
+    assert np.max(np.abs(traj.populations() - fine.populations())) <= tol
+    res = resonant_transfer(system, 1, 2, 0.01)
+    assert (res.period_steps, res.error_estimate) == (256, err)
+    assert abs(res.fidelity - abs(fine.final[1])) <= tol
+
+
+def test_transfer_steps_capped_at_propagate_count(monkeypatch):
+    # a tolerance no run meets: every count is tried once, 1024 is accepted at the cap,
+    # and the transfer is bit for bit the one that propagate's 1024 steps give
+    _, system = sample_system("star2_dirichlet", 30)
+    u, psi0 = transfer_pulse(system, 0.02)
+    reference = propagate(system, psi0, u)
+    tried, periodic = [], dynamics._propagate_periodic
+    monkeypatch.setattr(dynamics, "POPULATION_TOL", 1e-15)
+    monkeypatch.setattr(dynamics, "_propagate_periodic",
+                        lambda *args: tried.append(args[-1]) or periodic(*args))
+    res = resonant_transfer(system, 1, 2, 0.02)
+    assert tried == [128, 256, 512, 1024]
+    assert res.period_steps == reference.period_steps == 1024
+    assert res.error_estimate > 1e-15
+    assert res.fidelity == float(abs(reference.final[1]))
+    assert res.norm_drift == reference.norm_drift
+    assert res.boundary_population == float(reference.populations()[:, -2:].max())
+
+
+def test_short_transfer_keeps_the_fixed_grid():
+    # pi / (0.1 |B_12|) is 5 periods of the two-level drive: no period map, no estimate
+    res = resonant_transfer(two_level(), 1, 2, 0.1)
+    assert res.control.horizon <= 8 * res.control.period
+    assert res.period_steps is None and res.error_estimate is None
+    assert resonant_transfer(two_level(), 2, 2, 0.1).period_steps is None
 
 
 def test_transfer_reports_sub_floor_coupling_as_uncoupled():

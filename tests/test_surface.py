@@ -38,4 +38,4 @@ def settable_values():
 
 def test_settable_value_count():
     values = settable_values()
-    assert len(values) == 33, "\n".join(" ".join(v) for v in values)
+    assert len(values) == 32, "\n".join(" ".join(v) for v in values)
